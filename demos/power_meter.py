@@ -6,6 +6,8 @@ The measurement protocol is three calls: start, run the workload, stop,
 then read back (millijoules, seconds).  A scripted meter replays canned
 readings for tests; the analytic meter maps a model's per-sample MAC
 count into a bounded watt range so desk runs behave like telemetry.
+Its reading depends only on the observed network, so ``measure_mean``
+takes its windows without running the workload inside them.
 """
 
 import numpy as np

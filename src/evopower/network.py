@@ -36,12 +36,11 @@ def _relu(z):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp
+    # never overflows; exp(-|z|) is that exp operand on either side, which
+    # keeps every result bit-equal to evaluating the two formulas apart
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def _softmax(z):
@@ -58,7 +57,7 @@ class _Dense:
         self.b = b
         self.activation = activation
         self._x = None
-        self._z = None
+        self._a = None
         self.dw = None
         self.db = None
 
@@ -79,16 +78,15 @@ class _Dense:
         else:
             a = _softmax(z)
         if cache:
-            self._x, self._z = x, z
+            self._x, self._a = x, a
         return a
 
     def backward(self, g: np.ndarray) -> np.ndarray:
         """Gradient through activation and affine map; g is dL/d(output)."""
         if self.activation == "relu":
-            dz = g * (self._z > 0)
+            dz = g * (self._a > 0)
         elif self.activation == "sigmoid":
-            a = _sigmoid(self._z)
-            dz = g * a * (1.0 - a)
+            dz = g * self._a * (1.0 - self._a)
         else:
             raise ValueError("softmax layers receive dz directly")
         return self.backward_from_dz(dz)

@@ -2,13 +2,17 @@
 
 Meters expose ``start() / stop() / read()``, where ``read`` reports the
 energy in millijoules and the duration in seconds for the last start/stop
-window.  The measurement loop runs the workload ``n_measures`` times and
-converts each window to watts::
+window.  The measurement loop takes ``n_measures`` windows and converts
+each to watts::
 
     watts = millijoules / 1000 / seconds
 
-returning the last workload output together with all samples and their
-mean.  Real telemetry stays behind the contract; this package ships two
+returning all samples and their mean.  A meter that reads real telemetry
+needs the workload running inside each window, so the loop runs it once
+per window and also returns its last output.  A meter that models power
+from the network it observed sets ``runs_workload = False``; the loop
+then takes the same windows without running the workload.  Real
+telemetry stays behind the contract; this package ships two
 implementations:
 
 * :class:`ScriptedMeter` replays a fixed list of readings and enforces
@@ -47,11 +51,12 @@ NOISE_TRUNCATION_SIGMAS = 6.0
 class Meter:
     """Measurement contract; subclasses implement the three-call protocol.
 
-    ``exclusive`` marks meters that cannot take interleaved measurements
-    (real hardware); the engine serializes measurement sections for them.
+    ``runs_workload`` says whether a window's reading depends on the
+    workload running inside it (true for real telemetry).  Meters that
+    compute the draw from what :meth:`observe` told them set it false.
     """
 
-    exclusive = False
+    runs_workload = True
 
     def start(self) -> None:
         raise NotImplementedError
@@ -75,11 +80,12 @@ class MeasureResult:
 
 
 def measure_mean(meter: Meter, work, n_measures: int = DEFAULT_N_MEASURES) -> MeasureResult:
-    """Run ``work`` n_measures times, metering each run.
+    """Take n_measures meter windows, running ``work`` inside each one
+    when the meter reads the workload (``meter.runs_workload``).
 
-    Returns the last output of ``work`` and the per-window watt samples
-    with their mean.  Zero or negative durations and negative energies
-    are meter faults.
+    Returns the last output of ``work`` (None when the meter skips it) and
+    the per-window watt samples with their mean.  Zero or negative
+    durations and negative energies are meter faults.
     """
     if n_measures < 1:
         raise ValueError(f"n_measures must be >= 1, got {n_measures}")
@@ -87,7 +93,8 @@ def measure_mean(meter: Meter, work, n_measures: int = DEFAULT_N_MEASURES) -> Me
     output = None
     for _ in range(n_measures):
         meter.start()
-        output = work()
+        if meter.runs_workload:
+            output = work()
         meter.stop()
         millijoules, seconds = meter.read()
         if seconds <= 0:
@@ -189,8 +196,11 @@ class AnalyticMeter(Meter):
 
     Reports a synthetic one-second window whose energy matches the
     modeled draw of the last observed network, so the watt round-trip
-    through :func:`measure_mean` is exact.
+    through :func:`measure_mean` is exact.  The reading never depends on
+    the workload, so :func:`measure_mean` does not run it.
     """
+
+    runs_workload = False
 
     def __init__(self, cfg: AnalyticMeterConfig | None = None, rng: np.random.Generator | None = None):
         self.cfg = cfg or AnalyticMeterConfig()

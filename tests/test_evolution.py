@@ -23,8 +23,8 @@ from evopower.fitness import WORST_FITNESS, evaluate_fitness
 from evopower.genome import GenomeConfig, ModuleSpec, init_individual
 from evopower.grammar import load_packaged_grammar
 from evopower.mutation import MutationRates
-from evopower.network import load_weights
-from evopower.power import AnalyticMeterConfig, ScriptedMeter
+from evopower.network import Network, load_weights
+from evopower.power import AnalyticMeter, AnalyticMeterConfig, ScriptedMeter
 
 GRAMMAR = load_packaged_grammar("dense_only")
 
@@ -229,6 +229,34 @@ def test_byte_identical_reruns_and_worker_invariance(tmp_path):
     run_es(noisy2, GRAMMAR, DATA, out_dir=tmp_path / "e")
     assert ((tmp_path / "d" / "generations.csv").read_bytes()
             == (tmp_path / "e" / "generations.csv").read_bytes())
+
+
+def test_skipping_analytic_workload_keeps_results_identical(tmp_path, monkeypatch):
+    forwards = []
+    plain_forward = Network.forward
+
+    def counting_forward(self, *args, **kwargs):
+        forwards.append(kwargs.get("train", False))
+        return plain_forward(self, *args, **kwargs)
+
+    monkeypatch.setattr(Network, "forward", counting_forward)
+    cfg = mode_config(tiny_config(runs=1, generations=3, seed=5,
+                                  meter=AnalyticMeterConfig(noise_sigma=2.0)), "proposed")
+    stock = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "stock")
+    stock_inference = forwards.count(False)
+    assert stock.archive.entries  # probing ran
+
+    # the engine builds a fresh AnalyticMeter per measurement, so force the
+    # workload on the class rather than through a subclass passed as meter=
+    forwards.clear()
+    monkeypatch.setattr(AnalyticMeter, "runs_workload", True)
+    forced = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "forced")
+    assert forwards.count(False) > stock_inference  # the workload really ran
+
+    assert ((tmp_path / "stock" / "generations.csv").read_bytes()
+            == (tmp_path / "forced" / "generations.csv").read_bytes())
+    assert ([e.power_watts for e in stock.archive.entries]
+            == [e.power_watts for e in forced.archive.entries])
 
 
 def test_resume_completes_to_identical_csv(tmp_path):

@@ -5,6 +5,8 @@ from evopower.errors import EvaluationError, TrainingDivergedError
 from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, init_individual, to_phenotype
 from evopower.grammar import load_packaged_grammar
 from evopower.network import (
+    _init_dense,
+    _sigmoid,
     build,
     count_macs,
     cross_entropy,
@@ -263,3 +265,54 @@ def test_forward_batch_invariance():
     full, _ = net.forward(x)
     one, _ = net.forward(x[3:4])
     assert np.allclose(full[3], one[0], atol=1e-12)
+
+
+def two_formula_sigmoid(z):
+    """Reference: the stable sigmoid evaluated as two masked formulas."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# desk hidden widths 16..256 and the IDX width 128, at several batch sizes
+@pytest.mark.parametrize("shape", [(32, 16), (16, 64), (128, 256), (50, 128), (1875, 128)])
+def test_sigmoid_bit_equal_to_two_formula_reference(shape):
+    z = np.random.default_rng(shape[0] * shape[1]).normal(0.0, 4.0, size=shape)
+    assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
+
+
+def test_sigmoid_bit_equal_on_edge_values():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+                  1e-300, -1e-300, 5e-324, -5e-324, 36.75, -36.75, 709.8, -709.8])
+    assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
+    # a nan input has already diverged; only the nan's sign bit may differ
+    assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
+    assert np.isnan(two_formula_sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+def test_backward_from_cached_activation_matches_recompute(activation):
+    rng = np.random.default_rng(41)
+    layer = _init_dense(16, 32, activation, rng)
+    x = rng.normal(0.0, 3.0, size=(64, 16))
+    layer.forward(x, cache=True)
+    layer.forward(rng.normal(size=(5, 16)))  # inference leaves the cache alone
+    g = rng.normal(size=(64, 32))
+    dx = layer.backward(g)
+
+    z = x @ layer.w + layer.b
+    if activation == "relu":
+        dz = g * (z > 0)
+    else:
+        a = two_formula_sigmoid(z)
+        dz = g * a * (1.0 - a)
+    assert same_bits(dx, dz @ layer.w.T)
+    assert same_bits(layer.dw, x.T @ dz)
+    assert same_bits(layer.db, dz.sum(axis=0))

@@ -9,6 +9,7 @@ from evopower.network import build, count_macs
 from evopower.power import (
     AnalyticMeter,
     AnalyticMeterConfig,
+    Meter,
     ScriptedMeter,
     analytic_power,
     build_probe_network,
@@ -157,6 +158,46 @@ def test_analytic_meter_round_trip_is_exact():
     expected = analytic_power(count_macs(net), cfg)
     assert result.samples == [expected] * 30
     assert result.mean_watts == expected
+
+
+def test_analytic_meter_skips_the_workload_but_keeps_every_window():
+    cfg = AnalyticMeterConfig(noise_sigma=2.0, seed=4)
+    calls = []
+
+    def work():
+        calls.append(1)
+        return "out"
+
+    meter = AnalyticMeter(cfg)
+    meter.observe(1000)
+    skipped = measure_mean(meter, work, n_measures=9)
+    assert calls == [] and skipped.output is None
+    assert len(skipped.samples) == 9
+
+    forced = AnalyticMeter(cfg)
+    forced.runs_workload = True
+    forced.observe(1000)
+    ran = measure_mean(forced, work, n_measures=9)
+    assert len(calls) == 9 and ran.output == "out"
+    # same windows, same noise draws: skipping the workload changes no sample
+    assert skipped.samples == ran.samples
+
+
+def test_meters_run_the_workload_by_default():
+    class Telemetry(Meter):
+        def start(self):
+            pass
+
+        def stop(self):
+            pass
+
+        def read(self):
+            return 2000.0, 1.0
+
+    calls = []
+    result = measure_mean(Telemetry(), lambda: calls.append(1) or "out", n_measures=4)
+    assert len(calls) == 4 and result.output == "out"
+    assert result.samples == [2.0] * 4
 
 
 def test_analytic_meter_enforces_protocol():

@@ -53,8 +53,6 @@ def _cmd_evolve(args) -> int:
     app = load_config(args.config)
     if args.seed is not None:
         app.evolution.seed = args.seed
-    if args.workers is not None:
-        app.evolution.workers = args.workers
     grammar = load_grammar_spec(app.grammar)
     data = app.data.load()
     out = _resolve_out(args.out)
@@ -134,7 +132,6 @@ def build_parser() -> argparse.ArgumentParser:
     evolve.add_argument("--config", required=True)
     evolve.add_argument("--mode", choices=MODES, default="proposed")
     evolve.add_argument("--seed", type=int, default=None)
-    evolve.add_argument("--workers", type=int, default=None)
     evolve.add_argument("--out", required=True)
     evolve.add_argument("--fresh", action="store_true",
                         help="ignore existing checkpoints and restart")

@@ -5,90 +5,48 @@ The file mirrors the full run setup across five namespaces
 ``meter.*``, ``data.*``, ``genome.*``).  Unknown keys are rejected;
 missing keys fall back to the library defaults.  ``#`` starts a comment
 line.  The format round-trips, so a written snapshot replays a run.
+
+Apart from ``genome.*``, every key is a scalar field of the dataclass
+its section names in ``SECTIONS`` and is parsed by that field's type;
+``genome.*`` projects onto one :class:`ModuleSpec` repeated
+``genome.modules`` times.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import get_type_hints
 
 from .data import Dataset, SplitSpec, desk_subset, load_idx, split, synthetic_dataset
 from .errors import ConfigError
 from .evolution import EvolutionConfig, TaskData
+from .genome import ModuleSpec
 from .grammar import Grammar, load_packaged_grammar, parse_grammar
 
 PACKAGED_GRAMMARS = ("default", "dense_only")
-
-_INT, _FLOAT, _STR = "int", "float", "str"
-
-KEY_TYPES = {
-    "evolution.runs": _INT,
-    "evolution.generations": _INT,
-    "evolution.population_size": _INT,
-    "evolution.default_train_budget": _FLOAT,
-    "evolution.train_longer_increment": _FLOAT,
-    "evolution.max_train_budget": _FLOAT,
-    "evolution.n_measures": _INT,
-    "evolution.archive_capacity": _INT,
-    "evolution.workers": _INT,
-    "evolution.seed": _INT,
-    "evolution.rates.add_layer": _FLOAT,
-    "evolution.rates.reuse_layer": _FLOAT,
-    "evolution.rates.remove_layer": _FLOAT,
-    "evolution.rates.reuse_module": _FLOAT,
-    "evolution.rates.remove_module": _FLOAT,
-    "evolution.rates.dsge_level": _FLOAT,
-    "evolution.rates.macro_layer": _FLOAT,
-    "evolution.rates.train_longer": _FLOAT,
-    "fitness.kind": _STR,
-    "fitness.threshold_left": _FLOAT,
-    "fitness.threshold_right": _FLOAT,
-    "fitness.power_weight": _FLOAT,
-    "meter.p_min": _FLOAT,
-    "meter.p_max": _FLOAT,
-    "meter.k": _FLOAT,
-    "meter.noise_sigma": _FLOAT,
-    "meter.seed": _INT,
-    "genome.grammar": _STR,
-    "genome.modules": _INT,
-    "genome.min_layers": _INT,
-    "genome.max_layers": _INT,
-    "genome.init_layers_min": _INT,
-    "genome.init_layers_max": _INT,
-    "data.kind": _STR,
-    "data.train_images": _STR,
-    "data.train_labels": _STR,
-    "data.classes": _INT,
-    "data.samples_per_class": _INT,
-    "data.dimensions": _INT,
-    "data.separation": _FLOAT,
-    "data.clusters_per_class": _INT,
-    "data.seed": _INT,
-    "data.fraction_train": _FLOAT,
-    "data.fraction_validation": _FLOAT,
-    "data.fraction_test": _FLOAT,
-    "data.split_seed": _INT,
-    "data.subset_train": _INT,
-    "data.subset_validation": _INT,
-    "data.subset_test": _INT,
-}
 
 DATA_KINDS = ("synthetic", "idx")
 
 # idx inputs are 28x28 grey images over ten classes
 IDX_IO_SHAPE = (784, 10)
 
-
-def _convert(key: str, raw: str):
-    kind = KEY_TYPES[key]
-    try:
-        if kind == _INT:
-            return int(raw)
-        if kind == _FLOAT:
-            return float(raw)
-        return raw
-    except ValueError:
-        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind}")
+# key prefix -> attribute path from an AppConfig to the dataclass holding its keys
+SECTIONS = {
+    "evolution": ("evolution",),
+    "evolution.rates": ("evolution", "rates"),
+    "fitness": ("evolution", "fitness"),
+    "meter": ("evolution", "meter"),
+    "data": ("data",),
+}
+GENOME_KEYS = {
+    "genome.grammar": str,
+    "genome.modules": int,
+    "genome.min_layers": int,
+    "genome.max_layers": int,
+    "genome.init_layers_min": int,
+    "genome.init_layers_max": int,
+}
 
 
 def _fmt(value) -> str:
@@ -134,9 +92,13 @@ class DataConfig:
     separation: float = 3.0
     clusters_per_class: int = 1
     seed: int = 0
-    fractions: tuple[float, float, float] = (0.6, 0.2, 0.2)
+    fraction_train: float = 0.6
+    fraction_validation: float = 0.2
+    fraction_test: float = 0.2
     split_seed: int = 0
-    subset: tuple[int, int, int] = (2000, 500, 500)
+    subset_train: int = 2000
+    subset_validation: int = 500
+    subset_test: int = 500
 
     def validate(self) -> None:
         if self.kind not in DATA_KINDS:
@@ -168,9 +130,11 @@ class DataConfig:
     def load(self) -> TaskData:
         ds = self.load_raw()
         if self.kind == "synthetic":
-            train, validation, test = split(ds, SplitSpec(self.fractions, self.split_seed))
+            fractions = (self.fraction_train, self.fraction_validation, self.fraction_test)
+            train, validation, test = split(ds, SplitSpec(fractions, self.split_seed))
         else:
-            train, validation, test = desk_subset(ds, self.subset, seed=self.split_seed)
+            counts = (self.subset_train, self.subset_validation, self.subset_test)
+            train, validation, test = desk_subset(ds, counts, seed=self.split_seed)
         return TaskData(train, validation, test)
 
 
@@ -187,125 +151,71 @@ class AppConfig:
             raise ConfigError(f"unknown config keys: {unknown}")
         values = {key: _convert(key, raw) for key, raw in flat.items()}
 
-        evolution: dict = {}
-        rates: dict = {}
-        fitness: dict = {}
-        meter: dict = {}
-        genome: dict = {}
-        data: dict = {}
-        grammar = "default"
-        for key, value in values.items():
-            if key.startswith("evolution.rates."):
-                rates[key.split(".", 2)[2]] = value
-            elif key.startswith("evolution."):
-                evolution[key.split(".", 1)[1]] = value
-            elif key.startswith("fitness."):
-                fitness[key.split(".", 1)[1]] = value
-            elif key.startswith("meter."):
-                meter[key.split(".", 1)[1]] = value
-            elif key == "genome.grammar":
-                grammar = value
-            elif key.startswith("genome."):
-                genome[key.split(".", 1)[1]] = value
-            else:
-                data[key.split(".", 1)[1]] = value
-
-        if rates:
-            evolution["rates"] = rates
-        if fitness:
-            evolution["fitness"] = fitness
-        if meter:
-            evolution["meter"] = meter
-        if genome:
-            count = genome.pop("modules", 1)
-            if count < 1:
-                raise ConfigError(f"genome.modules must be >= 1, got {count}")
-            spec = {
-                "start_symbol": "layer",
-                "min_layers": genome.pop("min_layers", 2),
-                "max_layers": genome.pop("max_layers", 6),
-                "init_layers": [
-                    genome.pop("init_layers_min", 2),
-                    genome.pop("init_layers_max", 3),
-                ],
-            }
-            evolution["genome"] = {"modules": [dict(spec) for _ in range(count)]}
-        evolution_cfg = EvolutionConfig.from_dict(evolution)
-
-        data_cfg = DataConfig()
-        fractions = list(data_cfg.fractions)
-        subset = list(data_cfg.subset)
-        for name, value in data.items():
-            if name == "fraction_train":
-                fractions[0] = value
-            elif name == "fraction_validation":
-                fractions[1] = value
-            elif name == "fraction_test":
-                fractions[2] = value
-            elif name == "subset_train":
-                subset[0] = value
-            elif name == "subset_validation":
-                subset[1] = value
-            elif name == "subset_test":
-                subset[2] = value
-            else:
-                setattr(data_cfg, name, value)
-        data_cfg.fractions = tuple(fractions)
-        data_cfg.subset = tuple(subset)
-        if data_cfg.kind not in DATA_KINDS:
-            raise ConfigError(f"data.kind must be one of {DATA_KINDS}, got {data_cfg.kind!r}")
-
-        return AppConfig(evolution_cfg, data_cfg, grammar)
+        app = AppConfig()
+        app.grammar = values.get("genome.grammar", app.grammar)
+        count = values.get("genome.modules", len(app.evolution.genome.modules))
+        if count < 1:
+            raise ConfigError(f"genome.modules must be >= 1, got {count}")
+        default = ModuleSpec()
+        spec = ModuleSpec(
+            min_layers=values.get("genome.min_layers", default.min_layers),
+            max_layers=values.get("genome.max_layers", default.max_layers),
+            init_layers=(
+                values.get("genome.init_layers_min", default.init_layers[0]),
+                values.get("genome.init_layers_max", default.init_layers[1]),
+            ),
+        )
+        app.evolution.genome.modules = [replace(spec) for _ in range(count)]
+        for key, holder, name, _ in _walk(app):
+            if key in values:
+                setattr(holder, name, values[key])
+        app.evolution.validate()
+        if app.data.kind not in DATA_KINDS:
+            raise ConfigError(f"data.kind must be one of {DATA_KINDS}, got {app.data.kind!r}")
+        return app
 
     def to_flat(self) -> dict[str, str]:
-        out: dict[str, str] = {}
-        nested = self.evolution.to_dict()
-        rates = nested.pop("rates")
-        fitness = nested.pop("fitness")
-        meter = nested.pop("meter")
-        genome = nested.pop("genome")
-        for name, value in nested.items():
-            out[f"evolution.{name}"] = _fmt(value)
-        for name, value in rates.items():
-            out[f"evolution.rates.{name}"] = _fmt(value)
-        for name, value in fitness.items():
-            out[f"fitness.{name}"] = _fmt(value)
-        for name, value in meter.items():
-            out[f"meter.{name}"] = _fmt(value)
-
-        specs = genome["modules"]
-        if any(spec != specs[0] for spec in specs):
+        out = {key: _fmt(getattr(holder, name)) for key, holder, name, _ in _walk(self)}
+        genome = self.evolution.genome
+        spec = genome.modules[0]
+        if any(m != spec for m in genome.modules):
             raise ConfigError("flat config cannot express differing module bounds")
-        if specs[0]["start_symbol"] != "layer":
+        if spec.start_symbol != "layer":
             raise ConfigError("flat config cannot express a custom module start symbol")
-        if (tuple(genome["macro_symbols"]) != ("learning",)
-                or genome["middle_point_symbol"] != "middle_point"):
+        if (tuple(genome.macro_symbols) != ("learning",)
+                or genome.middle_point_symbol != "middle_point"):
             raise ConfigError("flat config cannot express custom macro symbols")
         out["genome.grammar"] = self.grammar
-        out["genome.modules"] = _fmt(len(specs))
-        out["genome.min_layers"] = _fmt(specs[0]["min_layers"])
-        out["genome.max_layers"] = _fmt(specs[0]["max_layers"])
-        out["genome.init_layers_min"] = _fmt(specs[0]["init_layers"][0])
-        out["genome.init_layers_max"] = _fmt(specs[0]["init_layers"][1])
-
-        d = self.data
-        out["data.kind"] = d.kind
-        out["data.train_images"] = d.train_images
-        out["data.train_labels"] = d.train_labels
-        out["data.classes"] = _fmt(d.classes)
-        out["data.samples_per_class"] = _fmt(d.samples_per_class)
-        out["data.dimensions"] = _fmt(d.dimensions)
-        out["data.separation"] = _fmt(d.separation)
-        out["data.clusters_per_class"] = _fmt(d.clusters_per_class)
-        out["data.seed"] = _fmt(d.seed)
-        out["data.fraction_train"] = _fmt(d.fractions[0])
-        out["data.fraction_validation"] = _fmt(d.fractions[1])
-        out["data.fraction_test"] = _fmt(d.fractions[2])
-        out["data.split_seed"] = _fmt(d.split_seed)
-        out["data.subset_train"] = _fmt(d.subset[0])
-        out["data.subset_validation"] = _fmt(d.subset[1])
-        out["data.subset_test"] = _fmt(d.subset[2])
+        out["genome.modules"] = _fmt(len(genome.modules))
+        out["genome.min_layers"] = _fmt(spec.min_layers)
+        out["genome.max_layers"] = _fmt(spec.max_layers)
+        out["genome.init_layers_min"] = _fmt(spec.init_layers[0])
+        out["genome.init_layers_max"] = _fmt(spec.init_layers[1])
         return out
+
+
+def _walk(app: AppConfig):
+    """(flat key, dataclass holding it, field name, field type) for every
+    int, float or str field of every section."""
+    for prefix, path in SECTIONS.items():
+        holder = app
+        for attr in path:
+            holder = getattr(holder, attr)
+        types = get_type_hints(type(holder))
+        for f in fields(holder):
+            if types[f.name] in (int, float, str):
+                yield f"{prefix}.{f.name}", holder, f.name, types[f.name]
+
+
+KEY_TYPES = {key: kind for key, _, _, kind in _walk(AppConfig())} | GENOME_KEYS
+
+
+def _convert(key: str, raw: str):
+    kind = KEY_TYPES[key]
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError(f"config key {key}: cannot parse {raw!r} as {kind.__name__}")
 
 
 def format_config(app: AppConfig) -> str:

@@ -114,7 +114,7 @@ def synthetic_dataset(
     """Gaussian blob classification task, deterministic per seed."""
     if classes < 1 or samples_per_class < 1 or dimensions < 1 or clusters_per_class < 1:
         raise DataError("classes, samples_per_class, dimensions, clusters_per_class must be >= 1")
-    if separation < 0:
+    if not separation >= 0:
         raise DataError(f"separation must be >= 0, got {separation}")
     rng = np.random.default_rng(seed)
     chunks = []
@@ -150,9 +150,9 @@ class SplitSpec:
     def validate(self) -> None:
         if len(self.fractions) != 3:
             raise DataError(f"need 3 fractions, got {len(self.fractions)}")
-        if any(f <= 0 for f in self.fractions):
+        if not all(f > 0 for f in self.fractions):
             raise DataError(f"fractions must be positive, got {self.fractions}")
-        if sum(self.fractions) > 1.0 + 1e-9:
+        if not sum(self.fractions) <= 1.0 + 1e-9:
             raise DataError(f"fractions sum to {sum(self.fractions)}, more than 1")
 
 

@@ -4,23 +4,22 @@ Three rules keep runs reproducible:
 
 * every stochastic decision draws from a stream keyed by
   (seed, run, generation, slot, purpose), so outcomes cannot depend on
-  evaluation order or worker count;
-* power measurement happens inside the synchronous generation barrier,
-  in slot order, so stateful meters stay deterministic under parallel
-  training;
+  evaluation order;
+* power measurement happens after a generation's training, in slot
+  order, so stateful meters stay deterministic;
 * checkpoints carry the population, archive, counters and logs, and a
   resumed run rebuilds the uninterrupted CSV byte for byte.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
 import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +36,6 @@ from .fitness import WORST_FITNESS, FitnessConfig, evaluate_fitness
 from .genome import (
     GenomeConfig,
     Individual,
-    ModuleSpec,
     count_hidden_layers,
     init_individual,
     to_phenotype,
@@ -67,82 +65,6 @@ def _stream(*parts) -> np.random.Generator:
     return np.random.default_rng([int(p) for p in parts])
 
 
-def _fitness_to_dict(cfg: FitnessConfig) -> dict:
-    return dict(vars(cfg))
-
-
-def _fitness_from_dict(d: dict) -> FitnessConfig:
-    d = dict(d)
-    kwargs = {}
-    if "kind" in d:
-        kwargs["kind"] = str(d.pop("kind"))
-    for name in ("threshold_left", "threshold_right", "power_weight"):
-        if name in d:
-            kwargs[name] = float(d.pop(name))
-    if d:
-        raise ConfigError(f"unknown fitness config keys: {sorted(d)}")
-    return FitnessConfig(**kwargs)
-
-
-def _meter_to_dict(cfg: AnalyticMeterConfig) -> dict:
-    return dict(vars(cfg))
-
-
-def _meter_from_dict(d: dict) -> AnalyticMeterConfig:
-    d = dict(d)
-    kwargs = {}
-    for name in ("p_min", "p_max", "k", "noise_sigma"):
-        if name in d:
-            kwargs[name] = float(d.pop(name))
-    if "seed" in d:
-        kwargs["seed"] = int(d.pop("seed"))
-    if d:
-        raise ConfigError(f"unknown meter config keys: {sorted(d)}")
-    return AnalyticMeterConfig(**kwargs)
-
-
-def _genome_to_dict(cfg: GenomeConfig) -> dict:
-    return {
-        "modules": [
-            {
-                "start_symbol": m.start_symbol,
-                "min_layers": m.min_layers,
-                "max_layers": m.max_layers,
-                "init_layers": list(m.init_layers),
-            }
-            for m in cfg.modules
-        ],
-        "macro_symbols": list(cfg.macro_symbols),
-        "middle_point_symbol": cfg.middle_point_symbol,
-    }
-
-
-def _genome_from_dict(d: dict) -> GenomeConfig:
-    d = dict(d)
-    kwargs = {}
-    if "modules" in d:
-        modules = []
-        for m in d.pop("modules"):
-            m = dict(m)
-            spec = ModuleSpec(
-                start_symbol=str(m.pop("start_symbol", "layer")),
-                min_layers=int(m.pop("min_layers", 2)),
-                max_layers=int(m.pop("max_layers", 6)),
-                init_layers=tuple(int(v) for v in m.pop("init_layers", (2, 3))),
-            )
-            if m:
-                raise ConfigError(f"unknown module config keys: {sorted(m)}")
-            modules.append(spec)
-        kwargs["modules"] = modules
-    if "macro_symbols" in d:
-        kwargs["macro_symbols"] = tuple(str(s) for s in d.pop("macro_symbols"))
-    if "middle_point_symbol" in d:
-        kwargs["middle_point_symbol"] = str(d.pop("middle_point_symbol"))
-    if d:
-        raise ConfigError(f"unknown genome config keys: {sorted(d)}")
-    return GenomeConfig(**kwargs)
-
-
 @dataclass
 class EvolutionConfig:
     """Everything a run needs besides the grammar, data and meter."""
@@ -159,7 +81,6 @@ class EvolutionConfig:
     genome: GenomeConfig = field(default_factory=GenomeConfig)
     n_measures: int = DEFAULT_N_MEASURES
     archive_capacity: int = 256
-    workers: int = 1
     seed: int = 0
 
     @property
@@ -173,11 +94,12 @@ class EvolutionConfig:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
         if self.population_size < 2:
             raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
-        if self.default_train_budget < 1:
+        # written as "not in range" so that nan fails every check
+        if not self.default_train_budget >= 1:
             raise ConfigError(f"default_train_budget must be >= 1, got {self.default_train_budget}")
-        if self.train_longer_increment <= 0:
+        if not self.train_longer_increment > 0:
             raise ConfigError(f"train_longer_increment must be > 0, got {self.train_longer_increment}")
-        if self.max_train_budget < self.default_train_budget:
+        if not self.max_train_budget >= self.default_train_budget:
             raise ConfigError(
                 f"max_train_budget {self.max_train_budget} below "
                 f"default_train_budget {self.default_train_budget}"
@@ -186,72 +108,19 @@ class EvolutionConfig:
             raise ConfigError(f"n_measures must be >= 1, got {self.n_measures}")
         if self.archive_capacity < 1:
             raise ConfigError(f"archive_capacity must be >= 1, got {self.archive_capacity}")
-        if self.workers < 1:
-            raise ConfigError(f"workers must be >= 1, got {self.workers}")
         self.rates.validate()
         self.fitness.validate()
         self.meter.validate()
         self.genome.validate()
 
-    def to_dict(self) -> dict:
-        return {
-            "runs": self.runs,
-            "generations": self.generations,
-            "population_size": self.population_size,
-            "rates": self.rates.to_dict(),
-            "default_train_budget": self.default_train_budget,
-            "train_longer_increment": self.train_longer_increment,
-            "max_train_budget": self.max_train_budget,
-            "fitness": _fitness_to_dict(self.fitness),
-            "meter": _meter_to_dict(self.meter),
-            "genome": _genome_to_dict(self.genome),
-            "n_measures": self.n_measures,
-            "archive_capacity": self.archive_capacity,
-            "workers": self.workers,
-            "seed": self.seed,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "EvolutionConfig":
-        d = dict(d)
-        kwargs = {}
-        for name, conv in (
-            ("runs", int),
-            ("generations", int),
-            ("population_size", int),
-            ("default_train_budget", float),
-            ("train_longer_increment", float),
-            ("max_train_budget", float),
-            ("n_measures", int),
-            ("archive_capacity", int),
-            ("workers", int),
-            ("seed", int),
-        ):
-            if name in d:
-                kwargs[name] = conv(d.pop(name))
-        if "rates" in d:
-            kwargs["rates"] = MutationRates.from_dict(d.pop("rates"))
-        if "fitness" in d:
-            kwargs["fitness"] = _fitness_from_dict(d.pop("fitness"))
-        if "meter" in d:
-            kwargs["meter"] = _meter_from_dict(d.pop("meter"))
-        if "genome" in d:
-            kwargs["genome"] = _genome_from_dict(d.pop("genome"))
-        if d:
-            raise ConfigError(f"unknown evolution config keys: {sorted(d)}")
-        cfg = EvolutionConfig(**kwargs)
-        cfg.validate()
-        return cfg
-
     def fingerprint(self) -> str:
         """Digest of everything that shapes a run's trajectory.
 
-        runs, generations and workers are excluded: extending a run or
-        changing parallelism keeps existing checkpoints valid.
+        runs and generations are excluded: extending a run keeps existing
+        checkpoints valid.
         """
-        payload = self.to_dict()
-        for name in ("runs", "generations", "workers"):
-            payload.pop(name)
+        payload = asdict(self)
+        del payload["runs"], payload["generations"]
         return hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
 
 
@@ -441,8 +310,8 @@ def _meter_for(base: Meter | None, cfg: EvolutionConfig, key: tuple) -> Meter:
     """Per-measurement meters for the analytic model, shared otherwise.
 
     Keying an analytic meter's noise stream by (run, generation, slot)
-    decouples measurements from each other, so worker count and resume
-    points cannot shift them.
+    decouples measurements from each other, so resume points cannot
+    shift them.
     """
     if base is None:
         return AnalyticMeter(cfg.meter, rng=_stream(*key))
@@ -465,14 +334,6 @@ def evaluate_individual(
     if meter is None:
         meter = AnalyticMeter(cfg.meter)
     return _measure_phase(_train_phase(ind, grammar, data, cfg, rng), data, meter, cfg, grammar)
-
-
-def _map_slots(thunks: list, workers: int) -> list:
-    if workers <= 1 or len(thunks) <= 1:
-        return [t() for t in thunks]
-    with ThreadPoolExecutor(max_workers=min(workers, len(thunks))) as pool:
-        futures = [pool.submit(t) for t in thunks]
-        return [f.result() for f in futures]
 
 
 class _RunState:
@@ -680,13 +541,10 @@ def _initial_generation(
         )
         state.next_id += 1
         inds.append(ind)
-    thunks = [
-        lambda ind=ind, slot=slot: _train_phase(
-            ind, grammar, data, cfg, _stream(cfg.seed, state.run, 0, slot, _EVAL)
-        )
+    trained = [
+        _train_phase(ind, grammar, data, cfg, _stream(cfg.seed, state.run, 0, slot, _EVAL))
         for slot, ind in enumerate(inds)
     ]
-    trained = _map_slots(thunks, cfg.workers)
     members = []
     for slot, t in enumerate(trained):
         m = _meter_for(meter, cfg, (cfg.seed, state.run, 0, slot, _METER))
@@ -738,14 +596,10 @@ def _next_generation(
         child.train_budget = min(child.train_budget, cfg.max_train_budget)
         jobs.append((slot, child))
 
-    thunks = [
-        lambda slot=slot, ind=ind: (
-            slot,
-            _train_phase(ind, grammar, data, cfg, _stream(cfg.seed, state.run, g, slot, _EVAL)),
-        )
+    results = [
+        (slot, _train_phase(ind, grammar, data, cfg, _stream(cfg.seed, state.run, g, slot, _EVAL)))
         for slot, ind in jobs
     ]
-    results = sorted(_map_slots(thunks, cfg.workers), key=lambda pair: pair[0])
 
     new_members = {0: parent}
     for slot, trained in results:
@@ -836,7 +690,7 @@ def mode_config(cfg: EvolutionConfig, mode: str) -> EvolutionConfig:
     power-aware fitness with the full operator suite."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    adjusted = EvolutionConfig.from_dict(cfg.to_dict())
+    adjusted = copy.deepcopy(cfg)
     if mode == "baseline":
         adjusted.rates.reuse_module = 0.0
         adjusted.rates.remove_module = 0.0
@@ -874,7 +728,7 @@ def run_experiment(
     data.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    snapshot = {"mode": mode, "config": adjusted.to_dict()}
+    snapshot = {"mode": mode, "config": asdict(adjusted)}
     (out / "config.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
     results = []

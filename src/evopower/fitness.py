@@ -48,7 +48,7 @@ class FitnessConfig:
                         ("threshold_right", self.threshold_right)):
             if not 0.0 <= t <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], got {t}")
-        if self.power_weight < 0:
+        if not self.power_weight >= 0:
             raise ConfigError(f"power_weight must be >= 0, got {self.power_weight}")
 
 

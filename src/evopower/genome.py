@@ -26,15 +26,11 @@ gene lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import ConfigError, InvalidGenotypeError
 from .grammar import GeneList, Grammar, bind_dynamic_bound, decode, random_derivation
-
-if TYPE_CHECKING:
-    from .evolution import EvaluationRecord
 
 MIN_HIDDEN_LAYERS = 2
 _INIT_TRIES = 200
@@ -145,16 +141,14 @@ class Individual:
     macro: MacroGenes
     id: int
     train_budget: float
-    evaluation: "EvaluationRecord | None" = None
 
     def copy(self, new_id: int | None = None) -> "Individual":
-        """Deep copy of the genotype; the evaluation is dropped."""
+        """Deep copy of the genotype."""
         return Individual(
             [m.copy() for m in self.modules],
             self.macro.copy(),
             self.id if new_id is None else new_id,
             self.train_budget,
-            None,
         )
 
     def genotype_key(self) -> tuple:
@@ -183,7 +177,6 @@ class Individual:
             MacroGenes.from_dict(d["macro"]),
             int(d["id"]),
             float(d["train_budget"]),
-            None,
         )
 
 
@@ -243,7 +236,6 @@ def clamp_middle_point(ind: Individual, grammar: Grammar) -> Individual:
         return ind
     out = ind.copy()
     out.macro.middle_point = clamped
-    out.evaluation = ind.evaluation
     return out
 
 

@@ -57,15 +57,6 @@ class MutationRates:
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"mutation rate {name} must be in [0, 1], got {value}")
 
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    @staticmethod
-    def from_dict(d: dict) -> "MutationRates":
-        rates = MutationRates(**{k: float(v) for k, v in d.items()})
-        rates.validate()
-        return rates
-
 
 @dataclass
 class ArchiveEntry:
@@ -120,11 +111,15 @@ def archive_insert(archive: ModuleArchive, module: ModuleGene, power_watts: floa
     return archive
 
 
+def _inverse_powers(archive: ModuleArchive) -> list[float]:
+    return [1.0 / max(e.power_watts, POWER_FLOOR_W) for e in archive.entries]
+
+
 def selection_probabilities(archive: ModuleArchive) -> np.ndarray:
     """Exact selection distribution over archive entries."""
     if not archive.entries:
         return np.zeros(0)
-    inv = np.array([1.0 / max(e.power_watts, POWER_FLOOR_W) for e in archive.entries])
+    inv = np.array(_inverse_powers(archive))
     return inv / inv.sum()
 
 
@@ -132,7 +127,7 @@ def select_archive_module(archive: ModuleArchive, rng: np.random.Generator) -> M
     """Roulette-wheel draw weighted by inverse power; None when empty."""
     if not archive.entries:
         return None
-    weights = [1.0 / max(e.power_watts, POWER_FLOOR_W) for e in archive.entries]
+    weights = _inverse_powers(archive)
     total = sum(weights)
     r = rng.random() * total
     acc = 0.0
@@ -141,10 +136,6 @@ def select_archive_module(archive: ModuleArchive, rng: np.random.Generator) -> M
         if r < acc:
             return entry.module.copy()
     return archive.entries[-1].module.copy()  # r landed on the top edge
-
-
-def _hidden_count(ind: Individual, grammar: Grammar) -> int:
-    return count_hidden_layers(ind, grammar)
 
 
 def _add_layer(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> None:
@@ -170,7 +161,7 @@ def _remove_layer(ind: Individual, grammar: Grammar, rng: np.random.Generator) -
         return
     pos = int(rng.integers(0, len(m.layer_genes)))
     removed = m.layer_genes.pop(pos)
-    if _hidden_count(ind, grammar) < MIN_HIDDEN_LAYERS:
+    if count_hidden_layers(ind, grammar) < MIN_HIDDEN_LAYERS:
         m.layer_genes.insert(pos, removed)
 
 
@@ -187,7 +178,7 @@ def _remove_module(ind: Individual, grammar: Grammar, rng: np.random.Generator) 
         return
     pos = int(rng.integers(0, len(ind.modules)))
     removed = ind.modules.pop(pos)
-    if _hidden_count(ind, grammar) < MIN_HIDDEN_LAYERS:
+    if count_hidden_layers(ind, grammar) < MIN_HIDDEN_LAYERS:
         ind.modules.insert(pos, removed)
 
 
@@ -208,7 +199,7 @@ def _dsge_level(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> 
     stripped = GeneList(choices=genes.choices, values={})
     fixed = repair(grammar, start, stripped, rng)
     genes.choices, genes.values = fixed.choices, fixed.values
-    if _hidden_count(ind, grammar) < MIN_HIDDEN_LAYERS:
+    if count_hidden_layers(ind, grammar) < MIN_HIDDEN_LAYERS:
         genes.choices, genes.values = before.choices, before.values
 
 
@@ -224,7 +215,7 @@ def _macro_layer(
         fixed = repair(grammar, symbols[pick], stripped, rng)
         genes.choices, genes.values = fixed.choices, fixed.values
     else:
-        hidden = _hidden_count(ind, grammar)
+        hidden = count_hidden_layers(ind, grammar)
         bound = bind_dynamic_bound(grammar, hidden - MIN_HIDDEN_LAYERS)
         mp_genes = random_derivation(bound, middle_point_symbol, rng)
         ind.macro.middle_point = int(

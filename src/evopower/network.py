@@ -21,12 +21,13 @@ All arithmetic runs in float64; weights initialize uniformly in
 from __future__ import annotations
 
 import struct
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import EvaluationError, TrainingDivergedError
-from .genome import PhenotypeSpec
+from .genome import LayerSpec, PhenotypeSpec
 
 PROB_FLOOR = 1e-12
 
@@ -184,6 +185,27 @@ class Network:
         return stack
 
 
+def build_stack(
+    layer_specs: Iterable[LayerSpec],
+    input_dim: int,
+    class_count: int,
+    rng: np.random.Generator,
+) -> Network:
+    """The layers in order, then the main softmax head; no auxiliary head."""
+    layers: list = []
+    fan_in = input_dim
+    for layer in layer_specs:
+        if layer.kind == "dense":
+            layers.append(_init_dense(fan_in, layer.units, layer.activation, rng))
+            fan_in = layer.units
+        elif layer.kind == "dropout":
+            layers.append(_Dropout(layer.rate))
+        else:
+            raise ValueError(f"unknown layer kind {layer.kind!r}")
+    main_head = _init_dense(fan_in, class_count, "softmax", rng)
+    return Network(layers, main_head, None, None, input_dim, class_count)
+
+
 def build(
     spec: PhenotypeSpec,
     input_dim: int,
@@ -191,28 +213,13 @@ def build(
     rng: np.random.Generator,
 ) -> Network:
     """Instantiate a two-output network; wiring follows the spec's layer order."""
-    layers: list = []
-    fan_in = input_dim
-    dense_seen = 0
-    aux_tap = None
-    aux_fan_in = None
-    for layer in spec.layers:
-        if layer.kind == "dense":
-            layers.append(_init_dense(fan_in, layer.units, layer.activation, rng))
-            fan_in = layer.units
-            if dense_seen == spec.aux_index:
-                aux_tap = len(layers) - 1
-                aux_fan_in = layer.units
-            dense_seen += 1
-        elif layer.kind == "dropout":
-            layers.append(_Dropout(layer.rate))
-        else:
-            raise ValueError(f"unknown layer kind {layer.kind!r}")
-    if aux_tap is None:
-        raise EvaluationError(f"aux_index {spec.aux_index} beyond the {dense_seen} dense layers")
-    main_head = _init_dense(fan_in, class_count, "softmax", rng)
-    aux_head = _init_dense(aux_fan_in, class_count, "softmax", rng)
-    return Network(layers, main_head, aux_head, aux_tap, input_dim, class_count)
+    dense = [i for i, layer in enumerate(spec.layers) if layer.kind == "dense"]
+    if not 0 <= spec.aux_index < len(dense):
+        raise EvaluationError(f"aux_index {spec.aux_index} beyond the {len(dense)} dense layers")
+    net = build_stack(spec.layers, input_dim, class_count, rng)
+    net.aux_tap = dense[spec.aux_index]
+    net.aux_head = _init_dense(net.layers[net.aux_tap].fan_out, class_count, "softmax", rng)
+    return net
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
@@ -242,12 +249,11 @@ def _onehot(y: np.ndarray, classes: int) -> np.ndarray:
     return out
 
 
-def _train_batch(net: Network, x: np.ndarray, y: np.ndarray, lr: float, rng: np.random.Generator) -> float:
-    main, aux = net.forward(x, train=True, rng=rng)
-    n = x.shape[0]
+def _backward(net: Network, main: np.ndarray, aux: np.ndarray, y: np.ndarray) -> None:
+    """Store dL/dW and dL/db of the joint loss on every dense layer, from
+    the heads' cached forward pass."""
     onehot = _onehot(y, net.class_count)
-    loss = cross_entropy(main, y) + cross_entropy(aux, y)
-
+    n = y.shape[0]
     g = net.main_head.backward_from_dz((main - onehot) / n)
     d_tap = net.aux_head.backward_from_dz((aux - onehot) / n)
     for i in reversed(range(len(net.layers))):
@@ -255,6 +261,11 @@ def _train_batch(net: Network, x: np.ndarray, y: np.ndarray, lr: float, rng: np.
             g = g + d_tap
         g = net.layers[i].backward(g)
 
+
+def _train_batch(net: Network, x: np.ndarray, y: np.ndarray, lr: float, rng: np.random.Generator) -> float:
+    main, aux = net.forward(x, train=True, rng=rng)
+    loss = cross_entropy(main, y) + cross_entropy(aux, y)
+    _backward(net, main, aux, y)
     for layer in net.dense_layers():
         layer.step(lr)
     return loss
@@ -356,14 +367,7 @@ def finite_difference_check(
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     main, aux = net.forward(x, train=True, rng=None)
-    onehot = _onehot(y, net.class_count)
-    n = x.shape[0]
-    g = net.main_head.backward_from_dz((main - onehot) / n)
-    d_tap = net.aux_head.backward_from_dz((aux - onehot) / n)
-    for i in reversed(range(len(net.layers))):
-        if i == net.aux_tap:
-            g = g + d_tap
-        g = net.layers[i].backward(g)
+    _backward(net, main, aux, y)
 
     grads = []
     for layer in net.dense_layers():

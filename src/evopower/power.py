@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, MeasurementError
 from .genome import ModuleGene, module_layer_specs
 from .grammar import Grammar
-from .network import Network, _Dropout, _init_dense, count_macs
+from .network import Network, build_stack, count_macs
 
 DEFAULT_N_MEASURES = 30
 DEFAULT_P_MIN_W = 30.0
@@ -156,9 +156,9 @@ class AnalyticMeterConfig:
     def validate(self) -> None:
         if not 0 <= self.p_min < self.p_max:
             raise ConfigError(f"need 0 <= p_min < p_max, got [{self.p_min}, {self.p_max}]")
-        if self.k <= 0:
+        if not self.k > 0:
             raise ConfigError(f"k must be positive, got {self.k}")
-        if self.noise_sigma < 0:
+        if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
 
@@ -194,10 +194,12 @@ def analytic_power(subject, cfg: AnalyticMeterConfig, rng: np.random.Generator |
 class AnalyticMeter(Meter):
     """Deterministic (or seeded-noise) stand-in for device telemetry.
 
-    Reports a synthetic one-second window whose energy matches the
-    modeled draw of the last observed network, so the watt round-trip
-    through :func:`measure_mean` is exact.  The reading never depends on
-    the workload, so :func:`measure_mean` does not run it.
+    Reports a synthetic one-second window whose energy is the modeled
+    draw of the last observed network times 1000, so
+    :func:`measure_mean` converts it back to that draw, though with noise
+    the ``* 1000 / 1000`` round trip can be off by one ulp.  The reading
+    never depends on the workload, so :func:`measure_mean` does not run
+    it.
     """
 
     runs_workload = False
@@ -238,16 +240,7 @@ def build_probe_network(
     rng: np.random.Generator,
 ) -> Network:
     """Input layer, the module's layers, and a softmax output head."""
-    layers: list = []
-    fan_in = input_dim
-    for spec in module_layer_specs(module, grammar):
-        if spec.kind == "dense":
-            layers.append(_init_dense(fan_in, spec.units, spec.activation, rng))
-            fan_in = spec.units
-        else:
-            layers.append(_Dropout(spec.rate))
-    head = _init_dense(fan_in, class_count, "softmax", rng)
-    return Network(layers, head, None, None, input_dim, class_count)
+    return build_stack(module_layer_specs(module, grammar), input_dim, class_count, rng)
 
 
 def probe_module_power(

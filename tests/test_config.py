@@ -1,0 +1,88 @@
+import re
+from pathlib import Path
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from evopower.config import KEY_TYPES, AppConfig, load_config, parse_config
+from evopower.errors import ConfigError, DataError
+from evopower.evolution import mode_config
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# genome.modules = n builds n module specs before any check, so drawn
+# values stay small enough not to allocate much
+MAX_INT = 10**4
+
+
+def small(raw: str) -> bool:
+    try:
+        return int(raw) <= MAX_INT
+    except ValueError:
+        return True
+
+
+KEYS = st.one_of(
+    st.sampled_from(sorted(KEY_TYPES)),
+    st.sampled_from(sorted(KEY_TYPES)).map(lambda key: key + "_x"),
+    st.text(max_size=12),
+)
+VALUES = st.one_of(
+    st.sampled_from(["nan", "-nan", "inf", "-inf", "1e309", "", "f3", "idx", "dense_only"]),
+    st.integers(max_value=MAX_INT).map(str),
+    st.floats().map(repr),
+    st.text(max_size=20),
+).filter(small)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(KEYS, VALUES, max_size=8))
+def test_from_flat_raises_only_config_error(flat):
+    try:
+        AppConfig.from_flat(flat)
+    except ConfigError:
+        pass
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.tuples(KEYS, VALUES).map(" = ".join), st.text(max_size=30)),
+                max_size=8))
+def test_parse_config_raises_only_config_error(lines):
+    try:
+        flat = parse_config("\n".join(lines))
+    except ConfigError:
+        return
+    assume(all(small(value) for value in flat.values()))
+    try:
+        AppConfig.from_flat(flat)
+    except ConfigError:
+        pass
+
+
+@pytest.mark.parametrize("key", [k for k, kind in KEY_TYPES.items() if kind is float])
+def test_nan_float_keys_are_rejected(key):
+    if key.startswith("data."):
+        # data settings are checked when the dataset is built
+        with pytest.raises(DataError):
+            AppConfig.from_flat({key: "nan"}).data.load()
+    else:
+        with pytest.raises(ConfigError):
+            AppConfig.from_flat({key: "nan"})
+
+
+def test_readme_table_lists_every_key_with_its_default():
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Configuration", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]+?) \|", section, flags=re.M)
+    table = {key: "" if default == "—" else default for key, default in rows}
+    assert set(table) == set(KEY_TYPES) == set(AppConfig().to_flat())
+    assert AppConfig.from_flat(table).to_flat() == AppConfig().to_flat()
+
+
+def test_desk_fingerprints_keep_existing_checkpoints_valid():
+    app = load_config(ROOT / "configs" / "desk.cfg")
+    assert (mode_config(app.evolution, "baseline").fingerprint()
+            == "64413bb92246cab7e17f8d633023c1563ef19de94fc3dfd4566c08ea6ac91f8e")
+    assert (mode_config(app.evolution, "proposed").fingerprint()
+            == "6b06f4e5baef12f539d15e6f37b430ba3558989e0913c5c35a45dfd63bd1ea3b")

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from evopower.analysis import load_experiment_rows, read_rows
+from evopower.config import AppConfig
 from evopower.data import SplitSpec, split, synthetic_dataset
 from evopower.errors import CheckpointError, ConfigError, TrainingDivergedError
 from evopower.evolution import (
@@ -69,8 +71,8 @@ def rec(individual=0, fitness=1.0, power=50.0):
 
 def test_config_round_trip_and_validation():
     cfg = tiny_config()
-    again = EvolutionConfig.from_dict(cfg.to_dict())
-    assert again.to_dict() == cfg.to_dict()
+    again = AppConfig.from_flat(AppConfig(evolution=cfg).to_flat()).evolution
+    assert dataclasses.asdict(again) == dataclasses.asdict(cfg)
     assert cfg.offspring == 3
 
     with pytest.raises(ConfigError):
@@ -79,16 +81,15 @@ def test_config_round_trip_and_validation():
         tiny_config(generations=0).validate()
     with pytest.raises(ConfigError):
         tiny_config(max_train_budget=1.0).validate()
-    with pytest.raises(ConfigError, match="unknown evolution config keys"):
-        EvolutionConfig.from_dict({"bogus": 1})
-    with pytest.raises(ConfigError, match="unknown fitness config keys"):
-        EvolutionConfig.from_dict({"fitness": {"bogus": 1}})
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        AppConfig.from_flat({"evolution.rates.bogus": "1"})
+    with pytest.raises(ConfigError, match="unknown config keys"):
+        AppConfig.from_flat({"fitness.bogus": "1"})
 
 
 def test_fingerprint_ignores_scale_knobs():
     fp = tiny_config().fingerprint()
     assert tiny_config().fingerprint() == fp
-    assert tiny_config(workers=4).fingerprint() == fp
     assert tiny_config(runs=7).fingerprint() == fp
     assert tiny_config(generations=9).fingerprint() == fp
     assert tiny_config(seed=12).fingerprint() != fp
@@ -209,24 +210,18 @@ def test_zero_rates_keep_population_constant(tmp_path):
     assert len(genotypes) == 1
 
 
-def test_byte_identical_reruns_and_worker_invariance(tmp_path):
+def test_byte_identical_reruns(tmp_path):
     cfg = tiny_config(runs=1, generations=3, seed=5)
     run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "a")
     run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "b", resume=False)
     bytes_a = (tmp_path / "a" / "generations.csv").read_bytes()
     assert bytes_a == (tmp_path / "b" / "generations.csv").read_bytes()
 
-    threaded = tiny_config(runs=1, generations=3, seed=5, workers=3)
-    run_es(threaded, GRAMMAR, DATA, out_dir=tmp_path / "c")
-    assert bytes_a == (tmp_path / "c" / "generations.csv").read_bytes()
-
-    # measurement noise comes from per-slot streams, so it is worker-proof too
-    noisy1 = tiny_config(runs=1, generations=2, seed=5,
-                         meter=AnalyticMeterConfig(noise_sigma=2.0))
-    noisy2 = tiny_config(runs=1, generations=2, seed=5, workers=3,
-                         meter=AnalyticMeterConfig(noise_sigma=2.0))
-    run_es(noisy1, GRAMMAR, DATA, out_dir=tmp_path / "d")
-    run_es(noisy2, GRAMMAR, DATA, out_dir=tmp_path / "e")
+    # measurement noise comes from per-slot streams, so it reruns exactly too
+    noisy = tiny_config(runs=1, generations=2, seed=5,
+                        meter=AnalyticMeterConfig(noise_sigma=2.0))
+    run_es(noisy, GRAMMAR, DATA, out_dir=tmp_path / "d")
+    run_es(noisy, GRAMMAR, DATA, out_dir=tmp_path / "e", resume=False)
     assert ((tmp_path / "d" / "generations.csv").read_bytes()
             == (tmp_path / "e" / "generations.csv").read_bytes())
 
@@ -263,7 +258,7 @@ def test_resume_completes_to_identical_csv(tmp_path):
     cfg = tiny_config(runs=1, generations=4, seed=9)
     run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "full")
 
-    shorter = EvolutionConfig.from_dict({**cfg.to_dict(), "generations": 2})
+    shorter = dataclasses.replace(cfg, generations=2)
     run_es(shorter, GRAMMAR, DATA, out_dir=tmp_path / "resumed")
     assert len(read_rows(tmp_path / "resumed" / "generations.csv")) == 3 * 4
 

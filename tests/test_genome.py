@@ -55,7 +55,7 @@ def test_init_respects_layer_range():
         hidden = count_hidden_layers(ind, GRAMMAR)
         assert hidden >= 2
         assert 0 <= ind.macro.middle_point <= hidden - 2
-        assert ind.id == i and ind.evaluation is None
+        assert ind.id == i
     assert counts == {2, 3}
 
 
@@ -161,11 +161,10 @@ def test_to_phenotype_is_pure():
     assert to_phenotype(ind, GRAMMAR) == to_phenotype(ind, GRAMMAR)
 
 
-def test_copy_is_deep_and_drops_evaluation():
+def test_copy_is_deep():
     ind = init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(5), id=7)
-    ind.evaluation = object()
     dup = ind.copy(new_id=9)
-    assert dup.id == 9 and dup.evaluation is None
+    assert dup.id == 9
     assert dup.genotype_key() == ind.genotype_key()
     dup.modules[0].layer_genes[0].choices["layer"][0] ^= 1
     assert dup.genotype_key() != ind.genotype_key()

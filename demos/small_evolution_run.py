@@ -3,8 +3,8 @@ A complete experiment in half a minute
 ======================================
 
 Runs the baseline (accuracy-only) and the power-aware setup on a small
-synthetic task to show the moving parts: per-generation CSV logs, crash
-checkpoints, the aggregate table, and the winner's genotype and weight
+synthetic task to show the moving parts: per-generation CSV logs, the
+resume journal, the aggregate table, and the winner's genotype and weight
 dump.  Everything is deterministic per seed; re-running writes
 byte-identical files.
 
@@ -59,4 +59,4 @@ print("\nartifacts under", out)
 for path in sorted(out.rglob("*")):
     if path.is_file() and "checkpoints" not in path.parts:
         print("  ", path.relative_to(out))
-print("   (plus one crash checkpoint per generation under run_*/checkpoints/)")
+print("   (plus a resume journal, one line per generation, in run_*/checkpoints/)")

@@ -18,7 +18,7 @@ from .analysis import analyze_experiments
 from .config import AppConfig, format_config, load_config, load_grammar_spec
 from .errors import ConfigError, DataError, EvopowerError, GrammarError, InvalidGenotypeError
 from .evolution import MODES, run_experiment
-from .genome import Individual
+from .genome import Individual, load_genotype
 from .network import count_macs
 from .power import DEFAULT_N_MEASURES, AnalyticMeter, build_probe_network, probe_module_power
 
@@ -39,13 +39,13 @@ def _resolve_out(out: str) -> Path:
 def _read_genotype(path) -> Individual:
     try:
         payload = json.loads(Path(path).read_text())
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:
         raise ConfigError(f"cannot read genotype file {path}: {exc}")
     if isinstance(payload, dict) and "individual" in payload:
         payload = payload["individual"]
     try:
-        return Individual.from_dict(payload)
-    except (InvalidGenotypeError, KeyError, TypeError, ValueError) as exc:
+        return load_genotype(payload)
+    except InvalidGenotypeError as exc:
         raise ConfigError(f"malformed genotype file {path}: {exc}")
 
 

@@ -7,8 +7,13 @@ Three rules keep runs reproducible:
   evaluation order;
 * power measurement happens after a generation's training, in slot
   order, so stateful meters stay deterministic;
-* checkpoints carry the population, archive, counters and logs, and a
-  resumed run rebuilds the uninterrupted CSV byte for byte.
+* each run appends one line per finished generation to
+  ``checkpoints/journal.jsonl``: its records, population, archive
+  inserts and counters.  A resumed run replays the lines, so it rebuilds
+  the uninterrupted logs, archive and CSV byte for byte.
+
+``generations.csv`` grows by appended rows too; a fresh start rewrites
+both files, and a resume rewrites the CSV once from the replayed logs.
 """
 
 from __future__ import annotations
@@ -17,7 +22,7 @@ import copy
 import csv
 import hashlib
 import json
-import os
+import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -37,11 +42,13 @@ from .genome import (
     GenomeConfig,
     Individual,
     count_hidden_layers,
+    genotype_payload,
     init_individual,
+    load_typed,
     to_phenotype,
 )
 from .grammar import Grammar
-from .mutation import ModuleArchive, MutationRates, archive_insert, mutate
+from .mutation import ArchiveEntry, ModuleArchive, MutationRates, archive_insert, mutate
 from .network import build, evaluate_accuracy, save_weights, split, train
 from .power import (
     DEFAULT_N_MEASURES,
@@ -52,7 +59,7 @@ from .power import (
     probe_module_power,
 )
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 MODES = ("baseline", "proposed")
 
 # rng stream purposes
@@ -94,7 +101,9 @@ class EvolutionConfig:
             raise ConfigError(f"generations must be >= 1, got {self.generations}")
         if self.population_size < 2:
             raise ConfigError(f"population_size must be >= 2, got {self.population_size}")
-        # written as "not in range" so that nan fails every check
+        for name in ("default_train_budget", "train_longer_increment", "max_train_budget"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if not self.default_train_budget >= 1:
             raise ConfigError(f"default_train_budget must be >= 1, got {self.default_train_budget}")
         if not self.train_longer_increment > 0:
@@ -169,27 +178,6 @@ class EvaluationRecord:
             return self.fitness == WORST_FITNESS
         return self.fitness == evaluate_fitness(
             fitness_cfg, self.acc_left, self.acc_right, self.power_left_w
-        )
-
-    def to_dict(self) -> dict:
-        return dict(vars(self))
-
-    @staticmethod
-    def from_dict(d: dict) -> "EvaluationRecord":
-        return EvaluationRecord(
-            individual=int(d["individual"]),
-            fitness=float(d["fitness"]),
-            acc_left=float(d["acc_left"]),
-            acc_right=float(d["acc_right"]),
-            power_left_w=float(d["power_left_w"]),
-            power_right_w=float(d["power_right_w"]),
-            hidden_layers=int(d["hidden_layers"]),
-            middle_point=int(d["middle_point"]),
-            train_budget_epochs=float(d["train_budget_epochs"]),
-            epochs_run=int(d["epochs_run"]),
-            final_loss=float(d["final_loss"]),
-            wall_time_s=float(d["wall_time_s"]),
-            diverged=bool(d["diverged"]),
         )
 
 
@@ -360,11 +348,13 @@ def _probe_new_modules(
     meter: Meter | None,
     cfg: EvolutionConfig,
     generation: int,
-) -> None:
+) -> list[ArchiveEntry]:
+    """Probe and archive the members' unseen modules; returns the inserts."""
+    inserted: list[ArchiveEntry] = []
     # the archive only feeds reuse_module, so skip the probing cost when
     # that operator is disabled (baseline mode)
     if cfg.rates.reuse_module <= 0:
-        return
+        return inserted
     for slot, member in enumerate(state.members):
         for mi, module in enumerate(member.individual.modules):
             key = _module_key(module)
@@ -383,22 +373,17 @@ def _probe_new_modules(
             )
             archive_insert(state.archive, module, watts)
             state.probed.add(key)
+            inserted.append(ArchiveEntry(module, watts))
+    return inserted
 
 
-def _record_row(run: int, generation: int, rec: EvaluationRecord) -> dict:
-    return {
-        "run": run,
-        "generation": generation,
-        "individual": rec.individual,
-        "fitness": rec.fitness,
-        "acc_left": rec.acc_left,
-        "acc_right": rec.acc_right,
-        "power_left_w": rec.power_left_w,
-        "power_right_w": rec.power_right_w,
-        "hidden_layers": rec.hidden_layers,
-        "middle_point": rec.middle_point,
-        "train_budget_epochs": rec.train_budget_epochs,
-    }
+def _log_rows(run: int, logs: list[GenerationLog]) -> list[dict]:
+    """CSV rows: the run, the generation, then one record field per column."""
+    return [
+        {"run": run, "generation": log.generation, **{c: getattr(rec, c) for c in CSV_COLUMNS[2:]}}
+        for log in logs
+        for rec in log.records
+    ]
 
 
 def _format_cell(column: str, value) -> str:
@@ -407,101 +392,145 @@ def _format_cell(column: str, value) -> str:
     return repr(float(value))
 
 
+def _write_rows(fh, rows: list[dict]) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    for row in rows:
+        writer.writerow([_format_cell(col, row[col]) for col in CSV_COLUMNS])
+
+
 def write_rows_csv(path, rows: list[dict]) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in rows:
-            writer.writerow([_format_cell(col, row[col]) for col in CSV_COLUMNS])
+        csv.writer(fh, lineterminator="\n").writerow(CSV_COLUMNS)
+        _write_rows(fh, rows)
 
 
-def _checkpoint_path(ckpt_dir: Path, generation: int) -> Path:
-    return ckpt_dir / f"gen_{generation:04d}.json"
+def _append_rows_csv(path: Path, rows: list[dict]) -> None:
+    with open(path, "a", newline="") as fh:
+        _write_rows(fh, rows)
 
 
-def _write_checkpoint(ckpt_dir: Path, state: _RunState, fingerprint: str) -> None:
-    ckpt_dir.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "version": CHECKPOINT_VERSION,
-        "fingerprint": fingerprint,
-        "run": state.run,
-        "generation": state.generation,
-        "next_id": state.next_id,
-        "evaluations": state.evaluations,
-        "parent_retrains": state.parent_retrains,
-        "population": [
-            {
-                "individual": m.individual.to_dict(),
-                "record": m.record.to_dict(),
-                "eval_key": list(m.eval_key),
-            }
-            for m in state.members
-        ],
-        "archive": state.archive.to_dict(),
-        "probed": sorted(state.probed),
-        "logs": [
-            {
-                "generation": log.generation,
-                "best_slot": log.best_slot,
-                "records": [r.to_dict() for r in log.records],
-            }
-            for log in state.logs
-        ],
-    }
-    path = _checkpoint_path(ckpt_dir, state.generation)
-    tmp = path.with_suffix(".json.tmp")
-    tmp.write_text(json.dumps(payload, sort_keys=True))
-    os.replace(tmp, path)
+@dataclass
+class _JournalLine:
+    """One finished generation, as appended to ``journal.jsonl``.
+
+    Slot ``s`` holds ``individuals[s]``, scored by ``records[s]`` at
+    ``eval_keys[s]``; ``inserted`` lists the modules probed this
+    generation, with raw watts, in archive insertion order.
+    """
+
+    generation: int
+    best_slot: int
+    records: list[EvaluationRecord]
+    individuals: list[Individual]
+    eval_keys: list[tuple[int, int]]
+    inserted: list[ArchiveEntry]
+    next_id: int
+    evaluations: int
+    parent_retrains: int
 
 
-def _load_latest_checkpoint(
-    ckpt_dir: Path, fingerprint: str, cfg: EvolutionConfig
-) -> _RunState | None:
-    if not ckpt_dir.is_dir():
-        return None
-    files = sorted(ckpt_dir.glob("gen_*.json"))
-    if not files:
-        return None
-    path = files[-1]
+def _journal_path(out: Path) -> Path:
+    return out / "checkpoints" / "journal.jsonl"
+
+
+def _start_files(out: Path, fingerprint: str, run: int) -> None:
+    """Replace the run's journal and CSV with empty ones."""
+    journal = _journal_path(out)
+    journal.parent.mkdir(parents=True, exist_ok=True)
+    header = {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint, "run": run}
+    journal.write_text(json.dumps(header) + "\n")
+    write_rows_csv(out / "generations.csv", [])
+
+
+def _finish_generation(state: _RunState, inserted: list[ArchiveEntry], out: Path | None) -> None:
+    """Append the generation to the journal, then its rows to the CSV."""
+    if out is None:
+        return
+    log = state.logs[-1]
+    line = _JournalLine(
+        log.generation,
+        log.best_slot,
+        log.records,
+        [m.individual for m in state.members],
+        [m.eval_key for m in state.members],
+        inserted,
+        state.next_id,
+        state.evaluations,
+        state.parent_retrains,
+    )
+    with open(_journal_path(out), "a") as fh:
+        fh.write(json.dumps(asdict(line)) + "\n")
+    _append_rows_csv(out / "generations.csv", _log_rows(state.run, [log]))
+
+
+def _parse_line(path: Path, number: int, raw: bytes):
     try:
-        d = json.loads(path.read_text())
-    except (OSError, ValueError) as exc:
+        return json.loads(raw)
+    except (ValueError, RecursionError) as exc:
+        raise CheckpointError(f"unreadable checkpoint {path} line {number}: {exc}")
+
+
+def _load_journal(path: Path, fingerprint: str, run: int, cfg: EvolutionConfig) -> _RunState | None:
+    """Replay a run's journal; None when it holds no finished generation.
+
+    An unterminated last line is an append cut short, so it is dropped
+    and the file truncated to the lines before it.
+    """
+    try:
+        data = path.read_bytes()
+    except FileNotFoundError:
+        return None
+    except OSError as exc:
         raise CheckpointError(f"unreadable checkpoint {path}: {exc}")
-    if not isinstance(d, dict) or d.get("version") != CHECKPOINT_VERSION:
-        raise CheckpointError(
-            f"unsupported checkpoint version {d.get('version') if isinstance(d, dict) else d!r} in {path}"
-        )
-    if d.get("fingerprint") != fingerprint:
+    end = data.rfind(b"\n") + 1
+    if end < len(data):
+        with open(path, "r+b") as fh:
+            fh.truncate(end)
+    lines = data[:end].split(b"\n")[:-1]
+    if not lines:
+        return None
+    header = _parse_line(path, 1, lines[0])
+    version = header.get("version") if isinstance(header, dict) else header
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"unsupported checkpoint version {version!r:.60} in {path}")
+    if header.get("fingerprint") != fingerprint:
         raise CheckpointError(f"checkpoint {path} does not match the current configuration")
-    try:
-        state = _RunState(int(d["run"]), cfg)
-        state.generation = int(d["generation"])
-        state.next_id = int(d["next_id"])
-        state.evaluations = int(d["evaluations"])
-        state.parent_retrains = int(d["parent_retrains"])
+    if header.get("run") != run:
+        raise CheckpointError(
+            f"checkpoint {path} belongs to run {header.get('run')!r:.60}, expected {run}"
+        )
+    state = _RunState(run, cfg)
+    for number, raw in enumerate(lines[1:], 2):
+        try:
+            line = load_typed(_JournalLine, _parse_line(path, number, raw))
+        except InvalidGenotypeError as exc:
+            raise CheckpointError(f"malformed checkpoint {path} line {number}: {exc}")
+        size = cfg.population_size
+        if (
+            line.generation != state.generation + 1
+            or not len(line.records) == len(line.individuals) == len(line.eval_keys) == size
+            or not 0 <= line.best_slot < size
+        ):
+            raise CheckpointError(
+                f"malformed checkpoint {path} line {number}: not generation "
+                f"{state.generation + 1} of a population of {size}"
+            )
+        # _probe_new_modules is the only writer of the archive and of probed
+        for entry in line.inserted:
+            archive_insert(state.archive, entry.module, entry.power_watts)
+            state.probed.add(_module_key(entry.module))
+        state.logs.append(GenerationLog(line.generation, line.records, line.best_slot))
         state.members = [
-            Member(
-                Individual.from_dict(p["individual"]),
-                EvaluationRecord.from_dict(p["record"]),
-                tuple(p["eval_key"]),
-            )
-            for p in d["population"]
+            Member(ind, rec, key)
+            for ind, rec, key in zip(line.individuals, line.records, line.eval_keys)
         ]
-        state.archive = ModuleArchive.from_dict(d["archive"])
-        state.probed = set(d["probed"])
-        state.logs = [
-            GenerationLog(
-                int(entry["generation"]),
-                [EvaluationRecord.from_dict(r) for r in entry["records"]],
-                int(entry["best_slot"]),
-            )
-            for entry in d["logs"]
-        ]
-    except (KeyError, TypeError, ValueError, InvalidGenotypeError) as exc:
-        raise CheckpointError(f"malformed checkpoint {path}: {exc}")
-    return state
+        state.next_id = line.next_id
+        state.evaluations = line.evaluations
+        state.parent_retrains = line.parent_retrains
+        state.generation = line.generation
+    return state if state.logs else None
 
 
 @dataclass
@@ -515,13 +544,6 @@ class RunResult:
     parent_retrains: int
     archive: ModuleArchive
 
-    def rows(self) -> list[dict]:
-        return [
-            _record_row(self.run, log.generation, rec)
-            for log in self.logs
-            for rec in log.records
-        ]
-
 
 def _initial_generation(
     state: _RunState,
@@ -529,7 +551,7 @@ def _initial_generation(
     grammar: Grammar,
     data: TaskData,
     meter: Meter | None,
-) -> None:
+) -> list[ArchiveEntry]:
     inds = []
     for slot in range(cfg.population_size):
         ind = init_individual(
@@ -553,9 +575,10 @@ def _initial_generation(
         members.append(Member(t.individual, rec, (0, slot)))
     state.members = members
     state.generation = 0
-    _probe_new_modules(state, grammar, data, meter, cfg, 0)
+    inserted = _probe_new_modules(state, grammar, data, meter, cfg, 0)
     records = [m.record for m in members]
     state.logs.append(GenerationLog(0, records, best_slot(records)))
+    return inserted
 
 
 def _next_generation(
@@ -565,7 +588,7 @@ def _next_generation(
     grammar: Grammar,
     data: TaskData,
     meter: Meter | None,
-) -> None:
+) -> list[ArchiveEntry]:
     parent = select_parent(state.members)
 
     # slot 0 carries the parent; a train_longer draw may grant it a
@@ -614,22 +637,10 @@ def _next_generation(
             new_members[slot] = Member(trained.individual, rec, (g, slot))
     state.members = [new_members[slot] for slot in range(cfg.population_size)]
     state.generation = g
-    _probe_new_modules(state, grammar, data, meter, cfg, g)
+    inserted = _probe_new_modules(state, grammar, data, meter, cfg, g)
     records = [m.record for m in state.members]
     state.logs.append(GenerationLog(g, records, best_slot(records)))
-
-
-def _finish_generation(state: _RunState, out: Path | None, fingerprint: str) -> None:
-    if out is None:
-        return
-    out.mkdir(parents=True, exist_ok=True)
-    rows = [
-        _record_row(state.run, log.generation, rec)
-        for log in state.logs
-        for rec in log.records
-    ]
-    write_rows_csv(out / "generations.csv", rows)
-    _write_checkpoint(out / "checkpoints", state, fingerprint)
+    return inserted
 
 
 def run_es(
@@ -642,7 +653,11 @@ def run_es(
     resume: bool = True,
 ) -> RunResult:
     """One seeded run: initial population, then per generation the
-    parent plus offspring mutants, with logs, CSV and checkpoints."""
+    parent plus offspring mutants, with logs, CSV and journal.
+
+    With ``resume``, a journal under ``out_dir`` is replayed and the run
+    continues after its last generation; otherwise it starts afresh.
+    """
     cfg.validate()
     data.validate()
     fingerprint = cfg.fingerprint()
@@ -650,18 +665,18 @@ def run_es(
 
     state = None
     if out is not None and resume:
-        state = _load_latest_checkpoint(out / "checkpoints", fingerprint, cfg)
-        if state is not None and state.run != run_index:
-            raise CheckpointError(
-                f"checkpoint in {out} belongs to run {state.run}, expected {run_index}"
-            )
-    if state is None:
+        state = _load_journal(_journal_path(out), fingerprint, run_index, cfg)
+    if state is not None:
+        write_rows_csv(out / "generations.csv", _log_rows(run_index, state.logs))
+    else:
+        if out is not None:
+            _start_files(out, fingerprint, run_index)
         state = _RunState(run_index, cfg)
-        _initial_generation(state, cfg, grammar, data, meter)
-        _finish_generation(state, out, fingerprint)
+        inserted = _initial_generation(state, cfg, grammar, data, meter)
+        _finish_generation(state, inserted, out)
     for g in range(state.generation + 1, cfg.generations + 1):
-        _next_generation(state, g, cfg, grammar, data, meter)
-        _finish_generation(state, out, fingerprint)
+        inserted = _next_generation(state, g, cfg, grammar, data, meter)
+        _finish_generation(state, inserted, out)
 
     best = select_parent(state.members)
     result = RunResult(
@@ -677,8 +692,8 @@ def run_es(
     if out is not None:
         payload = {
             "run": run_index,
-            "individual": best.individual.to_dict(),
-            "record": best.record.to_dict(),
+            "individual": genotype_payload(best.individual),
+            "record": asdict(best.record),
         }
         (out / "best.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return result
@@ -744,7 +759,7 @@ def run_experiment(
                 resume=resume,
             )
         )
-    rows = [row for res in results for row in res.rows()]
+    rows = [row for res in results for row in _log_rows(res.run, res.logs)]
     aggregate = out / "aggregate.csv"
     write_rows_csv(aggregate, rows)
 
@@ -760,8 +775,8 @@ def run_experiment(
     payload = {
         "mode": mode,
         "run": winner.run,
-        "individual": winner.best.to_dict(),
-        "record": winner.best_record.to_dict(),
+        "individual": genotype_payload(winner.best),
+        "record": asdict(winner.best_record),
     }
     (out / "best_genotype.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if not winner.best_record.diverged:

@@ -25,7 +25,10 @@ gene lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import sys
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,6 +37,7 @@ from .grammar import GeneList, Grammar, bind_dynamic_bound, decode, random_deriv
 
 MIN_HIDDEN_LAYERS = 2
 _INIT_TRIES = 200
+GENOTYPE_VERSION = 1
 
 
 @dataclass
@@ -93,23 +97,6 @@ class ModuleGene:
         """Hashable identity of the module's genotype (bounds excluded)."""
         return (self.start_symbol, tuple(g.canonical() for g in self.layer_genes))
 
-    def to_dict(self) -> dict:
-        return {
-            "start_symbol": self.start_symbol,
-            "layer_genes": [g.to_dict() for g in self.layer_genes],
-            "min_layers": self.min_layers,
-            "max_layers": self.max_layers,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModuleGene":
-        return ModuleGene(
-            d["start_symbol"],
-            [GeneList.from_dict(g) for g in d["layer_genes"]],
-            int(d["min_layers"]),
-            int(d["max_layers"]),
-        )
-
 
 @dataclass
 class MacroGenes:
@@ -120,19 +107,6 @@ class MacroGenes:
 
     def copy(self) -> "MacroGenes":
         return MacroGenes({k: g.copy() for k, g in self.genes.items()}, self.middle_point)
-
-    def to_dict(self) -> dict:
-        return {
-            "genes": {k: g.to_dict() for k, g in self.genes.items()},
-            "middle_point": self.middle_point,
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "MacroGenes":
-        return MacroGenes(
-            {k: GeneList.from_dict(g) for k, g in d["genes"].items()},
-            int(d["middle_point"]),
-        )
 
 
 @dataclass
@@ -159,25 +133,61 @@ class Individual:
             self.macro.middle_point,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "version": 1,
-            "id": self.id,
-            "train_budget": self.train_budget,
-            "modules": [m.to_dict() for m in self.modules],
-            "macro": self.macro.to_dict(),
-        }
 
-    @staticmethod
-    def from_dict(d: dict) -> "Individual":
-        if d.get("version") != 1:
-            raise InvalidGenotypeError(f"unsupported individual record version {d.get('version')!r}")
-        return Individual(
-            [ModuleGene.from_dict(m) for m in d["modules"]],
-            MacroGenes.from_dict(d["macro"]),
-            int(d["id"]),
-            float(d["train_budget"]),
-        )
+def load_typed(cls, value, where: str = ""):
+    """Rebuild dataclass ``cls`` from the JSON form of ``dataclasses.asdict``.
+
+    Field types come from ``typing.get_type_hints``; dataclasses, lists,
+    fixed-length tuples, str-keyed dicts, ``X | Y`` unions and scalars
+    nest freely.
+    A missing, unknown or wrongly typed field raises
+    :class:`InvalidGenotypeError` naming its path.
+    """
+    where = where or getattr(cls, "__name__", str(cls))
+    if is_dataclass(cls):
+        if not isinstance(value, dict):
+            raise InvalidGenotypeError(f"{where}: expected an object, got {value!r:.60}")
+        names = [f.name for f in fields(cls)]
+        missing = [n for n in names if n not in value]
+        unknown = sorted(set(value) - set(names))
+        if missing or unknown:
+            raise InvalidGenotypeError(f"{where}: missing fields {missing}, unknown fields {unknown}")
+        hints = get_type_hints(cls)
+        return cls(**{n: load_typed(hints[n], value[n], f"{where}.{n}") for n in names})
+    origin, args = get_origin(cls), get_args(cls)
+    if origin is list and isinstance(value, list):
+        return [load_typed(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
+    if origin is tuple and isinstance(value, list) and len(value) == len(args):
+        return tuple(load_typed(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
+    if origin is dict and isinstance(value, dict):
+        return {k: load_typed(args[1], v, f"{where}[{k!r}]") for k, v in value.items()}
+    if origin is UnionType:
+        for option in args:
+            try:
+                return load_typed(option, value, where)
+            except InvalidGenotypeError:
+                pass
+    # type(), not isinstance: a bool is never a valid int or float here
+    elif cls in (int, str, bool) and type(value) is cls:
+        return value
+    elif cls is float and (
+        type(value) is float or type(value) is int and abs(value) <= sys.float_info.max
+    ):
+        return float(value)
+    raise InvalidGenotypeError(f"{where}: expected {cls}, got {value!r:.60}")
+
+
+def genotype_payload(ind: Individual) -> dict:
+    """The JSON form of a genotype file entry: the fields plus a version."""
+    return {"version": GENOTYPE_VERSION, **asdict(ind)}
+
+
+def load_genotype(payload) -> Individual:
+    """Inverse of :func:`genotype_payload`; raises :class:`InvalidGenotypeError`."""
+    if not isinstance(payload, dict) or payload.get("version") != GENOTYPE_VERSION:
+        version = payload.get("version") if isinstance(payload, dict) else payload
+        raise InvalidGenotypeError(f"unsupported individual record version {version!r:.60}")
+    return load_typed(Individual, {k: v for k, v in payload.items() if k != "version"})
 
 
 @dataclass(frozen=True)

@@ -115,16 +115,6 @@ class GeneList:
         va = tuple(sorted((k, tuple(tuple(g) for g in v)) for k, v in self.values.items()))
         return (ch, va)
 
-    def to_dict(self) -> dict:
-        return {"choices": self.choices, "values": self.values}
-
-    @staticmethod
-    def from_dict(d: dict) -> "GeneList":
-        return GeneList(
-            {k: [int(i) for i in v] for k, v in d["choices"].items()},
-            {k: [list(g) for g in v] for k, v in d["values"].items()},
-        )
-
 
 @dataclass
 class Decoded:

@@ -72,25 +72,6 @@ class ModuleArchive:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def to_dict(self) -> dict:
-        return {
-            "capacity": self.capacity,
-            "entries": [
-                {"module": e.module.to_dict(), "power_watts": e.power_watts}
-                for e in self.entries
-            ],
-        }
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModuleArchive":
-        return ModuleArchive(
-            [
-                ArchiveEntry(ModuleGene.from_dict(e["module"]), float(e["power_watts"]))
-                for e in d["entries"]
-            ],
-            int(d["capacity"]),
-        )
-
 
 def archive_insert(archive: ModuleArchive, module: ModuleGene, power_watts: float) -> ModuleArchive:
     """Record a module with its measured power; returns the same archive.

@@ -12,6 +12,7 @@ from evopower.config import (
 )
 from evopower.errors import ConfigError
 from evopower.evolution import EvolutionConfig
+from evopower.genome import genotype_payload, load_genotype
 
 BASE_LINES = [
     "# desk-sized smoke setup",
@@ -159,6 +160,28 @@ def test_probe_prints_watts_and_macs(tmp_path, capsys):
     not_a_genotype = tmp_path / "wrong.json"
     not_a_genotype.write_text(json.dumps({"version": 1, "no": "modules"}))
     assert entry(["probe", str(not_a_genotype), "--config", cfg]) == 2
+
+
+# a best_genotype.json "individual" entry as the per-generation-snapshot
+# releases wrote it (init_individual on dense_only, seed 0)
+LEGACY_GENOTYPE = (
+    '{"id": 3, "macro": {"genes": {"learning": {"choices": {"learning": [0]}, "values": '
+    '{"batch": [[35]], "lr": [[0.08134569689610723]]}}}, "middle_point": 1}, "modules": '
+    '[{"layer_genes": [{"choices": {"activation": [1], "dense": [0], "layer": [0]}, '
+    '"values": {"units": [[169]]}}, {"choices": {"activation": [0], "dense": [0], '
+    '"layer": [0]}, "values": {"units": [[81]]}}, {"choices": {"activation": [0], '
+    '"dense": [0], "layer": [0]}, "values": {"units": [[25]]}}], "max_layers": 4, '
+    '"min_layers": 2, "start_symbol": "layer"}], "train_budget": 2.0, "version": 1}'
+)
+
+
+def test_probe_reads_legacy_genotype_files(tmp_path, capsys):
+    legacy = json.loads(LEGACY_GENOTYPE)
+    assert genotype_payload(load_genotype(legacy)) == legacy  # same format both ways
+    path = tmp_path / "best_genotype.json"
+    path.write_text(json.dumps({"mode": "proposed", "run": 0, "individual": legacy}))
+    assert entry(["probe", str(path), "--config", write_cfg(tmp_path)]) == 0
+    assert capsys.readouterr().out.startswith("module 0: ")
 
 
 def test_analyze_cli(tmp_path, capsys):

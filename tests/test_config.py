@@ -60,6 +60,14 @@ def test_parse_config_raises_only_config_error(lines):
         pass
 
 
+# an infinite budget would reach int() when the epoch count is derived
+FINITE_KEYS = {
+    "evolution.default_train_budget",
+    "evolution.train_longer_increment",
+    "evolution.max_train_budget",
+}
+
+
 @pytest.mark.parametrize("key", [k for k, kind in KEY_TYPES.items() if kind is float])
 def test_nan_float_keys_are_rejected(key):
     if key.startswith("data."):
@@ -67,8 +75,9 @@ def test_nan_float_keys_are_rejected(key):
         with pytest.raises(DataError):
             AppConfig.from_flat({key: "nan"}).data.load()
     else:
-        with pytest.raises(ConfigError):
-            AppConfig.from_flat({key: "nan"})
+        for value in ("nan", "inf") if key in FINITE_KEYS else ("nan",):
+            with pytest.raises(ConfigError):
+                AppConfig.from_flat({key: value})
 
 
 def test_readme_table_lists_every_key_with_its_default():

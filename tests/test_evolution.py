@@ -109,9 +109,14 @@ def test_best_slot_and_select_parent():
 
 
 def strip_wall(record):
-    d = record.to_dict()
+    d = dataclasses.asdict(record)
     d.pop("wall_time_s")
     return d
+
+
+def journal_lines(run_dir):
+    text = (run_dir / "checkpoints" / "journal.jsonl").read_text()
+    return [json.loads(line) for line in text.splitlines()]
 
 
 def test_evaluate_individual_deterministic_and_consistent():
@@ -199,13 +204,11 @@ def test_zero_rates_keep_population_constant(tmp_path):
     for prev, cur in zip(result.logs, result.logs[1:]):
         assert cur.records[0] == prev.best_record  # parent carried forward
         assert cur.best_record.fitness >= prev.best_record.fitness
-    final = json.loads(
-        (tmp_path / "r0" / "checkpoints" / f"gen_{cfg.generations:04d}.json").read_text()
-    )
+    final = journal_lines(tmp_path / "r0")[-1]
+    assert final["generation"] == cfg.generations
     genotypes = {
-        json.dumps({k: v for k, v in m["individual"].items() if k != "id"},
-                   sort_keys=True)
-        for m in final["population"]
+        json.dumps({k: v for k, v in ind.items() if k != "id"}, sort_keys=True)
+        for ind in final["individuals"]
     }
     assert len(genotypes) == 1
 
@@ -273,16 +276,108 @@ def test_resume_completes_to_identical_csv(tmp_path):
     assert again.best_record == resumed.best_record
 
 
+def log_digest(result):
+    """The run's logs without wall times; json so that nan equals nan."""
+    return json.dumps([(log.generation, log.best_slot, [strip_wall(r) for r in log.records])
+                       for log in result.logs])
+
+
+def archive_digest(result):
+    return [(e.module.genotype_key(), e.power_watts) for e in result.archive.entries]
+
+
+class Interrupted(Exception):
+    pass
+
+
+@pytest.mark.parametrize("stale", ["other_seed", "other_data", "other_data_cut_short"])
+def test_fresh_start_replaces_a_stale_journal(tmp_path, monkeypatch, stale):
+    import evopower.evolution as evo
+
+    cfg = tiny_config(runs=1, generations=2, seed=6)
+    data = tiny_data(seed=2)
+    reference = run_es(cfg, GRAMMAR, data, out_dir=tmp_path / "reference")
+
+    # a longer run of another seed, or of the same config on other data
+    older_cfg, older_data = ((tiny_config(runs=1, generations=3, seed=5), data)
+                             if stale == "other_seed"
+                             else (dataclasses.replace(cfg, generations=3), DATA))
+    run_es(older_cfg, GRAMMAR, older_data, out_dir=tmp_path / "r")
+    if stale == "other_data_cut_short":
+        # the fresh start dies before it finishes generation 0
+        def interrupt(*args, **kwargs):
+            raise Interrupted
+
+        monkeypatch.setattr(evo, "train", interrupt)
+        with pytest.raises(Interrupted):
+            run_es(cfg, GRAMMAR, data, out_dir=tmp_path / "r", resume=False)
+        monkeypatch.undo()
+    else:
+        run_es(dataclasses.replace(cfg, generations=1), GRAMMAR, data,
+               out_dir=tmp_path / "r", resume=False)
+    resumed = run_es(cfg, GRAMMAR, data, out_dir=tmp_path / "r")
+
+    assert log_digest(resumed) == log_digest(reference)
+    assert ((tmp_path / "r" / "generations.csv").read_bytes()
+            == (tmp_path / "reference" / "generations.csv").read_bytes())
+
+
+@pytest.mark.parametrize("torn", [False, True])
+def test_resume_after_an_interruption_at_every_generation(tmp_path, monkeypatch, torn):
+    import evopower.evolution as evo
+
+    cfg = tiny_config(runs=1, generations=3, seed=9, meter=AnalyticMeterConfig(noise_sigma=2.0))
+    full = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "full")
+    expected = (tmp_path / "full" / "generations.csv").read_bytes()
+    append_rows = evo._append_rows_csv
+    for cut in range(cfg.generations + 1):
+        out = tmp_path / f"cut_{cut}"
+
+        def interrupt(path, rows):
+            # generation `cut` is in the journal, but its rows are not in the CSV
+            if rows[0]["generation"] == cut:
+                raise Interrupted
+            append_rows(path, rows)
+
+        monkeypatch.setattr(evo, "_append_rows_csv", interrupt)
+        with pytest.raises(Interrupted):
+            run_es(cfg, GRAMMAR, DATA, out_dir=out)
+        monkeypatch.setattr(evo, "_append_rows_csv", append_rows)
+        journal = out / "checkpoints" / "journal.jsonl"
+        if torn:
+            # as if the interruption hit halfway through writing that line
+            lines = journal.read_text().splitlines(keepends=True)
+            journal.write_text("".join(lines[:-1]) + lines[-1][: len(lines[-1]) // 2])
+
+        resumed = run_es(cfg, GRAMMAR, DATA, out_dir=out)
+        assert (out / "generations.csv").read_bytes() == expected
+        assert journal.read_text().endswith("\n")
+        assert [line.get("generation") for line in journal_lines(out)[1:]] == [0, 1, 2, 3]
+        assert log_digest(resumed) == log_digest(full)
+        assert archive_digest(resumed) == archive_digest(full)
+        assert (resumed.evaluations, resumed.parent_retrains) == (full.evaluations,
+                                                                  full.parent_retrains)
+
+
 def test_checkpoint_corruption_and_mismatches(tmp_path):
     cfg = tiny_config(runs=1, generations=2, seed=5)
     run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
-    latest = sorted((tmp_path / "r" / "checkpoints").glob("gen_*.json"))[-1]
+    journal = tmp_path / "r" / "checkpoints" / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
 
-    latest.write_text("{broken")
+    journal.write_text("".join(lines[:2]) + "{broken\n")
     with pytest.raises(CheckpointError, match="unreadable checkpoint"):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
 
-    latest.write_text(json.dumps({"version": 99}))
+    journal.write_text("".join(lines[:2]) + '{"generation": 1}\n')
+    with pytest.raises(CheckpointError, match="malformed checkpoint"):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
+
+    journal.write_text("".join([lines[0], lines[2]]))
+    with pytest.raises(CheckpointError, match="not generation 0"):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
+
+    journal.write_text(json.dumps({"version": 99}) + "\n")
     with pytest.raises(CheckpointError, match="unsupported checkpoint version"):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
 
@@ -334,7 +429,9 @@ def test_run_experiment_layout_and_winner(tmp_path):
     assert (out / "best_weights.bin").is_file()
     for r in range(cfg.runs):
         assert (out / f"run_{r}" / "generations.csv").is_file()
-        assert (out / f"run_{r}" / "checkpoints" / "gen_0000.json").is_file()
+        checkpoints = out / f"run_{r}" / "checkpoints"
+        assert [p.name for p in checkpoints.iterdir()] == ["journal.jsonl"]
+        assert len(journal_lines(out / f"run_{r}")) == 1 + cfg.generations + 1
 
     snapshot = json.loads((out / "config.json").read_text())
     assert snapshot["mode"] == "proposed"

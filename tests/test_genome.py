@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -12,7 +13,10 @@ from evopower.genome import (
     ModuleSpec,
     clamp_middle_point,
     count_hidden_layers,
+    genotype_payload,
     init_individual,
+    load_genotype,
+    load_typed,
     to_phenotype,
     validate_individual,
 )
@@ -172,15 +176,50 @@ def test_copy_is_deep():
 
 def test_serialization_round_trip():
     ind = init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(21), id=4)
-    blob = json.dumps(ind.to_dict())
-    back = Individual.from_dict(json.loads(blob))
-    assert back.genotype_key() == ind.genotype_key()
-    assert back.id == 4 and back.train_budget == ind.train_budget
+    blob = json.dumps(genotype_payload(ind))
+    back = load_genotype(json.loads(blob))
+    assert back == ind
     validate_individual(back, GRAMMAR)
+    assert load_typed(Individual, json.loads(json.dumps(dataclasses.asdict(ind)))) == ind
 
 
 def test_serialization_rejects_unknown_version():
-    d = init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(1)).to_dict()
+    d = genotype_payload(init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(1)))
     d["version"] = 99
     with pytest.raises(InvalidGenotypeError, match="version"):
-        Individual.from_dict(d)
+        load_genotype(d)
+    with pytest.raises(InvalidGenotypeError, match="version"):
+        load_genotype([d])
+
+
+@pytest.mark.parametrize("path, value, message", [
+    (("id",), True, "Individual.id: expected"),
+    (("id",), 1.0, "Individual.id: expected"),
+    (("train_budget",), 10**400, "Individual.train_budget: expected"),
+    (("train_budget",), "2.0", "Individual.train_budget: expected"),
+    (("macro", "middle_point"), None, "Individual.macro.middle_point: expected"),
+    (("modules",), {}, "Individual.modules: expected"),
+    (("modules", 0, "layer_genes", 0, "values"), {"units": [["8"]]},
+     r"modules\[0\]\.layer_genes\[0\]\.values\['units'\]\[0\]\[0\]: expected"),
+    (("macro", "genes", "learning"), [], "expected an object"),
+])
+def test_load_typed_rejects_wrong_types(path, value, message):
+    d = dataclasses.asdict(init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(2)))
+    target = d
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(InvalidGenotypeError, match=message):
+        load_typed(Individual, d)
+
+
+def test_load_typed_rejects_missing_and_unknown_fields():
+    d = dataclasses.asdict(init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(2)))
+    with pytest.raises(InvalidGenotypeError, match=r"missing fields \['id'\], unknown fields \[\]"):
+        load_typed(Individual, {k: v for k, v in d.items() if k != "id"})
+    with pytest.raises(InvalidGenotypeError, match=r"unknown fields \['extra'\]"):
+        load_typed(Individual, {**d, "extra": 1})
+    # ints widen to float fields, and int | float values keep their type
+    d["train_budget"] = 3
+    back = load_typed(Individual, d)
+    assert back.train_budget == 3.0 and type(back.train_budget) is float

@@ -1,7 +1,11 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from evopower.errors import DerivationError, GrammarError, InvalidGenotypeError
+from evopower.genome import load_typed
 from evopower.grammar import (
     GeneList,
     NonTerminal,
@@ -273,8 +277,9 @@ def test_genelist_canonical_and_dict_round_trip():
     other = GeneList(choices={"a": [0, 0]}, values={"v": [[2.5]]})
     assert genes.canonical() == same.canonical()
     assert genes.canonical() != other.canonical()
-    back = GeneList.from_dict(genes.to_dict())
-    assert back.canonical() == genes.canonical()
+    back = load_typed(GeneList, json.loads(json.dumps(dataclasses.asdict(genes))))
+    assert back == genes
+    assert type(back.values["v"][0][0]) is float
 
 
 def test_packaged_grammars_load():

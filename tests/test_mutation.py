@@ -158,16 +158,6 @@ def test_archive_capacity_never_exceeded():
     assert len(archive) == 5
 
 
-def test_archive_round_trips_through_dict():
-    archive = archive_with([33.0, 66.0])
-    back = ModuleArchive.from_dict(archive.to_dict())
-    assert back.capacity == archive.capacity
-    assert [e.module.genotype_key() for e in back.entries] == [
-        e.module.genotype_key() for e in archive.entries
-    ]
-    assert [e.power_watts for e in back.entries] == [e.power_watts for e in archive.entries]
-
-
 def test_zero_rates_change_only_identity():
     parent = fresh(7, id=1)
     child = mutate(parent, ZERO, ModuleArchive(), GRAMMAR, np.random.default_rng(0), new_id=2)

@@ -41,18 +41,21 @@ net = build(spec, input_dim=10, class_count=3, rng=rng)
 report = train(net, ds.samples, ds.labels, budget_epochs=8, learning_rate=0.05, batch_size=32, rng=rng)
 print("epochs run:", report.epochs_run, " final joint loss: %.4f" % report.final_loss)
 
-# the full model answers through both heads at once
+# the full model answers through both heads at once, so one pass
+# scores both
 main, aux = net.forward(ds.samples)
-print("main head accuracy: %.3f" % float(np.mean(main.argmax(axis=1) == ds.labels)))
-print("aux head accuracy:  %.3f" % float(np.mean(aux.argmax(axis=1) == ds.labels)))
+acc_main, acc_aux = evaluate_accuracy(net, ds.samples, ds.labels)
+print("main head accuracy: %.3f" % acc_main)
+print("aux head accuracy:  %.3f" % acc_aux)
 
 # splitting yields the full-depth left model and the shallow right
 # model; weights are copies, so the outputs match the heads exactly
 left, right = split(net)
 print("left == main head: ", bool(np.array_equal(left.forward(ds.samples)[0], main)))
 print("right == aux head: ", bool(np.array_equal(right.forward(ds.samples)[0], aux)))
-print("left accuracy %.3f with %d MACs/sample" % (evaluate_accuracy(left, ds.samples, ds.labels), count_macs(left)))
-print("right accuracy %.3f with %d MACs/sample" % (evaluate_accuracy(right, ds.samples, ds.labels), count_macs(right)))
+# a partition has one head, so its aux slot is None
+print("left accuracy %.3f with %d MACs/sample" % (evaluate_accuracy(left, ds.samples, ds.labels)[0], count_macs(left)))
+print("right accuracy %.3f with %d MACs/sample" % (evaluate_accuracy(right, ds.samples, ds.labels)[0], count_macs(right)))
 
 # weights round-trip through a compact little-endian dump
 save_weights(left, "/tmp/left_weights.bin")

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import gzip
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -58,7 +59,10 @@ def _read_maybe_gzip(path) -> bytes:
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
     if raw[:2] == GZIP_SIGNATURE:
-        return gzip.decompress(raw)
+        try:
+            return gzip.decompress(raw)
+        except (gzip.BadGzipFile, EOFError, zlib.error) as exc:
+            raise DataError(f"{path}: corrupt gzip data: {exc}")
     return raw
 
 
@@ -77,6 +81,8 @@ def load_idx(images_path, labels_path) -> Dataset:
     if len(img_blob) < 16:
         raise DataError(f"{images_path}: truncated image header")
     count, rows, cols = struct.unpack_from(">III", img_blob, 4)
+    if rows * cols > np.iinfo(np.intp).max:
+        raise DataError(f"{images_path}: {rows}x{cols} images exceed the largest array dimension")
     expected = 16 + count * rows * cols
     if len(img_blob) != expected:
         raise DataError(

@@ -30,10 +30,12 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import CSV_COLUMNS
+from .blas import one_blas_thread
 from .data import Dataset
 from .errors import (
     CheckpointError,
     ConfigError,
+    GrammarError,
     InvalidGenotypeError,
     TrainingDivergedError,
 )
@@ -41,11 +43,11 @@ from .fitness import WORST_FITNESS, FitnessConfig, evaluate_fitness
 from .genome import (
     GenomeConfig,
     Individual,
-    count_hidden_layers,
     genotype_payload,
     init_individual,
     load_typed,
     to_phenotype,
+    validate_individual,
 )
 from .grammar import Grammar
 from .mutation import ArchiveEntry, ModuleArchive, MutationRates, archive_insert, mutate
@@ -218,6 +220,7 @@ def select_parent(population: list[Member]) -> Member:
 @dataclass
 class _Trained:
     individual: Individual
+    hidden_layers: int
     net: object
     left: object
     right: object
@@ -238,6 +241,7 @@ def _train_phase(
 ) -> _Trained:
     t0 = time.perf_counter()
     spec = to_phenotype(ind, grammar)
+    hidden = sum(layer.kind == "dense" for layer in spec.layers)
     net = build(spec, data.input_dim, data.class_count, rng)
     epochs = max(1, int(round(min(ind.train_budget, cfg.max_train_budget))))
     try:
@@ -252,13 +256,14 @@ def _train_phase(
         )
     except TrainingDivergedError:
         wall = time.perf_counter() - t0
-        return _Trained(ind, None, None, None, 0.0, 0.0, 0, float("nan"), wall, True)
+        return _Trained(ind, hidden, None, None, None, 0.0, 0.0, 0, float("nan"), wall, True)
     left, right = split(net)
-    acc_left = evaluate_accuracy(left, data.validation.samples, data.validation.labels)
-    acc_right = evaluate_accuracy(right, data.validation.samples, data.validation.labels)
+    # the partitions answer bit for bit like the heads, so one pass over
+    # the validation set scores both
+    acc_left, acc_right = evaluate_accuracy(net, data.validation.samples, data.validation.labels)
     wall = time.perf_counter() - t0
     return _Trained(
-        ind, net, left, right, acc_left, acc_right,
+        ind, hidden, net, left, right, acc_left, acc_right,
         report.epochs_run, report.final_loss, wall, False,
     )
 
@@ -268,10 +273,9 @@ def _measure_phase(
     data: TaskData,
     meter: Meter,
     cfg: EvolutionConfig,
-    grammar: Grammar,
 ) -> EvaluationRecord:
     ind = trained.individual
-    hidden = count_hidden_layers(ind, grammar)
+    hidden = trained.hidden_layers
     budget = float(min(ind.train_budget, cfg.max_train_budget))
     if trained.diverged:
         return EvaluationRecord(
@@ -321,7 +325,7 @@ def evaluate_individual(
     the configured fitness.  Divergence maps to the worst fitness."""
     if meter is None:
         meter = AnalyticMeter(cfg.meter)
-    return _measure_phase(_train_phase(ind, grammar, data, cfg, rng), data, meter, cfg, grammar)
+    return _measure_phase(_train_phase(ind, grammar, data, cfg, rng), data, meter, cfg)
 
 
 class _RunState:
@@ -329,16 +333,12 @@ class _RunState:
         self.run = run
         self.members: list[Member] = []
         self.archive = ModuleArchive(capacity=cfg.archive_capacity)
-        self.probed: set[str] = set()
+        self.probed: set[tuple] = set()  # genotype keys of the probed modules
         self.logs: list[GenerationLog] = []
         self.next_id = 0
         self.evaluations = 0
         self.parent_retrains = 0
         self.generation = -1  # last completed generation
-
-
-def _module_key(module) -> str:
-    return json.dumps(module.genotype_key())
 
 
 def _probe_new_modules(
@@ -357,7 +357,7 @@ def _probe_new_modules(
         return inserted
     for slot, member in enumerate(state.members):
         for mi, module in enumerate(member.individual.modules):
-            key = _module_key(module)
+            key = module.genotype_key()
             if key in state.probed:
                 continue
             probe_meter = _meter_for(
@@ -460,8 +460,11 @@ def _finish_generation(state: _RunState, inserted: list[ArchiveEntry], out: Path
         state.evaluations,
         state.parent_retrains,
     )
+    # vars serializes each dataclass from its own __dict__, which holds
+    # the fields in declaration order: the bytes of json.dumps(asdict(line))
+    # without asdict's deep copy
     with open(_journal_path(out), "a") as fh:
-        fh.write(json.dumps(asdict(line)) + "\n")
+        fh.write(json.dumps(line, default=vars) + "\n")
     _append_rows_csv(out / "generations.csv", _log_rows(state.run, [log]))
 
 
@@ -472,11 +475,14 @@ def _parse_line(path: Path, number: int, raw: bytes):
         raise CheckpointError(f"unreadable checkpoint {path} line {number}: {exc}")
 
 
-def _load_journal(path: Path, fingerprint: str, run: int, cfg: EvolutionConfig) -> _RunState | None:
+def _load_journal(
+    path: Path, fingerprint: str, run: int, cfg: EvolutionConfig, grammar: Grammar
+) -> _RunState | None:
     """Replay a run's journal; None when it holds no finished generation.
 
     An unterminated last line is an append cut short, so it is dropped
-    and the file truncated to the lines before it.
+    and the file truncated to the lines before it.  Every member must
+    decode against ``grammar``.
     """
     try:
         data = path.read_bytes()
@@ -517,10 +523,17 @@ def _load_journal(path: Path, fingerprint: str, run: int, cfg: EvolutionConfig) 
                 f"malformed checkpoint {path} line {number}: not generation "
                 f"{state.generation + 1} of a population of {size}"
             )
+        for slot, ind in enumerate(line.individuals):
+            try:
+                validate_individual(ind, grammar)
+            except (InvalidGenotypeError, GrammarError) as exc:
+                raise CheckpointError(
+                    f"malformed checkpoint {path} line {number}: member {slot}: {exc}"
+                )
         # _probe_new_modules is the only writer of the archive and of probed
         for entry in line.inserted:
             archive_insert(state.archive, entry.module, entry.power_watts)
-            state.probed.add(_module_key(entry.module))
+            state.probed.add(entry.module.genotype_key())
         state.logs.append(GenerationLog(line.generation, line.records, line.best_slot))
         state.members = [
             Member(ind, rec, key)
@@ -570,7 +583,7 @@ def _initial_generation(
     members = []
     for slot, t in enumerate(trained):
         m = _meter_for(meter, cfg, (cfg.seed, state.run, 0, slot, _METER))
-        rec = _measure_phase(t, data, m, cfg, grammar)
+        rec = _measure_phase(t, data, m, cfg)
         state.evaluations += 1
         members.append(Member(t.individual, rec, (0, slot)))
     state.members = members
@@ -627,7 +640,7 @@ def _next_generation(
     new_members = {0: parent}
     for slot, trained in results:
         m = _meter_for(meter, cfg, (cfg.seed, state.run, g, slot, _METER))
-        rec = _measure_phase(trained, data, m, cfg, grammar)
+        rec = _measure_phase(trained, data, m, cfg)
         state.evaluations += 1
         if slot == 0:
             state.parent_retrains += 1
@@ -643,6 +656,7 @@ def _next_generation(
     return inserted
 
 
+@one_blas_thread()
 def run_es(
     cfg: EvolutionConfig,
     grammar: Grammar,
@@ -657,6 +671,7 @@ def run_es(
 
     With ``resume``, a journal under ``out_dir`` is replayed and the run
     continues after its last generation; otherwise it starts afresh.
+    numpy's BLAS runs on one thread meanwhile (see :mod:`evopower.blas`).
     """
     cfg.validate()
     data.validate()
@@ -665,7 +680,7 @@ def run_es(
 
     state = None
     if out is not None and resume:
-        state = _load_journal(_journal_path(out), fingerprint, run_index, cfg)
+        state = _load_journal(_journal_path(out), fingerprint, run_index, cfg, grammar)
     if state is not None:
         write_rows_csv(out / "generations.csv", _log_rows(run_index, state.logs))
     else:

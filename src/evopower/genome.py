@@ -25,6 +25,7 @@ gene lists.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from types import UnionType
@@ -327,6 +328,6 @@ def validate_individual(ind: Individual, grammar: Grammar) -> None:
     """Raise :class:`InvalidGenotypeError` unless every invariant holds."""
     if not ind.modules:
         raise InvalidGenotypeError("individual has no modules")
-    if ind.train_budget < 0:
-        raise InvalidGenotypeError(f"negative train budget {ind.train_budget}")
+    if not 0 <= ind.train_budget < math.inf:
+        raise InvalidGenotypeError(f"train budget must be finite and >= 0, got {ind.train_budget}")
     to_phenotype(ind, grammar)

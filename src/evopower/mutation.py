@@ -17,6 +17,8 @@ proportional to its power,
 so cheap modules propagate preferentially.  Powers are clamped below at
 ``POWER_FLOOR_W`` before the division.  At capacity the highest-power
 entry is evicted; re-inserting a known genotype just refreshes its power.
+Entries are indexed by genotype key, so an insert looks its module up
+once instead of comparing against every entry.
 """
 
 from __future__ import annotations
@@ -66,8 +68,15 @@ class ArchiveEntry:
 
 @dataclass
 class ModuleArchive:
+    """Entries in insertion order; change them only through :func:`archive_insert`,
+    which keeps the genotype-key index in step."""
+
     entries: list[ArchiveEntry] = field(default_factory=list)
     capacity: int = DEFAULT_ARCHIVE_CAPACITY
+
+    def __post_init__(self) -> None:
+        # not a field, so equality, repr and asdict see only the entries
+        self._index = {e.module.genotype_key(): e for e in self.entries}
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -76,19 +85,21 @@ class ModuleArchive:
 def archive_insert(archive: ModuleArchive, module: ModuleGene, power_watts: float) -> ModuleArchive:
     """Record a module with its measured power; returns the same archive.
 
-    Duplicate genotypes update in place; at capacity the highest-power
-    entry is evicted before the insert.
+    Duplicate genotypes update in place; at capacity the first
+    highest-power entry is evicted before the insert.
     """
     power = max(float(power_watts), POWER_FLOOR_W)
     key = module.genotype_key()
-    for entry in archive.entries:
-        if entry.module.genotype_key() == key:
-            entry.power_watts = power
-            return archive
+    known = archive._index.get(key)
+    if known is not None:
+        known.power_watts = power
+        return archive
     if len(archive.entries) >= archive.capacity:
         worst = max(range(len(archive.entries)), key=lambda i: archive.entries[i].power_watts)
-        del archive.entries[worst]
-    archive.entries.append(ArchiveEntry(module.copy(), power))
+        del archive._index[archive.entries.pop(worst).module.genotype_key()]
+    entry = ArchiveEntry(module.copy(), power)
+    archive.entries.append(entry)
+    archive._index[key] = entry
     return archive
 
 

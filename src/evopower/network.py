@@ -12,7 +12,14 @@ equal weight.  ``split`` cuts the trained model into the two standalone
 partitions: the left one is the full stack with the main head, the right
 one is the prefix up to the tap plus the auxiliary head.  Partition
 weights are exact copies, so partition outputs match the full model's
-heads bit for bit.
+heads bit for bit, and ``evaluate_accuracy`` on the unsplit model scores
+both partitions from one forward pass.
+
+Layers compute their activations in the buffer of the affine map, and
+gradient steps update the weights in place, with the operations in the
+same order as the out-of-place expressions they replace.  Backpropagation
+stops at the first dense layer: the gradient with respect to the input
+is never needed.
 
 All arithmetic runs in float64; weights initialize uniformly in
 ``[-s, s]`` with ``s = sqrt(6 / (fan_in + fan_out))`` and zero biases.
@@ -32,22 +39,24 @@ from .genome import LayerSpec, PhenotypeSpec
 PROB_FLOOR = 1e-12
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
-def _sigmoid(z):
+def _sigmoid(z, out=None):
     # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp
     # never overflows; exp(-|z|) is that exp operand on either side, which
     # keeps every result bit-equal to evaluating the two formulas apart
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    e = np.abs(z)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    num = np.where(z >= 0, 1.0, e)
+    e += 1.0
+    return np.divide(num, e, out=num if out is None else out)
 
 
 def _softmax(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    ez = np.exp(shifted)
-    return ez / ez.sum(axis=1, keepdims=True)
+    """Row softmax of z, computed in place."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 class _Dense:
@@ -71,35 +80,41 @@ class _Dense:
         return self.w.shape[1]
 
     def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
-        z = x @ self.w + self.b
+        a = x @ self.w
+        a += self.b
         if self.activation == "relu":
-            a = _relu(z)
+            np.maximum(a, 0.0, out=a)
         elif self.activation == "sigmoid":
-            a = _sigmoid(z)
+            _sigmoid(a, out=a)
         else:
-            a = _softmax(z)
+            _softmax(a)
         if cache:
             self._x, self._a = x, a
         return a
 
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        """Gradient through activation and affine map; g is dL/d(output)."""
+    def backward(self, g: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Gradient through activation and affine map; g is dL/d(output).
+        Returns dL/d(input), or None without ``input_grad``."""
         if self.activation == "relu":
             dz = g * (self._a > 0)
         elif self.activation == "sigmoid":
-            dz = g * self._a * (1.0 - self._a)
+            dz = g * self._a
+            dz *= 1.0 - self._a
         else:
             raise ValueError("softmax layers receive dz directly")
-        return self.backward_from_dz(dz)
+        return self.backward_from_dz(dz, input_grad)
 
-    def backward_from_dz(self, dz: np.ndarray) -> np.ndarray:
+    def backward_from_dz(self, dz: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         self.dw = self._x.T @ dz
         self.db = dz.sum(axis=0)
-        return dz @ self.w.T
+        return dz @ self.w.T if input_grad else None
 
     def step(self, lr: float) -> None:
-        self.w -= lr * self.dw
-        self.b -= lr * self.db
+        """Descend along the stored gradients, which are scaled by lr in place."""
+        self.dw *= lr
+        self.w -= self.dw
+        self.db *= lr
+        self.b -= self.db
 
     def copy(self) -> "_Dense":
         return _Dense(self.w.copy(), self.b.copy(), self.activation)
@@ -118,11 +133,18 @@ class _Dropout:
         if not train or self.rate == 0.0 or rng is None:
             self._mask = None
             return x
-        self._mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
-        return x * self._mask
+        # the mask is built in the buffer of its uniform draws
+        mask = rng.random(x.shape)
+        np.greater_equal(mask, self.rate, out=mask)
+        mask /= 1.0 - self.rate
+        self._mask = mask
+        return x * mask
 
     def backward(self, g: np.ndarray) -> np.ndarray:
-        return g if self._mask is None else g * self._mask
+        """dL/d(input) from g = dL/d(output), computed in g."""
+        if self._mask is not None:
+            g *= self._mask
+        return g
 
     def copy(self) -> "_Dropout":
         return _Dropout(self.rate)
@@ -243,23 +265,26 @@ class TrainReport:
     history: list[float]
 
 
-def _onehot(y: np.ndarray, classes: int) -> np.ndarray:
-    out = np.zeros((y.shape[0], classes))
-    out[np.arange(y.shape[0]), y] = 1.0
-    return out
-
-
 def _backward(net: Network, main: np.ndarray, aux: np.ndarray, y: np.ndarray) -> None:
     """Store dL/dW and dL/db of the joint loss on every dense layer, from
-    the heads' cached forward pass."""
-    onehot = _onehot(y, net.class_count)
+    the heads' cached forward pass.  ``main`` and ``aux`` are overwritten
+    with the heads' dL/dz."""
     n = y.shape[0]
-    g = net.main_head.backward_from_dz((main - onehot) / n)
-    d_tap = net.aux_head.backward_from_dz((aux - onehot) / n)
-    for i in reversed(range(len(net.layers))):
+    rows = np.arange(n)
+    for probs in (main, aux):
+        # (probs - onehot) / n: subtracting the one-hot zeros is exact
+        probs[rows, y] -= 1.0
+        probs /= n
+    g = net.main_head.backward_from_dz(main)
+    d_tap = net.aux_head.backward_from_dz(aux)
+    first = next(i for i, layer in enumerate(net.layers) if isinstance(layer, _Dense))
+    for i in range(len(net.layers) - 1, first - 1, -1):
         if i == net.aux_tap:
-            g = g + d_tap
-        g = net.layers[i].backward(g)
+            g += d_tap
+        if i == first:
+            net.layers[i].backward(g, input_grad=False)
+        else:
+            g = net.layers[i].backward(g)
 
 
 def _train_batch(net: Network, x: np.ndarray, y: np.ndarray, lr: float, rng: np.random.Generator) -> float:
@@ -335,12 +360,16 @@ def split(net: Network) -> tuple[Network, Network]:
     return left, right
 
 
-def evaluate_accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> float:
-    """Fraction of argmax predictions matching labels; dropout off."""
+def evaluate_accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> tuple[float, float | None]:
+    """Each head's fraction of argmax predictions matching labels, dropout
+    off: (main, aux), like :meth:`Network.forward`; aux is None after a
+    split.  On the unsplit network they equal the left and right
+    partitions' accuracies."""
     if x.shape[0] == 0:
         raise EvaluationError("cannot evaluate accuracy on empty data")
-    main, _ = net.forward(x)
-    return float(np.mean(main.argmax(axis=1) == y))
+    main, aux = net.forward(x)
+    acc_aux = None if aux is None else float(np.mean(aux.argmax(axis=1) == y))
+    return float(np.mean(main.argmax(axis=1) == y)), acc_aux
 
 
 def count_macs(net: Network) -> int:

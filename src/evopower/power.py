@@ -180,8 +180,15 @@ def analytic_power(subject, cfg: AnalyticMeterConfig, rng: np.random.Generator |
     always lies in ``[p_min, p_max + 6 * sigma]``.
     """
     cfg.validate()
-    macs = _subject_macs(subject)
-    base = min(max(cfg.p_min + cfg.k * np.log1p(macs), cfg.p_min), cfg.p_max)
+    return _add_noise(_noiseless_power(_subject_macs(subject), cfg), cfg, rng)
+
+
+def _noiseless_power(macs: int, cfg: AnalyticMeterConfig) -> float:
+    return min(max(cfg.p_min + cfg.k * np.log1p(macs), cfg.p_min), cfg.p_max)
+
+
+def _add_noise(base: float, cfg: AnalyticMeterConfig, rng: np.random.Generator | None) -> float:
+    """One draw around ``base``; ``rng`` is untouched when noise is off."""
     if cfg.noise_sigma == 0.0:
         return float(base)
     if rng is None:
@@ -199,7 +206,9 @@ class AnalyticMeter(Meter):
     :func:`measure_mean` converts it back to that draw, though with noise
     the ``* 1000 / 1000`` round trip can be off by one ulp.  The reading
     never depends on the workload, so :func:`measure_mean` does not run
-    it.
+    it.  Each read equals :func:`analytic_power` of the observed network
+    with this meter's generator; the noiseless part is computed once per
+    :meth:`observe`.
     """
 
     runs_workload = False
@@ -208,11 +217,11 @@ class AnalyticMeter(Meter):
         self.cfg = cfg or AnalyticMeterConfig()
         self.cfg.validate()
         self._rng = rng if rng is not None else np.random.default_rng(self.cfg.seed)
-        self._macs = 0
+        self._base = _noiseless_power(0, self.cfg)
         self._state = "idle"
 
     def observe(self, subject) -> None:
-        self._macs = _subject_macs(subject)
+        self._base = _noiseless_power(_subject_macs(subject), self.cfg)
 
     def start(self) -> None:
         if self._state == "running":
@@ -228,8 +237,7 @@ class AnalyticMeter(Meter):
         if self._state != "ready":
             raise MeasurementError("read() before a start/stop pair completed")
         self._state = "idle"
-        watts = analytic_power(self._macs, self.cfg, self._rng)
-        return watts * 1000.0, 1.0
+        return _add_noise(self._base, self.cfg, self._rng) * 1000.0, 1.0
 
 
 def build_probe_network(

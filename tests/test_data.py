@@ -57,6 +57,20 @@ def test_load_idx_rejects_truncation_and_mismatch(tmp_path):
         load_idx(img, lbl)
 
 
+@pytest.mark.parametrize("damage", ["junk", "truncated", "corrupt_block", "trailing_junk"])
+def test_load_idx_rejects_corrupt_gzip(tmp_path, damage):
+    img, lbl = write_idx_pair(tmp_path, gz=True)
+    z = img.read_bytes()
+    img.write_bytes({
+        "junk": b"\x1f\x8b" + b"junk" * 4,  # gzip.BadGzipFile
+        "truncated": z[:-12],  # EOFError
+        "corrupt_block": z[:10] + b"\xff" * 6 + z[16:],  # zlib.error
+        "trailing_junk": z + b"junk" * 4,  # gzip.BadGzipFile
+    }[damage])
+    with pytest.raises(DataError, match="corrupt gzip"):
+        load_idx(img, lbl)
+
+
 def test_synthetic_shapes_and_determinism():
     a = synthetic_dataset(classes=4, samples_per_class=25, dimensions=6, separation=3.0, seed=9)
     b = synthetic_dataset(classes=4, samples_per_class=25, dimensions=6, separation=3.0, seed=9)
@@ -100,7 +114,7 @@ def test_separable_task_is_learnable():
     net = build(spec, input_dim=4, class_count=2, rng=np.random.default_rng(4))
     train(net, tr.samples, tr.labels, budget_epochs=30, learning_rate=0.5, batch_size=32,
           rng=np.random.default_rng(5))
-    assert evaluate_accuracy(net, te.samples, te.labels) > 0.95
+    assert evaluate_accuracy(net, te.samples, te.labels)[0] > 0.95
 
 
 def test_zero_separation_is_chance_level():
@@ -117,7 +131,7 @@ def test_zero_separation_is_chance_level():
     net = build(spec, input_dim=4, class_count=4, rng=np.random.default_rng(7))
     train(net, tr.samples, tr.labels, budget_epochs=10, learning_rate=0.1, batch_size=32,
           rng=np.random.default_rng(8))
-    assert abs(evaluate_accuracy(net, te.samples, te.labels) - 0.25) < 0.1
+    assert abs(evaluate_accuracy(net, te.samples, te.labels)[0] - 0.25) < 0.1
 
 
 def test_split_sizes_and_disjointness():

@@ -392,6 +392,48 @@ def test_checkpoint_corruption_and_mismatches(tmp_path):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r", run_index=1)
 
 
+def test_journal_member_that_does_not_decode_is_a_checkpoint_error(tmp_path):
+    cfg = tiny_config(runs=1, generations=2, seed=5)
+    run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
+    journal = tmp_path / "r" / "checkpoints" / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    last = json.loads(lines[-1])
+    for member in last["individuals"]:
+        member["modules"] = []
+    journal.write_text("".join(lines[:-1]) + json.dumps(last) + "\n")
+    longer = dataclasses.replace(cfg, generations=3)
+    with pytest.raises(CheckpointError,
+                       match=r"journal\.jsonl line 4: member 0: individual has no modules"):
+        run_es(longer, GRAMMAR, DATA, out_dir=tmp_path / "r")
+
+
+def test_journal_lines_are_the_asdict_serialization(tmp_path, monkeypatch):
+    # the writer serializes through vars instead of asdict's deep copy;
+    # the bytes must stay those of json.dumps(asdict(line))
+    import evopower.evolution as evo
+
+    plain = evo._finish_generation
+    inserts = []
+
+    def checking(state, inserted, out):
+        plain(state, inserted, out)
+        log = state.logs[-1]
+        line = evo._JournalLine(
+            log.generation, log.best_slot, log.records,
+            [m.individual for m in state.members], [m.eval_key for m in state.members],
+            inserted, state.next_id, state.evaluations, state.parent_retrains,
+        )
+        written = (out / "checkpoints" / "journal.jsonl").read_text().splitlines()[-1]
+        assert written == json.dumps(dataclasses.asdict(line))
+        inserts.append(len(inserted))
+
+    monkeypatch.setattr(evo, "_finish_generation", checking)
+    cfg = mode_config(tiny_config(runs=1, generations=4, seed=5,
+                                  meter=AnalyticMeterConfig(noise_sigma=2.0)), "proposed")
+    run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+    assert len(inserts) == cfg.generations + 1 and sum(inserts) > 0
+
+
 def test_mode_config_gating():
     cfg = tiny_config()
     baseline = mode_config(cfg, "baseline")

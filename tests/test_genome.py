@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -158,6 +159,16 @@ def test_to_phenotype_rejects_invariant_violations():
     ind = make_individual([dense_gene(), dropout_gene()])
     with pytest.raises(InvalidGenotypeError, match="dense"):
         to_phenotype(ind, GRAMMAR)
+
+
+@pytest.mark.parametrize("budget", [-1.0, math.inf, math.nan])
+def test_validate_individual_rejects_unusable_train_budgets(budget):
+    # a journal may carry any float; training rounds the budget to epochs
+    ind = init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(3))
+    validate_individual(ind, GRAMMAR)
+    ind.train_budget = budget
+    with pytest.raises(InvalidGenotypeError, match="train budget"):
+        validate_individual(ind, GRAMMAR)
 
 
 def test_to_phenotype_is_pure():

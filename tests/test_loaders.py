@@ -1,22 +1,27 @@
-"""Property tests: the checkpoint journal and genotype file loaders fail
-only with their own typed errors on truncated or mutated input."""
+"""Property tests: the checkpoint journal, genotype file, IDX and grammar
+loaders fail only with their own typed errors on truncated or mutated
+input."""
 
 import copy
+import gzip
 import json
+import struct
 import tempfile
 from functools import lru_cache
+from importlib import resources
 from pathlib import Path
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evopower.cli import _read_genotype
-from evopower.data import SplitSpec, split, synthetic_dataset
-from evopower.errors import CheckpointError, ConfigError
+from evopower.data import SplitSpec, load_idx, split, synthetic_dataset
+from evopower.errors import CheckpointError, ConfigError, DataError, GrammarError
 from evopower.evolution import EvolutionConfig, TaskData, _load_journal, run_experiment
 from evopower.genome import GenomeConfig, ModuleSpec
-from evopower.grammar import load_packaged_grammar
+from evopower.grammar import load_packaged_grammar, parse_grammar
 
+GRAMMAR = load_packaged_grammar("dense_only")
 CFG = EvolutionConfig(
     runs=1,
     generations=2,
@@ -46,7 +51,7 @@ def experiment() -> tuple[bytes, bytes, str]:
     data = TaskData(*split(ds, SplitSpec((0.6, 0.2, 0.2), seed=0)))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        result = run_experiment(CFG, "proposed", load_packaged_grammar("dense_only"), data, out)
+        result = run_experiment(CFG, "proposed", GRAMMAR, data, out)
         assert len(result.runs[0].archive) > 0  # the journal records inserts
         journal = (out / "run_0" / "checkpoints" / "journal.jsonl").read_bytes()
         genotype = (out / "best_genotype.json").read_bytes()
@@ -84,10 +89,10 @@ def mutated_json(draw, doc):
 
 
 @st.composite
-def damaged(draw, data: bytes, lines: bool):
-    """data truncated, with a byte range overwritten, or with one JSON
-    document (one line when ``lines``) mutated."""
-    kind = draw(st.sampled_from(["truncate", "bytes", "json"]))
+def damaged(draw, data: bytes, lines: bool, json_docs: bool = True):
+    """data truncated, with a byte range overwritten, or, with
+    ``json_docs``, with one JSON document (one line when ``lines``) mutated."""
+    kind = draw(st.sampled_from(["truncate", "bytes", "json"][: 3 if json_docs else 2]))
     if kind == "truncate":
         return data[: draw(st.integers(0, len(data)))]
     if kind == "bytes":
@@ -111,7 +116,7 @@ def test_journal_loader_raises_only_checkpoint_error(data):
         path = Path(tmp) / "journal.jsonl"
         path.write_bytes(payload)
         try:
-            _load_journal(path, fingerprint, 0, CFG)
+            _load_journal(path, fingerprint, 0, CFG, GRAMMAR)
         except CheckpointError:
             pass
 
@@ -135,9 +140,85 @@ def test_undamaged_inputs_load():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "journal.jsonl"
         path.write_bytes(journal)
-        state = _load_journal(path, fingerprint, 0, CFG)
+        state = _load_journal(path, fingerprint, 0, CFG, GRAMMAR)
         path.write_bytes(genotype)
         ind = _read_genotype(path)
     assert state.generation == CFG.generations
     assert len(state.archive) > 0
     assert ind.modules
+
+
+IMAGES = struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(range(0, 240, 20))
+LABELS = struct.pack(">II", 0x801, 3) + bytes([0, 2, 1])
+UINT32 = st.integers(0, 2**32 - 1) | st.sampled_from([0, 1, 2**31, 2**32 - 1])
+
+
+@st.composite
+def idx_file(draw, data: bytes, fields: int):
+    """An IDX file, gzipped or not, with some of its ``fields`` header
+    counts and dimensions rewritten, damaged before or after the gzip
+    step, or left intact; or arbitrary bytes."""
+    kind = draw(st.sampled_from(["plain", "gzip", "gzip_damaged", "random"]))
+    if kind == "random":
+        return draw(st.binary(max_size=40))
+    for field, value in draw(st.lists(st.tuples(st.integers(1, fields), UINT32), max_size=3)):
+        data = data[: 4 * field] + struct.pack(">I", value) + data[4 * field + 4:]
+    if draw(st.booleans()):
+        data = draw(damaged(data, lines=False, json_docs=False))
+    if kind == "plain":
+        return data
+    data = gzip.compress(data)
+    if kind == "gzip_damaged":
+        data = draw(damaged(data, lines=False, json_docs=False))
+    return data
+
+
+@settings(max_examples=300, deadline=None)
+@given(images=idx_file(IMAGES, 3), labels=idx_file(LABELS, 1))
+# no images, of more pixels than an array dimension can hold
+@example(images=struct.pack(">IIII", 0x803, 0, 2**32 - 1, 2**32 - 1), labels=LABELS[:8])
+def test_load_idx_raises_only_data_error(images, labels):
+    with tempfile.TemporaryDirectory() as tmp:
+        img, lbl = Path(tmp) / "images", Path(tmp) / "labels"
+        img.write_bytes(images)
+        lbl.write_bytes(labels)
+        try:
+            ds = load_idx(img, lbl)
+        except DataError:
+            return
+    assert ds.samples.shape[0] == ds.labels.shape[0]
+
+
+GRAMMAR_TEXT = "\n".join(
+    (resources.files("evopower") / "grammars" / f"{name}.grammar").read_text()
+    for name in ("default", "dense_only")
+)
+# pieces of the grammar syntax, and values its numbers must reject
+TOKENS = st.sampled_from([
+    "<", ">", "<>", "[", "]", "::=", "|", ",", "#", "\n", "\r\n", " ", "x", "int", "float",
+    "<layer>", "<dense>", "[units,int,1,16,256]", "[a,float,1,x,0.5]", "nan", "inf", "-inf",
+    "1e999", "-1", "0", "9" * 5000, "1_000", "\x00", "\u0663",
+])
+
+
+@st.composite
+def grammar_text(draw):
+    """The packaged grammars with a span cut, or replaced by syntax pieces
+    or arbitrary text; or arbitrary text alone."""
+    if draw(st.booleans()):
+        return draw(st.text(max_size=80))
+    text = GRAMMAR_TEXT
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 12))
+    pieces = draw(st.lists(TOKENS | st.text(max_size=4), max_size=4))
+    return text[:at] + "".join(pieces) + text[at + cut:]
+
+
+@settings(max_examples=500, deadline=None)
+@given(grammar_text())
+def test_parse_grammar_raises_only_grammar_error(text):
+    try:
+        grammar = parse_grammar(text)
+    except GrammarError:
+        return
+    assert grammar.rules

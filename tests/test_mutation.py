@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evopower.errors import ConfigError
 from evopower.genome import (
@@ -9,6 +11,8 @@ from evopower.genome import (
     validate_individual,
 )
 from evopower.mutation import (
+    POWER_FLOOR_W,
+    ArchiveEntry,
     ModuleArchive,
     MutationRates,
     archive_insert,
@@ -147,6 +151,38 @@ def test_archive_insert_clamps_power_floor():
     assert archive.entries[0].power_watts == 1e-6
     probs = selection_probabilities(archive)
     assert np.isfinite(probs).all()
+
+
+def linear_scan_insert(entries, capacity, module, power_watts):
+    """archive_insert before the genotype-key index, kept as the reference."""
+    power = max(float(power_watts), POWER_FLOOR_W)
+    key = module.genotype_key()
+    for entry in entries:
+        if entry.module.genotype_key() == key:
+            entry.power_watts = power
+            return
+    if len(entries) >= capacity:
+        worst = max(range(len(entries)), key=lambda i: entries[i].power_watts)
+        del entries[worst]
+    entries.append(ArchiveEntry(module.copy(), power))
+
+
+POOL = [module_of(fresh(300 + i)) for i in range(10)]
+# a few repeated values, so that evictions meet power ties
+POWERS = st.sampled_from([0.0, 30.0, 35.0, 40.0, 99.5]) | st.floats(0.0, 200.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(capacity=st.integers(1, 6),
+       inserts=st.lists(st.tuples(st.integers(0, len(POOL) - 1), POWERS), max_size=40))
+def test_keyed_archive_insert_matches_linear_scan(capacity, inserts):
+    assert len({m.genotype_key() for m in POOL}) == len(POOL)
+    archive = ModuleArchive(capacity=capacity)
+    reference = []
+    for i, power in inserts:
+        archive_insert(archive, POOL[i].copy(), power)
+        linear_scan_insert(reference, capacity, POOL[i], power)
+        assert archive.entries == reference
 
 
 def test_archive_capacity_never_exceeded():

@@ -5,8 +5,10 @@ from evopower.errors import EvaluationError, TrainingDivergedError
 from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, init_individual, to_phenotype
 from evopower.grammar import load_packaged_grammar
 from evopower.network import (
+    _Dense,
     _init_dense,
     _sigmoid,
+    _train_batch,
     build,
     count_macs,
     cross_entropy,
@@ -151,12 +153,28 @@ def test_split_requires_two_output_network():
 def test_accuracy_perfect_and_chance():
     net = build(dense_spec([16, 16]), input_dim=20, class_count=10, rng=np.random.default_rng(15))
     x = np.random.default_rng(16).normal(size=(1000, 20))
-    preds = net.forward(x)[0].argmax(axis=1)
-    assert evaluate_accuracy(net, x, preds) == 1.0
+    main, aux = net.forward(x)
+    assert evaluate_accuracy(net, x, main.argmax(axis=1))[0] == 1.0
+    assert evaluate_accuracy(net, x, aux.argmax(axis=1))[1] == 1.0
 
     shuffled = np.random.default_rng(17).integers(0, 10, size=1000)
-    acc = evaluate_accuracy(net, x, shuffled)
+    acc, acc_aux = evaluate_accuracy(net, x, shuffled)
     assert abs(acc - 0.10) < 0.03
+    assert abs(acc_aux - 0.10) < 0.03
+
+
+def test_unsplit_accuracy_equals_partition_accuracies():
+    x = np.random.default_rng(33).normal(size=(200, 9))
+    y = np.random.default_rng(34).integers(0, 5, size=200)
+    for seed in range(40):
+        ind = init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(seed))
+        net = build(to_phenotype(ind, GRAMMAR), input_dim=9, class_count=5,
+                    rng=np.random.default_rng(seed + 1))
+        left, right = split(net)
+        acc_left, none_left = evaluate_accuracy(left, x, y)
+        acc_right, none_right = evaluate_accuracy(right, x, y)
+        assert none_left is None and none_right is None
+        assert evaluate_accuracy(net, x, y) == (acc_left, acc_right)
 
 
 def test_accuracy_rejects_empty_data():
@@ -316,3 +334,99 @@ def test_backward_from_cached_activation_matches_recompute(activation):
     assert same_bits(dx, dz @ layer.w.T)
     assert same_bits(layer.dw, x.T @ dz)
     assert same_bits(layer.db, dz.sum(axis=0))
+
+
+# --- the out-of-place training step the network used before, kept as the
+# reference: in-place activations and steps, and a backward pass that
+# stops at the first dense layer, must leave every weight bit-equal
+
+
+def reference_activation(z, activation):
+    if activation == "relu":
+        return np.maximum(z, 0.0)
+    if activation == "sigmoid":
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    shifted = z - z.max(axis=1, keepdims=True)
+    ez = np.exp(shifted)
+    return ez / ez.sum(axis=1, keepdims=True)
+
+
+def reference_train_batch(net, x, y, lr, rng):
+    inputs, outputs, masks = {}, {}, {}
+    out, tap = x, None
+    for i, layer in enumerate(net.layers):
+        if isinstance(layer, _Dense):
+            inputs[i] = out
+            out = outputs[i] = reference_activation(out @ layer.w + layer.b, layer.activation)
+        elif layer.rate == 0.0:
+            masks[i] = None
+        else:
+            masks[i] = (rng.random(out.shape) >= layer.rate) / (1.0 - layer.rate)
+            out = out * masks[i]
+        if i == net.aux_tap:
+            tap = out
+    main = reference_activation(out @ net.main_head.w + net.main_head.b, "softmax")
+    aux = reference_activation(tap @ net.aux_head.w + net.aux_head.b, "softmax")
+    loss = cross_entropy(main, y) + cross_entropy(aux, y)
+
+    onehot = np.zeros((y.shape[0], net.class_count))
+    onehot[np.arange(y.shape[0]), y] = 1.0
+    n = y.shape[0]
+    grads = []
+    dz = (main - onehot) / n
+    grads.append((net.main_head, out.T @ dz, dz.sum(axis=0)))
+    g = dz @ net.main_head.w.T
+    dz = (aux - onehot) / n
+    grads.append((net.aux_head, tap.T @ dz, dz.sum(axis=0)))
+    d_tap = dz @ net.aux_head.w.T
+    for i in reversed(range(len(net.layers))):
+        if i == net.aux_tap:
+            g = g + d_tap
+        layer = net.layers[i]
+        if not isinstance(layer, _Dense):
+            g = g if masks[i] is None else g * masks[i]
+            continue
+        a = outputs[i]
+        dz = g * (a > 0) if layer.activation == "relu" else g * a * (1.0 - a)
+        grads.append((layer, inputs[i].T @ dz, dz.sum(axis=0)))
+        g = dz @ layer.w.T
+    for layer, dw, db in grads:
+        layer.w -= lr * dw
+        layer.b -= lr * db
+    return loss
+
+
+def net_bits(net):
+    return [p.tobytes() for layer in net.dense_layers() for p in (layer.w, layer.b)]
+
+
+DROPOUT = LayerSpec("dropout", rate=0.3)
+
+
+@pytest.mark.parametrize("input_dim, units, classes, batch",
+                         [(8, (16, 64), 3, 32), (784, (128, 64), 10, 50)])
+@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+@pytest.mark.parametrize("dropout", ["none", "first_layer", "after_tap"])
+def test_training_is_bit_equal_to_the_out_of_place_reference(
+    input_dim, units, classes, batch, activation, dropout
+):
+    dense = [LayerSpec("dense", units=u, activation=activation) for u in units]
+    if dropout == "first_layer":
+        layers = [DROPOUT, *dense]
+    elif dropout == "after_tap":
+        layers = [dense[0], DROPOUT, *dense[1:]]
+    else:
+        layers = dense
+    spec = PhenotypeSpec(tuple(layers), aux_index=0, learning_rate=0.05, batch_size=batch)
+    net = build(spec, input_dim=input_dim, class_count=classes, rng=np.random.default_rng(35))
+    reference = build(spec, input_dim=input_dim, class_count=classes, rng=np.random.default_rng(35))
+    data = np.random.default_rng(36)
+    train_rng, reference_rng = np.random.default_rng(37), np.random.default_rng(37)
+    for _ in range(6):
+        x = data.random((batch, input_dim))
+        y = data.integers(0, classes, size=batch)
+        loss = _train_batch(net, x, y, 0.05, train_rng)
+        assert loss == reference_train_batch(reference, x, y, 0.05, reference_rng)
+    assert net_bits(net) == net_bits(reference)
+    assert train_rng.random() == reference_rng.random()  # the same draws were consumed

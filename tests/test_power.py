@@ -160,6 +160,33 @@ def test_analytic_meter_round_trip_is_exact():
     assert result.mean_watts == expected
 
 
+@pytest.mark.parametrize("sigma", [0.0, 2.0, 40.0])
+def test_analytic_meter_reads_equal_analytic_power(sigma):
+    # the meter computes the noiseless draw once per observe; every read
+    # must still carry the bits of analytic_power with the same generator
+    from evopower.genome import LayerSpec, PhenotypeSpec
+
+    cfg = AnalyticMeterConfig(noise_sigma=sigma, seed=4)
+    spec = PhenotypeSpec(
+        (LayerSpec("dense", units=32, activation="sigmoid"),
+         LayerSpec("dense", units=16, activation="relu")),
+        aux_index=0, learning_rate=0.01, batch_size=32,
+    )
+    net = build(spec, input_dim=8, class_count=4, rng=np.random.default_rng(1))
+    for rng_seed in (None, 9):
+        meter = AnalyticMeter(cfg, None if rng_seed is None else np.random.default_rng(rng_seed))
+        reference = np.random.default_rng(cfg.seed if rng_seed is None else rng_seed)
+        for subject in (None, 0, 1, 1000, net, 134_400, 10**9, 10**15, 7):
+            if subject is not None:
+                meter.observe(subject)
+            for _ in range(12):
+                meter.start()
+                meter.stop()
+                millijoules, seconds = meter.read()
+                expected = analytic_power(0 if subject is None else subject, cfg, reference)
+                assert (millijoules.hex(), seconds) == ((expected * 1000.0).hex(), 1.0)
+
+
 def test_analytic_meter_skips_the_workload_but_keeps_every_window():
     cfg = AnalyticMeterConfig(noise_sigma=2.0, seed=4)
     calls = []

@@ -27,26 +27,11 @@ from itertools import combinations
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import chi2
 
 from .errors import DataError, EnumerationCapError
+from .evolution import read_rows
 
 ENUMERATION_CAP = 200_000
-ALPHA_DEFAULT = 0.05
-
-CSV_COLUMNS = [
-    "run",
-    "generation",
-    "individual",
-    "fitness",
-    "acc_left",
-    "acc_right",
-    "power_left_w",
-    "power_right_w",
-    "hidden_layers",
-    "middle_point",
-    "train_budget_epochs",
-]
 
 
 @dataclass
@@ -108,8 +93,26 @@ def kruskal_wallis(groups: list[SampleGroup]) -> TestResult:
     h = 12.0 / (n * (n + 1)) * h - 3.0 * (n + 1)
     correction = 1.0 - _tie_term(pooled) / (n**3 - n)
     h /= correction
-    p = float(chi2.sf(h, len(groups) - 1))
-    return TestResult(float(h), p, "chi-square")
+    return TestResult(float(h), _chi2_sf(h, len(groups) - 1), "chi-square")
+
+
+def _chi2_sf(x: float, k: int) -> float:
+    """Chi-square upper tail for an integer k >= 1 degrees of freedom.  With
+    h = x / 2: exp(-h) * sum_{j < k/2} h^j / j! for even k, and for odd k
+    erfc(sqrt(h)) + exp(-h) * sum_{j=1}^{(k-1)/2} h^(j-1/2) / Gamma(j+1/2)."""
+    if x <= 0:  # rounding can leave H a hair below zero for equal rank means
+        return 1.0
+    h = x / 2.0
+    if k % 2 == 0:
+        tail, a, term = 0.0, 1.0, 1.0
+    else:
+        tail, a, term = math.erfc(math.sqrt(h)), 1.5, 2.0 * math.sqrt(h / math.pi)
+    series = 0.0
+    for _ in range(k // 2):
+        series += term
+        term *= h / a
+        a += 1.0
+    return tail + math.exp(-h) * series
 
 
 def _normal_sf(z: float) -> float:
@@ -219,33 +222,6 @@ def summarize(groups: list[SampleGroup], baseline_label: str) -> list[SummaryRow
 
 # ---------------------------------------------------------------------------
 # experiment-level helpers over the evolution CSV schema
-
-
-def read_rows(csv_path) -> list[dict]:
-    with open(csv_path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != CSV_COLUMNS:
-            raise DataError(
-                f"{csv_path}: unexpected columns {reader.fieldnames}, wanted {CSV_COLUMNS}"
-            )
-        rows = []
-        for raw in reader:
-            rows.append(
-                {
-                    "run": int(raw["run"]),
-                    "generation": int(raw["generation"]),
-                    "individual": int(raw["individual"]),
-                    "fitness": float(raw["fitness"]),
-                    "acc_left": float(raw["acc_left"]),
-                    "acc_right": float(raw["acc_right"]),
-                    "power_left_w": float(raw["power_left_w"]),
-                    "power_right_w": float(raw["power_right_w"]),
-                    "hidden_layers": int(raw["hidden_layers"]),
-                    "middle_point": int(raw["middle_point"]),
-                    "train_budget_epochs": float(raw["train_budget_epochs"]),
-                }
-            )
-    return rows
 
 
 def load_experiment_rows(experiment_dir) -> list[dict]:
@@ -390,16 +366,6 @@ def analyze_experiments(baseline_dir, proposed_dir, out_dir, mw_mode: str = "exa
     for name, rows in (("baseline", baseline_rows), ("proposed", proposed_rows)):
         series = mean_best_series(rows)
         path = out / f"mean_best_{name}.csv"
-        _write_csv(
-            path,
-            ["generation", "mean_best_fitness", "mean_best_acc_left", "mean_best_acc_right",
-             "mean_best_power_left_w", "mean_best_power_right_w", "runs"],
-            [
-                [s["generation"], _format(s["mean_best_fitness"]), _format(s["mean_best_acc_left"]),
-                 _format(s["mean_best_acc_right"]), _format(s["mean_best_power_left_w"]),
-                 _format(s["mean_best_power_right_w"]), s["runs"]]
-                for s in series
-            ],
-        )
+        _write_csv(path, list(series[0]), [[_format(v) for v in s.values()] for s in series])
         written.append(path)
     return written

@@ -232,10 +232,6 @@ def load_config(path) -> AppConfig:
     return AppConfig.from_flat(parse_config(text))
 
 
-def save_config(app: AppConfig, path) -> None:
-    Path(path).write_text(format_config(app))
-
-
 def load_grammar_spec(name_or_path: str) -> Grammar:
     """A packaged grammar name, or a path to a grammar file."""
     if name_or_path in PACKAGED_GRAMMARS:

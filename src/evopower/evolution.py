@@ -26,15 +26,16 @@ import math
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
-from .analysis import CSV_COLUMNS
 from .blas import one_blas_thread
 from .data import Dataset
 from .errors import (
     CheckpointError,
     ConfigError,
+    DataError,
     GrammarError,
     InvalidGenotypeError,
     TrainingDivergedError,
@@ -66,8 +67,6 @@ MODES = ("baseline", "proposed")
 
 # rng stream purposes
 _MUT, _EVAL, _METER, _PROBE = 0, 1, 2, 3
-
-_INT_COLUMNS = {"run", "generation", "individual", "hidden_layers", "middle_point"}
 
 
 def _stream(*parts) -> np.random.Generator:
@@ -303,13 +302,12 @@ def _meter_for(base: Meter | None, cfg: EvolutionConfig, key: tuple) -> Meter:
 
     Keying an analytic meter's noise stream by (run, generation, slot)
     decouples measurements from each other, so resume points cannot
-    shift them.
+    shift them.  A noiseless meter never draws, so it gets no stream.
     """
-    if base is None:
-        return AnalyticMeter(cfg.meter, rng=_stream(*key))
-    if isinstance(base, AnalyticMeter):
-        return AnalyticMeter(base.cfg, rng=_stream(*key))
-    return base
+    if base is not None and not isinstance(base, AnalyticMeter):
+        return base
+    meter_cfg = cfg.meter if base is None else base.cfg
+    return AnalyticMeter(meter_cfg, rng=_stream(*key) if meter_cfg.noise_sigma > 0 else None)
 
 
 def evaluate_individual(
@@ -377,25 +375,29 @@ def _probe_new_modules(
     return inserted
 
 
+# generations.csv: the run, the generation, then these record fields; a
+# cell is written as str(kind(value)) and read back as kind(cell)
+_RECORD_COLUMNS = ("individual", "fitness", "acc_left", "acc_right", "power_left_w",
+                   "power_right_w", "hidden_layers", "middle_point", "train_budget_epochs")
+_COLUMN_TYPES = {"run": int, "generation": int} | {
+    column: get_type_hints(EvaluationRecord)[column] for column in _RECORD_COLUMNS
+}
+CSV_COLUMNS = list(_COLUMN_TYPES)
+
+
 def _log_rows(run: int, logs: list[GenerationLog]) -> list[dict]:
     """CSV rows: the run, the generation, then one record field per column."""
     return [
-        {"run": run, "generation": log.generation, **{c: getattr(rec, c) for c in CSV_COLUMNS[2:]}}
+        {"run": run, "generation": log.generation, **{c: getattr(rec, c) for c in _RECORD_COLUMNS}}
         for log in logs
         for rec in log.records
     ]
 
 
-def _format_cell(column: str, value) -> str:
-    if column in _INT_COLUMNS:
-        return str(int(value))
-    return repr(float(value))
-
-
 def _write_rows(fh, rows: list[dict]) -> None:
     writer = csv.writer(fh, lineterminator="\n")
     for row in rows:
-        writer.writerow([_format_cell(col, row[col]) for col in CSV_COLUMNS])
+        writer.writerow([str(kind(row[col])) for col, kind in _COLUMN_TYPES.items()])
 
 
 def write_rows_csv(path, rows: list[dict]) -> None:
@@ -404,6 +406,30 @@ def write_rows_csv(path, rows: list[dict]) -> None:
     with open(path, "w", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(CSV_COLUMNS)
         _write_rows(fh, rows)
+
+
+def read_rows(csv_path) -> list[dict]:
+    """The typed rows of a generations or aggregate CSV, blank lines skipped.
+    Any fault, from undecodable bytes to a cell its column's type cannot
+    parse or a row of the wrong length, raises DataError naming the line."""
+    rows = []
+    with open(csv_path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader, None)
+            if header != CSV_COLUMNS:
+                raise DataError(f"{csv_path}: unexpected columns {header}, wanted {CSV_COLUMNS}")
+            for cells in reader:
+                if not cells:
+                    continue
+                if len(cells) != len(CSV_COLUMNS):
+                    raise ValueError(f"{len(cells)} cells, wanted {len(CSV_COLUMNS)}")
+                rows.append(
+                    {col: kind(cell) for (col, kind), cell in zip(_COLUMN_TYPES.items(), cells)}
+                )
+        except (ValueError, csv.Error) as exc:  # UnicodeDecodeError is a ValueError
+            raise DataError(f"{csv_path} line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def _append_rows_csv(path: Path, rows: list[dict]) -> None:

@@ -216,7 +216,9 @@ class AnalyticMeter(Meter):
     def __init__(self, cfg: AnalyticMeterConfig | None = None, rng: np.random.Generator | None = None):
         self.cfg = cfg or AnalyticMeterConfig()
         self.cfg.validate()
-        self._rng = rng if rng is not None else np.random.default_rng(self.cfg.seed)
+        if rng is None and self.cfg.noise_sigma > 0:
+            rng = np.random.default_rng(self.cfg.seed)
+        self._rng = rng  # None only when noise is off and reads never draw
         self._base = _noiseless_power(0, self.cfg)
         self._state = "idle"
 

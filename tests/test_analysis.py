@@ -7,8 +7,8 @@ import pytest
 import scipy.stats
 
 from evopower.analysis import (
-    CSV_COLUMNS,
     SampleGroup,
+    _chi2_sf,
     analyze_experiments,
     best_per_run_generation,
     bonferroni,
@@ -19,10 +19,10 @@ from evopower.analysis import (
     mann_whitney_u,
     mean_best_series,
     midranks,
-    read_rows,
     summarize,
 )
 from evopower.errors import DataError, EnumerationCapError
+from evopower.evolution import CSV_COLUMNS, read_rows
 
 
 def g(label, values):
@@ -46,6 +46,11 @@ def test_kruskal_wallis_identical_groups():
     result = kruskal_wallis([g("a", [1, 2, 3]), g("b", [1, 2, 3])])
     assert result.statistic == pytest.approx(0.0, abs=1e-12)
     assert result.p_value == pytest.approx(1.0, abs=1e-12)
+    # equal rank means; rounding leaves H at -2.8e-14
+    a = [*range(1, 17), *range(51, 67)]
+    result = kruskal_wallis([g("a", a), g("b", [v for v in range(1, 67) if v not in a])])
+    assert result.statistic == pytest.approx(0.0, abs=1e-12)
+    assert result.p_value == 1.0
 
 
 def test_kruskal_wallis_degenerate_constant_data():
@@ -71,6 +76,15 @@ def test_kruskal_wallis_matches_reference_implementation():
             continue  # all numbers identical
         assert ours.statistic == pytest.approx(h_ref, abs=1e-9)
         assert ours.p_value == pytest.approx(p_ref, abs=1e-9)
+
+
+def test_chi2_sf_closed_form_matches_reference():
+    # odd k takes the erfc branch, even k the pure series; the grid spans
+    # the bulk and both tails
+    grid = np.concatenate([np.geomspace(1e-6, 1.0, 25), np.linspace(1.0, 80.0, 80)])
+    for k in range(1, 8):
+        for x in grid:
+            assert _chi2_sf(float(x), k) == pytest.approx(scipy.stats.chi2.sf(x, k), rel=1e-12)
 
 
 def test_kruskal_wallis_rank_invariance():
@@ -257,6 +271,23 @@ def test_read_rows_rejects_schema_drift(tmp_path):
         writer.writerow(["run", "generation"])
         writer.writerow([0, 0])
     with pytest.raises(DataError, match="unexpected columns"):
+        read_rows(bad)
+
+
+@pytest.mark.parametrize(
+    "cells, message",
+    [
+        (["0", "0", "0", "abc"] + ["1"] * 7, "could not convert"),
+        (["0", "0", "0"], "3 cells"),
+        (["0"] * 12, "12 cells"),
+    ],
+)
+def test_read_rows_rejects_bad_rows(tmp_path, cells, message):
+    bad = tmp_path / "bad.csv"
+    write_rows(bad, [make_row()])
+    with open(bad, "a", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(cells)
+    with pytest.raises(DataError, match=f"bad.csv line 3: .*{message}"):
         read_rows(bad)
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import evopower
 from evopower.cli import entry
 from evopower.config import (
     AppConfig,
@@ -222,3 +227,13 @@ def test_checkpoint_conflict_is_runtime_error(tmp_path, capsys):
     assert "does not match" in capsys.readouterr().err
     assert entry(["evolve", "--config", cfg, "--seed", "4", "--fresh",
                   "--out", str(tmp_path / "a")]) == 0
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    # scipy is the tests' statistics oracle, not a runtime dependency;
+    # evopower.cli imports every module of the package
+    src = str(Path(evopower.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    code = "import evopower.cli, sys; assert 'scipy' not in sys.modules, 'scipy was imported'"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)

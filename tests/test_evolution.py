@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from evopower.analysis import load_experiment_rows, read_rows
+from evopower.analysis import load_experiment_rows
 from evopower.config import AppConfig
 from evopower.data import SplitSpec, split, synthetic_dataset
 from evopower.errors import CheckpointError, ConfigError, TrainingDivergedError
@@ -17,6 +17,7 @@ from evopower.evolution import (
     best_slot,
     evaluate_individual,
     mode_config,
+    read_rows,
     run_es,
     run_experiment,
     select_parent,

@@ -1,6 +1,6 @@
-"""Property tests: the checkpoint journal, genotype file, IDX and grammar
-loaders fail only with their own typed errors on truncated or mutated
-input."""
+"""Property tests: the checkpoint journal, genotype file, generations
+CSV, IDX and grammar loaders fail only with their own typed errors on
+truncated or mutated input."""
 
 import copy
 import gzip
@@ -17,7 +17,15 @@ from hypothesis import strategies as st
 from evopower.cli import _read_genotype
 from evopower.data import SplitSpec, load_idx, split, synthetic_dataset
 from evopower.errors import CheckpointError, ConfigError, DataError, GrammarError
-from evopower.evolution import EvolutionConfig, TaskData, _load_journal, run_experiment
+from evopower.evolution import (
+    CSV_COLUMNS,
+    EvolutionConfig,
+    TaskData,
+    _load_journal,
+    read_rows,
+    run_experiment,
+    write_rows_csv,
+)
 from evopower.genome import GenomeConfig, ModuleSpec
 from evopower.grammar import load_packaged_grammar, parse_grammar
 
@@ -146,6 +154,56 @@ def test_undamaged_inputs_load():
     assert state.generation == CFG.generations
     assert len(state.archive) > 0
     assert ind.modules
+
+
+@lru_cache(maxsize=None)
+def generations_csv() -> bytes:
+    rows = [
+        dict(zip(CSV_COLUMNS, (0, g, i, 1.25 - i, 0.75, 0.5, 61.5, 48.25, 2, 1, 3.0)))
+        for g in range(2)
+        for i in range(2)
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generations.csv"
+        write_rows_csv(path, rows)
+        return path.read_bytes()
+
+
+CSV_TOKENS = st.sampled_from([
+    ",", "\n", "\r", "\r\n", '"', "\x00", "-1", "1.5", "1_0", "nan", "inf", "1e999",
+    "9" * 5000, "x" * 140000, "abc", " ", "\u0663", "\xff",
+])
+
+
+@st.composite
+def csv_payload(draw):
+    """Arbitrary bytes or text; or a generations CSV with a span cut and
+    replaced by CSV syntax pieces or text, or its bytes damaged."""
+    kind = draw(st.sampled_from(["bytes", "text", "spliced", "damaged"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    if kind == "text":
+        return draw(st.text(max_size=200)).encode()
+    if kind == "damaged":
+        return draw(damaged(generations_csv(), lines=False, json_docs=False))
+    text = generations_csv().decode()
+    at = draw(st.integers(0, len(text)))
+    cut = draw(st.integers(0, 12))
+    pieces = draw(st.lists(CSV_TOKENS | st.text(max_size=4), max_size=4))
+    return (text[:at] + "".join(pieces) + text[at + cut:]).encode()
+
+
+@settings(max_examples=500, deadline=None)
+@given(csv_payload())
+def test_read_rows_raises_only_data_error(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "generations.csv"
+        path.write_bytes(payload)
+        try:
+            rows = read_rows(path)
+        except DataError:
+            return
+    assert all(list(row) == CSV_COLUMNS for row in rows)
 
 
 IMAGES = struct.pack(">IIII", 0x803, 3, 2, 2) + bytes(range(0, 240, 20))

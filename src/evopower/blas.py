@@ -3,10 +3,13 @@
 Two reasons, both measured with numpy 2.4's bundled OpenBLAS 0.3.31 on
 a 2-vCPU VM:
 
-* OpenBLAS sums a GEMM whose inner dimension is deeper than about 256
-  (784-input layers) in an order that depends on its thread count, so
-  the last bits of a trained network, and of its loss, depended on the
-  machine's core count.  On one thread they do not.
+* OpenBLAS sums some GEMMs in an order that depends on its thread
+  count, so the last bits of a trained network, and of its loss,
+  depended on the machine's core count.  The depth of the sum alone
+  does not predict which: 784-input layers are affected, and so is
+  training at the desk shapes (8 inputs, widths up to 256): a desk
+  network retrained in float64 on one and on two threads differed by up
+  to 5.6e-17 in its weights.  On one thread they do not.
 * It hands every GEMM above about 2.6e5 multiply-adds to a thread pool
   whose threads spin between calls.  An evolution run interleaves those
   GEMMs with many short numpy and Python steps; on one thread the

@@ -283,7 +283,8 @@ def _measure_phase(
             0, float("nan"), trained.wall_time_s, True,
         )
     t0 = time.perf_counter()
-    vx = data.validation.samples
+    # the metered inference runs in the partitions' dtype, cast once here
+    vx = data.validation.samples.astype(trained.left.dtype, copy=False)
     meter.observe(trained.left)
     power_left = measure_mean(meter, lambda: trained.left.forward(vx), cfg.n_measures).mean_watts
     meter.observe(trained.right)
@@ -822,10 +823,12 @@ def run_experiment(
     (out / "best_genotype.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     if not winner.best_record.diverged:
         run_i, gen, slot = winner.best_eval_key
-        trained = _train_phase(
-            winner.best, grammar, data, adjusted,
-            _stream(adjusted.seed, run_i, gen, slot, _EVAL),
-        )
+        # on one BLAS thread, like the evaluation it repeats
+        with one_blas_thread():
+            trained = _train_phase(
+                winner.best, grammar, data, adjusted,
+                _stream(adjusted.seed, run_i, gen, slot, _EVAL),
+            )
         if not trained.diverged:
             save_weights(trained.net, out / "best_weights.bin")
     return ExperimentResult(

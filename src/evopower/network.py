@@ -21,8 +21,15 @@ same order as the out-of-place expressions they replace.  Backpropagation
 stops at the first dense layer: the gradient with respect to the input
 is never needed.
 
-All arithmetic runs in float64; weights initialize uniformly in
-``[-s, s]`` with ``s = sqrt(6 / (fan_in + fan_out))`` and zero biases.
+Networks compute in float32 (``DTYPE``): weights, biases, activations,
+dropout masks, gradients and steps.  The code is dtype-generic, so a
+layer computes in the dtype of its weights; ``train`` and
+``evaluate_accuracy`` cast their inputs to it once per call.  The random
+draws stay float64 and are rounded: weights initialize from a float64
+uniform draw in ``[-s, s]`` with ``s = sqrt(6 / (fan_in + fan_out))``,
+biases are zero, and dropout keeps float64 uniform draws, so a float32
+network is the float64 network of the same stream rounded.  Losses are
+averaged in float64.
 """
 
 from __future__ import annotations
@@ -37,6 +44,7 @@ from .errors import EvaluationError, TrainingDivergedError
 from .genome import LayerSpec, PhenotypeSpec
 
 PROB_FLOOR = 1e-12
+DTYPE = np.float32
 
 
 def _sigmoid(z, out=None):
@@ -116,8 +124,10 @@ class _Dense:
         self.db *= lr
         self.b -= self.db
 
-    def copy(self) -> "_Dense":
-        return _Dense(self.w.copy(), self.b.copy(), self.activation)
+    def copy(self, dtype=None) -> "_Dense":
+        """A copy computing in ``dtype`` (default: the weights' dtype)."""
+        dtype = self.w.dtype if dtype is None else dtype
+        return _Dense(self.w.astype(dtype), self.b.astype(dtype), self.activation)
 
 
 class _Dropout:
@@ -133,11 +143,10 @@ class _Dropout:
         if not train or self.rate == 0.0 or rng is None:
             self._mask = None
             return x
-        # the mask is built in the buffer of its uniform draws
-        mask = rng.random(x.shape)
-        np.greater_equal(mask, self.rate, out=mask)
-        mask /= 1.0 - self.rate
-        self._mask = mask
+        # float64 uniform draws; the kept entries scale by 1 / (1 - rate),
+        # rounded once to the dtype of x
+        keep = rng.random(x.shape) >= self.rate
+        self._mask = mask = keep * x.dtype.type(1.0 / (1.0 - self.rate))
         return x * mask
 
     def backward(self, g: np.ndarray) -> np.ndarray:
@@ -146,14 +155,14 @@ class _Dropout:
             g *= self._mask
         return g
 
-    def copy(self) -> "_Dropout":
+    def copy(self, dtype=None) -> "_Dropout":
         return _Dropout(self.rate)
 
 
 def _init_dense(fan_in: int, fan_out: int, activation: str, rng: np.random.Generator) -> _Dense:
     s = np.sqrt(6.0 / (fan_in + fan_out))
-    w = rng.uniform(-s, s, size=(fan_in, fan_out))
-    return _Dense(w, np.zeros(fan_out), activation)
+    w = rng.uniform(-s, s, size=(fan_in, fan_out)).astype(DTYPE)
+    return _Dense(w, np.zeros(fan_out, DTYPE), activation)
 
 
 class Network:
@@ -198,6 +207,22 @@ class Network:
                 raise EvaluationError("aux head present but no tap layer recorded")
             aux = self.aux_head.forward(tap, cache=train)
         return main, aux
+
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype every layer computes in."""
+        return self.main_head.w.dtype
+
+    def astype(self, dtype) -> "Network":
+        """A copy of the network computing in ``dtype``."""
+        return Network(
+            [l.copy(dtype) for l in self.layers],
+            self.main_head.copy(dtype),
+            None if self.aux_head is None else self.aux_head.copy(dtype),
+            self.aux_tap,
+            self.input_dim,
+            self.class_count,
+        )
 
     def dense_layers(self) -> list[_Dense]:
         stack = [l for l in self.layers if isinstance(l, _Dense)]
@@ -246,7 +271,9 @@ def build(
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     p = np.clip(probs[np.arange(labels.shape[0]), labels], PROB_FLOOR, None)
-    return float(-np.mean(np.log(p)))
+    # the per-sample log-probabilities keep the network's dtype; their
+    # mean is taken in float64
+    return float(-np.mean(np.log(p), dtype=np.float64))
 
 
 def joint_loss(net: Network, x: np.ndarray, y: np.ndarray) -> float:
@@ -319,6 +346,7 @@ def train(
     if n == 0:
         raise EvaluationError("empty training set")
     batch = max(1, min(int(batch_size), n))
+    x = x.astype(net.dtype, copy=False)
     history = []
     for _ in range(int(budget_epochs)):
         order = rng.permutation(n)
@@ -367,7 +395,7 @@ def evaluate_accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> tuple[float
     partitions' accuracies."""
     if x.shape[0] == 0:
         raise EvaluationError("cannot evaluate accuracy on empty data")
-    main, aux = net.forward(x)
+    main, aux = net.forward(x.astype(net.dtype, copy=False))
     acc_aux = None if aux is None else float(np.mean(aux.argmax(axis=1) == y))
     return float(np.mean(main.argmax(axis=1) == y)), acc_aux
 
@@ -389,12 +417,17 @@ def finite_difference_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
+    The check runs on a float64 copy of the network and of ``x``, so
+    ``epsilon`` and the error are float64 quantities whatever dtype the
+    network trains in; the copy runs the same dtype-generic layers.
     Dropout is inactive during the check, so repeated calls agree exactly.
     The relative error uses ``|ga - gn| / max(1, |ga|, |gn|)`` to stay
     finite around zero gradients.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
+    net = net.astype(np.float64)
+    x = np.asarray(x, dtype=np.float64)
     main, aux = net.forward(x, train=True, rng=None)
     _backward(net, main, aux, y)
 

@@ -267,7 +267,7 @@ def probe_module_power(
     input_dim, class_count = io_shape
     rng = np.random.default_rng(seed)
     net = build_probe_network(module, grammar, input_dim, class_count, rng)
-    batch = rng.random((batch_size, input_dim))
+    batch = rng.random((batch_size, input_dim)).astype(net.dtype)
     meter.observe(net)
     result = measure_mean(meter, lambda: net.forward(batch), n_measures)
     return result.mean_watts

@@ -7,7 +7,7 @@ import evopower.blas as blas
 import evopower.evolution as evolution
 from evopower.blas import blas_threads, one_blas_thread
 from evopower.data import SplitSpec, split, synthetic_dataset
-from evopower.evolution import EvolutionConfig, TaskData, run_es
+from evopower.evolution import EvolutionConfig, TaskData, run_es, run_experiment
 from evopower.grammar import load_packaged_grammar
 
 needs_openblas = pytest.mark.skipif(blas_threads() is None, reason="numpy's BLAS is not OpenBLAS")
@@ -54,13 +54,17 @@ def blas_thread_count(n):
         set_(before)
 
 
-def run_records(run):
-    """Every record of a short run on 784 inputs, where OpenBLAS sums deep
-    GEMMs in an order that depends on its thread count; wall times dropped."""
+def task_784():
+    """784 inputs, where OpenBLAS sums deep GEMMs in an order that depends
+    on its thread count."""
     ds = synthetic_dataset(classes=3, samples_per_class=40, dimensions=784, separation=3.0, seed=2)
+    return TaskData(*split(ds, SplitSpec((0.6, 0.2, 0.2), seed=0)))
+
+
+def run_records(run):
+    """Every record of a short run on 784 inputs; wall times dropped."""
     cfg = EvolutionConfig(runs=1, generations=2, population_size=3, seed=5)
-    result = run(cfg, load_packaged_grammar("dense_only"),
-                 TaskData(*split(ds, SplitSpec((0.6, 0.2, 0.2), seed=0))))
+    result = run(cfg, load_packaged_grammar("dense_only"), task_784())
     return [{**asdict(r), "wall_time_s": None} for log in result.logs for r in log.records]
 
 
@@ -71,3 +75,15 @@ def test_run_es_results_do_not_depend_on_the_blas_thread_count():
     with blas_thread_count(1):
         one = run_records(run_es)
     assert one == two
+
+
+@needs_openblas
+def test_run_experiment_weight_dump_does_not_depend_on_the_blas_thread_count(tmp_path):
+    cfg = EvolutionConfig(runs=1, generations=1, population_size=2, seed=5)
+    dumps = []
+    for threads in (2, 1):
+        out = tmp_path / f"threads_{threads}"
+        with blas_thread_count(threads):
+            run_experiment(cfg, "baseline", load_packaged_grammar("dense_only"), task_784(), out)
+        dumps.append((out / "best_weights.bin").read_bytes())
+    assert dumps[0] == dumps[1]

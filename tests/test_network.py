@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from evopower.errors import EvaluationError, TrainingDivergedError
-from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, init_individual, to_phenotype
+from evopower.genome import GenomeConfig, LayerSpec, ModuleSpec, PhenotypeSpec, init_individual, to_phenotype
 from evopower.grammar import load_packaged_grammar
 from evopower.network import (
+    _backward,
     _Dense,
+    _Dropout,
     _init_dense,
     _sigmoid,
     _train_batch,
@@ -272,6 +274,7 @@ def test_weight_dump_round_trip(tmp_path):
     for got, want in zip(arrays, expected):
         assert got.dtype == np.float32
         assert np.array_equal(got, want.astype(np.float32))
+        assert same_bits(got, want)  # the network computes in float32: the dump is exact
     raw = path.read_bytes()
     assert int.from_bytes(raw[:4], "little") == 8
 
@@ -296,23 +299,41 @@ def two_formula_sigmoid(z):
 
 
 def same_bits(a, b):
-    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a.view(f"i{a.itemsize}"), b.view(f"i{b.itemsize}")))
 
 
 # desk hidden widths 16..256 and the IDX width 128, at several batch sizes
-@pytest.mark.parametrize("shape", [(32, 16), (16, 64), (128, 256), (50, 128), (1875, 128)])
+SIGMOID_SHAPES = [(32, 16), (16, 64), (128, 256), (50, 128), (1875, 128)]
+SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
+                 1e-300, -1e-300, 5e-324, -5e-324, 36.75, -36.75, 709.8, -709.8]
+
+
+@pytest.mark.parametrize("shape", SIGMOID_SHAPES)
 def test_sigmoid_bit_equal_to_two_formula_reference(shape):
     z = np.random.default_rng(shape[0] * shape[1]).normal(0.0, 4.0, size=shape)
     assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
 
 
 def test_sigmoid_bit_equal_on_edge_values():
-    z = np.array([0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
-                  1e-300, -1e-300, 5e-324, -5e-324, 36.75, -36.75, 709.8, -709.8])
+    z = np.array(SIGMOID_EDGES)
     assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
     # a nan input has already diverged; only the nan's sign bit may differ
     assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
     assert np.isnan(two_formula_sigmoid(np.array([np.nan, -np.nan]))).all()
+
+
+@pytest.mark.parametrize("shape", SIGMOID_SHAPES)
+def test_float32_sigmoid_bit_equal_to_two_formula_reference(shape):
+    z = np.random.default_rng(shape[0] * shape[1]).normal(0.0, 4.0, size=shape).astype(np.float32)
+    assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
+
+
+def test_float32_sigmoid_bit_equal_on_edge_values():
+    # float32 exp overflows above 88.7 and underflows below about -104;
+    # the float64-only tiny values round to zero
+    z = np.array(SIGMOID_EDGES + [88.7, -88.7, 103.9, -103.9, 1e-45, -1e-45], dtype=np.float32)
+    assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
 
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
@@ -362,7 +383,7 @@ def reference_train_batch(net, x, y, lr, rng):
         elif layer.rate == 0.0:
             masks[i] = None
         else:
-            masks[i] = (rng.random(out.shape) >= layer.rate) / (1.0 - layer.rate)
+            masks[i] = ((rng.random(out.shape) >= layer.rate) / (1.0 - layer.rate)).astype(out.dtype)
             out = out * masks[i]
         if i == net.aux_tap:
             tap = out
@@ -370,7 +391,7 @@ def reference_train_batch(net, x, y, lr, rng):
     aux = reference_activation(tap @ net.aux_head.w + net.aux_head.b, "softmax")
     loss = cross_entropy(main, y) + cross_entropy(aux, y)
 
-    onehot = np.zeros((y.shape[0], net.class_count))
+    onehot = np.zeros((y.shape[0], net.class_count), dtype=main.dtype)
     onehot[np.arange(y.shape[0]), y] = 1.0
     n = y.shape[0]
     grads = []
@@ -404,13 +425,7 @@ def net_bits(net):
 DROPOUT = LayerSpec("dropout", rate=0.3)
 
 
-@pytest.mark.parametrize("input_dim, units, classes, batch",
-                         [(8, (16, 64), 3, 32), (784, (128, 64), 10, 50)])
-@pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-@pytest.mark.parametrize("dropout", ["none", "first_layer", "after_tap"])
-def test_training_is_bit_equal_to_the_out_of_place_reference(
-    input_dim, units, classes, batch, activation, dropout
-):
+def check_training_against_reference(input_dim, units, classes, batch, activation, dropout, dtype):
     dense = [LayerSpec("dense", units=u, activation=activation) for u in units]
     if dropout == "first_layer":
         layers = [DROPOUT, *dense]
@@ -424,9 +439,128 @@ def test_training_is_bit_equal_to_the_out_of_place_reference(
     data = np.random.default_rng(36)
     train_rng, reference_rng = np.random.default_rng(37), np.random.default_rng(37)
     for _ in range(6):
-        x = data.random((batch, input_dim))
+        x = data.random((batch, input_dim)).astype(dtype)
         y = data.integers(0, classes, size=batch)
         loss = _train_batch(net, x, y, 0.05, train_rng)
         assert loss == reference_train_batch(reference, x, y, 0.05, reference_rng)
     assert net_bits(net) == net_bits(reference)
     assert train_rng.random() == reference_rng.random()  # the same draws were consumed
+
+
+TRAINING_CASES = pytest.mark.parametrize("input_dim, units, classes, batch",
+                                         [(8, (16, 64), 3, 32), (784, (128, 64), 10, 50)])
+ACTIVATIONS = pytest.mark.parametrize("activation", ["relu", "sigmoid"])
+DROPOUTS = pytest.mark.parametrize("dropout", ["none", "first_layer", "after_tap"])
+
+
+@TRAINING_CASES
+@ACTIVATIONS
+@DROPOUTS
+def test_training_is_bit_equal_to_the_out_of_place_reference(
+    input_dim, units, classes, batch, activation, dropout
+):
+    # float64 batches promote the float32 network to float64 arithmetic
+    check_training_against_reference(input_dim, units, classes, batch, activation, dropout, np.float64)
+
+
+@TRAINING_CASES
+@ACTIVATIONS
+@DROPOUTS
+def test_float32_training_is_bit_equal_to_the_out_of_place_reference(
+    input_dim, units, classes, batch, activation, dropout
+):
+    check_training_against_reference(input_dim, units, classes, batch, activation, dropout, np.float32)
+
+
+# --- float32 training: the float64 random draws rounded, no float64 leaks,
+# and gradients within float32 rounding of the float64 analytic ones
+
+
+def test_float32_weights_are_the_float64_draws_rounded():
+    net = build(dense_spec([16, 8], aux_index=1), input_dim=5, class_count=3,
+                rng=np.random.default_rng(42))
+    draws = np.random.default_rng(42)
+    for layer in net.dense_layers():  # build draws in this order
+        s = np.sqrt(6.0 / (layer.fan_in + layer.fan_out))
+        want = draws.uniform(-s, s, size=layer.w.shape).astype(np.float32)
+        assert same_bits(layer.w, want)
+        assert same_bits(layer.b, np.zeros(layer.fan_out, np.float32))
+
+
+def test_float32_dropout_mask_is_the_float64_mask_rounded():
+    layer = _Dropout(0.3)
+    out = layer.forward(np.ones((40, 7), np.float32), True, np.random.default_rng(3))
+    want = ((np.random.default_rng(3).random((40, 7)) >= 0.3) / (1.0 - 0.3)).astype(np.float32)
+    assert same_bits(layer._mask, want)
+    assert same_bits(out, want)
+
+
+def test_float32_training_leaks_no_float64():
+    spec = PhenotypeSpec(
+        (
+            LayerSpec("dense", units=6, activation="relu"),
+            LayerSpec("dropout", rate=0.4),
+            LayerSpec("dense", units=5, activation="sigmoid"),
+        ),
+        aux_index=0,
+        learning_rate=0.1,
+        batch_size=30,
+    )
+    net = build(spec, input_dim=2, class_count=2, rng=np.random.default_rng(43))
+    x, y = two_blobs()
+    # one batch of float64 samples: train casts them once, then one _train_batch
+    report = train(net, x[:30], y[:30], budget_epochs=1, learning_rate=0.1, batch_size=30,
+                   rng=np.random.default_rng(44))
+    assert isinstance(report.final_loss, float) and np.isfinite(report.final_loss)
+    dropout = net.layers[1]
+    assert dropout._mask is not None and dropout._mask.dtype == np.float32
+    for layer in net.dense_layers():
+        for name in ("w", "b", "dw", "db", "_x", "_a"):
+            assert getattr(layer, name).dtype == np.float32, name
+
+
+def criterion_5_networks():
+    """The 20 tiny networks and batches of acceptance criterion 5, in order."""
+    grammar = load_packaged_grammar("dense_only")
+    rng = np.random.default_rng(5)
+    nets = []
+    while len(nets) < 20:
+        cfg = GenomeConfig(modules=[ModuleSpec(min_layers=2, max_layers=3, init_layers=(2, 3))])
+        spec = to_phenotype(init_individual(grammar, cfg, rng), grammar)
+        small = PhenotypeSpec(
+            tuple(LayerSpec(l.kind, int(rng.integers(3, 7)), l.activation, l.rate) for l in spec.layers),
+            spec.aux_index,
+            spec.learning_rate,
+            spec.batch_size,
+        )
+        dims = int(rng.integers(3, 6))
+        classes = int(rng.integers(2, 5))
+        net = build(small, dims, classes, rng)
+        x = rng.standard_normal((5, dims))
+        y = rng.integers(0, classes, 5)
+        if min_abs_preactivation(net, x) >= 1e-3:
+            nets.append((net, x, y))
+    return nets
+
+
+# Each gradient entry of these networks (at most 3 hidden layers of width
+# at most 6 plus two heads, batches of 5) comes from about a hundred float32 operations on
+# values of order 1, each rounded with relative error at most u = 2**-24.
+# A first-order bound on the error is then about 100 u; the test allows
+# 128 u, on criterion 5's error form |g32 - g64| / max(1, |g64|).
+FLOAT32_GRADIENT_BOUND = 128 * 2.0**-24
+
+
+def test_float32_gradients_match_the_float64_copy():
+    worst = 0.0
+    for net, x, y in criterion_5_networks():
+        x32 = x.astype(np.float32)
+        exact = net.astype(np.float64)  # the same weights; float32 values are exact in float64
+        for n, inputs in ((net, x32), (exact, x32.astype(np.float64))):
+            main, aux = n.forward(inputs, train=True)
+            _backward(n, main, aux, y)
+        for got, want in zip(net.dense_layers(), exact.dense_layers()):
+            for g32, g64 in ((got.dw, want.dw), (got.db, want.db)):
+                assert g32.dtype == np.float32 and g64.dtype == np.float64
+                worst = max(worst, float((np.abs(g32 - g64) / np.maximum(1.0, np.abs(g64))).max()))
+    assert worst < FLOAT32_GRADIENT_BOUND

@@ -10,7 +10,7 @@ blocks spread through the population.
 
 import numpy as np
 
-from evopower.genome import GenomeConfig, ModuleSpec, init_individual
+from evopower.genome import GenomeConfig, init_individual
 from evopower.grammar import load_packaged_grammar
 from evopower.mutation import (
     ModuleArchive,
@@ -20,7 +20,7 @@ from evopower.mutation import (
 )
 
 grammar = load_packaged_grammar("dense_only")
-cfg = GenomeConfig(modules=[ModuleSpec(min_layers=2, max_layers=3, init_layers=(2, 3))])
+cfg = GenomeConfig(min_layers=2, max_layers=3, init_layers_min=2, init_layers_max=3)
 rng = np.random.default_rng(5)
 
 # collect four distinct modules from random individuals

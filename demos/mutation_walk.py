@@ -13,7 +13,6 @@ import numpy as np
 
 from evopower.genome import (
     GenomeConfig,
-    ModuleSpec,
     count_hidden_layers,
     init_individual,
     to_phenotype,
@@ -22,7 +21,7 @@ from evopower.grammar import load_packaged_grammar
 from evopower.mutation import ModuleArchive, MutationRates, archive_insert, mutate
 
 grammar = load_packaged_grammar("dense_only")
-cfg = GenomeConfig(modules=[ModuleSpec(min_layers=1, max_layers=3, init_layers=(2, 2))] * 2)
+cfg = GenomeConfig(modules=2, min_layers=1, max_layers=3, init_layers_min=2, init_layers_max=2)
 rng = np.random.default_rng(21)
 
 ind = init_individual(grammar, cfg, rng)
@@ -57,7 +56,7 @@ solo = {
     "longer": MutationRates(0, 0, 0, 0, 0, 0, 0, 1),
 }
 for tag, rates in solo.items():
-    child = mutate(ind, rates, archive, grammar, np.random.default_rng(4), new_id=1)
+    child = mutate(ind, rates, archive, grammar, cfg, np.random.default_rng(4), new_id=1)
     describe(tag, child)
 
 # a long random walk never leaves the valid region: the dense floor of
@@ -65,7 +64,7 @@ for tag, rates in solo.items():
 walk = ind
 floor_hits = 0
 for step in range(300):
-    walk = mutate(walk, MutationRates(), archive, grammar, rng, new_id=step + 2)
+    walk = mutate(walk, MutationRates(), archive, grammar, cfg, rng, new_id=step + 2)
     hidden = count_hidden_layers(walk, grammar)
     assert hidden >= 2 and 0 <= walk.macro.middle_point <= hidden - 2
     floor_hits += hidden == 2

@@ -20,7 +20,7 @@ from pathlib import Path
 
 from evopower.data import SplitSpec, split, synthetic_dataset
 from evopower.evolution import EvolutionConfig, TaskData, run_experiment
-from evopower.genome import GenomeConfig, ModuleSpec
+from evopower.genome import GenomeConfig
 from evopower.grammar import load_packaged_grammar
 from evopower.mutation import MutationRates
 
@@ -35,7 +35,7 @@ cfg = EvolutionConfig(
     default_train_budget=6.0,
     max_train_budget=10.0,
     rates=MutationRates(dsge_level=0.5, remove_layer=0.35),
-    genome=GenomeConfig(modules=[ModuleSpec(min_layers=1, max_layers=2, init_layers=(1, 2))] * 2),
+    genome=GenomeConfig(modules=2, min_layers=1, max_layers=2, init_layers_min=1, init_layers_max=2),
     seed=3,
 )
 grammar = load_packaged_grammar("dense_only")

@@ -11,7 +11,8 @@ C(n_a + n_b, n_a) assignment of the pooled values to group a, so its
 p-values are exact even under ties; enumeration is refused above
 ``ENUMERATION_CAP`` arrangements.  Approximate mode uses the normal
 approximation with tie-corrected variance and a 0.5 continuity
-correction.  Two-sided p-values are reported by default.
+correction.  Two-sided p-values are reported by default.  The experiment
+comparison uses exact mode whenever the group sizes fit under the cap.
 
 The experiment-level helpers read the per-generation CSV schema written
 by the evolution engine, reduce each run to its best individuals, and
@@ -321,8 +322,17 @@ def _format(value) -> str:
     return str(value)
 
 
-def analyze_experiments(baseline_dir, proposed_dir, out_dir, mw_mode: str = "exact") -> list[Path]:
-    """Summary, omnibus, pairwise, and series CSVs; returns written paths."""
+def _mw_mode(a: SampleGroup, b: SampleGroup) -> str:
+    arrangements = math.comb(len(a.values) + len(b.values), len(a.values))
+    return "exact" if arrangements <= ENUMERATION_CAP else "approximate"
+
+
+def analyze_experiments(baseline_dir, proposed_dir, out_dir) -> list[Path]:
+    """Summary, omnibus, pairwise, and series CSVs; returns written paths.
+
+    Each Mann-Whitney test is exact when its groups allow at most
+    ``ENUMERATION_CAP`` arrangements, and approximate otherwise.
+    """
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     baseline_rows = load_experiment_rows(baseline_dir)
@@ -343,7 +353,7 @@ def analyze_experiments(baseline_dir, proposed_dir, out_dir, mw_mode: str = "exa
         kw = kruskal_wallis(metric_groups)
         omnibus_rows.append([metric, _format(kw.statistic), _format(kw.p_value), kw.method])
         pairs = list(combinations(metric_groups, 2))
-        raw = [mann_whitney_u(x, y, mode=mw_mode) for x, y in pairs]
+        raw = [mann_whitney_u(x, y, mode=_mw_mode(x, y)) for x, y in pairs]
         adjusted = bonferroni([r.p_value for r in raw], len(pairs))
         for (x, y), result, adj in zip(pairs, raw, adjusted):
             pairwise_rows.append(

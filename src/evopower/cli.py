@@ -98,9 +98,7 @@ def _cmd_probe(args) -> int:
 
 def _cmd_analyze(args) -> int:
     out = _resolve_out(args.out)
-    written = analyze_experiments(
-        Path(args.baseline), Path(args.proposed), out, mw_mode=args.mw_mode
-    )
+    written = analyze_experiments(Path(args.baseline), Path(args.proposed), out)
     for path in written:
         print(path)
     return EXIT_OK
@@ -151,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze.add_argument("--baseline", required=True)
     analyze.add_argument("--proposed", required=True)
     analyze.add_argument("--out", required=True)
-    analyze.add_argument("--mw-mode", choices=("exact", "approximate"), default="exact")
     analyze.set_defaults(func=_cmd_analyze)
 
     check = sub.add_parser("dataset-check", help="load the configured dataset and report sizes")

@@ -6,22 +6,23 @@ The file mirrors the full run setup across five namespaces
 missing keys fall back to the library defaults.  ``#`` starts a comment
 line.  The format round-trips, so a written snapshot replays a run.
 
-Apart from ``genome.*``, every key is a scalar field of the dataclass
-its section names in ``SECTIONS`` and is parsed by that field's type;
-``genome.*`` projects onto one :class:`ModuleSpec` repeated
-``genome.modules`` times.
+Every key is a scalar field of the dataclass its prefix names in
+``SECTIONS`` and is parsed by that field's type.  ``genome.*`` names
+the fields of :class:`~evopower.genome.GenomeConfig` plus
+``genome.grammar``, which is :attr:`AppConfig.grammar`: the grammar is
+loaded beside the evolution settings, so it stays out of the
+fingerprint.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
 from .data import Dataset, SplitSpec, desk_subset, load_idx, split, synthetic_dataset
 from .errors import ConfigError
 from .evolution import EvolutionConfig, TaskData
-from .genome import ModuleSpec
 from .grammar import Grammar, load_packaged_grammar, parse_grammar
 
 PACKAGED_GRAMMARS = ("default", "dense_only")
@@ -31,22 +32,16 @@ DATA_KINDS = ("synthetic", "idx")
 # idx inputs are 28x28 grey images over ten classes
 IDX_IO_SHAPE = (784, 10)
 
-# key prefix -> attribute path from an AppConfig to the dataclass holding its keys
-SECTIONS = {
-    "evolution": ("evolution",),
-    "evolution.rates": ("evolution", "rates"),
-    "fitness": ("evolution", "fitness"),
-    "meter": ("evolution", "meter"),
-    "data": ("data",),
-}
-GENOME_KEYS = {
-    "genome.grammar": str,
-    "genome.modules": int,
-    "genome.min_layers": int,
-    "genome.max_layers": int,
-    "genome.init_layers_min": int,
-    "genome.init_layers_max": int,
-}
+# (key prefix, attribute path from an AppConfig to the dataclass holding its keys)
+SECTIONS = (
+    ("evolution", ("evolution",)),
+    ("evolution.rates", ("evolution", "rates")),
+    ("fitness", ("evolution", "fitness")),
+    ("meter", ("evolution", "meter")),
+    ("genome", ("evolution", "genome")),
+    ("genome", ()),
+    ("data", ("data",)),
+)
 
 
 def _fmt(value) -> str:
@@ -152,20 +147,6 @@ class AppConfig:
         values = {key: _convert(key, raw) for key, raw in flat.items()}
 
         app = AppConfig()
-        app.grammar = values.get("genome.grammar", app.grammar)
-        count = values.get("genome.modules", len(app.evolution.genome.modules))
-        if count < 1:
-            raise ConfigError(f"genome.modules must be >= 1, got {count}")
-        default = ModuleSpec()
-        spec = ModuleSpec(
-            min_layers=values.get("genome.min_layers", default.min_layers),
-            max_layers=values.get("genome.max_layers", default.max_layers),
-            init_layers=(
-                values.get("genome.init_layers_min", default.init_layers[0]),
-                values.get("genome.init_layers_max", default.init_layers[1]),
-            ),
-        )
-        app.evolution.genome.modules = [replace(spec) for _ in range(count)]
         for key, holder, name, _ in _walk(app):
             if key in values:
                 setattr(holder, name, values[key])
@@ -175,29 +156,13 @@ class AppConfig:
         return app
 
     def to_flat(self) -> dict[str, str]:
-        out = {key: _fmt(getattr(holder, name)) for key, holder, name, _ in _walk(self)}
-        genome = self.evolution.genome
-        spec = genome.modules[0]
-        if any(m != spec for m in genome.modules):
-            raise ConfigError("flat config cannot express differing module bounds")
-        if spec.start_symbol != "layer":
-            raise ConfigError("flat config cannot express a custom module start symbol")
-        if (tuple(genome.macro_symbols) != ("learning",)
-                or genome.middle_point_symbol != "middle_point"):
-            raise ConfigError("flat config cannot express custom macro symbols")
-        out["genome.grammar"] = self.grammar
-        out["genome.modules"] = _fmt(len(genome.modules))
-        out["genome.min_layers"] = _fmt(spec.min_layers)
-        out["genome.max_layers"] = _fmt(spec.max_layers)
-        out["genome.init_layers_min"] = _fmt(spec.init_layers[0])
-        out["genome.init_layers_max"] = _fmt(spec.init_layers[1])
-        return out
+        return {key: _fmt(getattr(holder, name)) for key, holder, name, _ in _walk(self)}
 
 
 def _walk(app: AppConfig):
     """(flat key, dataclass holding it, field name, field type) for every
     int, float or str field of every section."""
-    for prefix, path in SECTIONS.items():
+    for prefix, path in SECTIONS:
         holder = app
         for attr in path:
             holder = getattr(holder, attr)
@@ -207,7 +172,7 @@ def _walk(app: AppConfig):
                 yield f"{prefix}.{f.name}", holder, f.name, types[f.name]
 
 
-KEY_TYPES = {key: kind for key, _, _, kind in _walk(AppConfig())} | GENOME_KEYS
+KEY_TYPES = {key: kind for key, _, _, kind in _walk(AppConfig())}
 
 
 def _convert(key: str, raw: str):

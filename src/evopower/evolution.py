@@ -49,6 +49,7 @@ from .genome import (
     load_typed,
     to_phenotype,
     validate_individual,
+    validate_module,
 )
 from .grammar import Grammar
 from .mutation import ArchiveEntry, ModuleArchive, MutationRates, archive_insert, mutate
@@ -62,7 +63,7 @@ from .power import (
     probe_module_power,
 )
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 MODES = ("baseline", "proposed")
 
 # rng stream purposes
@@ -508,8 +509,9 @@ def _load_journal(
     """Replay a run's journal; None when it holds no finished generation.
 
     An unterminated last line is an append cut short, so it is dropped
-    and the file truncated to the lines before it.  Every member must
-    decode against ``grammar``.
+    and the file truncated to the lines before it.  Every member and
+    every archive insert must decode against ``grammar`` within the
+    genome's layer bounds, and every insert needs finite watts >= 0.
     """
     try:
         data = path.read_bytes()
@@ -550,13 +552,20 @@ def _load_journal(
                 f"malformed checkpoint {path} line {number}: not generation "
                 f"{state.generation + 1} of a population of {size}"
             )
-        for slot, ind in enumerate(line.individuals):
-            try:
-                validate_individual(ind, grammar)
-            except (InvalidGenotypeError, GrammarError) as exc:
-                raise CheckpointError(
-                    f"malformed checkpoint {path} line {number}: member {slot}: {exc}"
-                )
+        where = ""
+        try:
+            for slot, ind in enumerate(line.individuals):
+                where = f"member {slot}"
+                validate_individual(ind, grammar, cfg.genome)
+            for i, entry in enumerate(line.inserted):
+                where = f"inserted module {i}"
+                validate_module(entry.module, grammar, cfg.genome)
+                if not 0 <= entry.power_watts < math.inf:
+                    raise InvalidGenotypeError(
+                        f"power must be finite and >= 0, got {entry.power_watts}"
+                    )
+        except (InvalidGenotypeError, GrammarError) as exc:
+            raise CheckpointError(f"malformed checkpoint {path} line {number}: {where}: {exc}")
         # _probe_new_modules is the only writer of the archive and of probed
         for entry in line.inserted:
             archive_insert(state.archive, entry.module, entry.power_watts)
@@ -585,6 +594,38 @@ class RunResult:
     archive: ModuleArchive
 
 
+def _evaluate_jobs(
+    state: _RunState, g: int, jobs: list[tuple[int, Individual]],
+    cfg: EvolutionConfig, grammar: Grammar, data: TaskData, meter: Meter | None,
+) -> list[Member]:
+    """Train every (slot, individual) job in slot order, then meter them
+    in the same order; each job counts as one evaluation."""
+    trained = [
+        (slot, _train_phase(ind, grammar, data, cfg, _stream(cfg.seed, state.run, g, slot, _EVAL)))
+        for slot, ind in jobs
+    ]
+    members = []
+    for slot, t in trained:
+        m = _meter_for(meter, cfg, (cfg.seed, state.run, g, slot, _METER))
+        members.append(Member(t.individual, _measure_phase(t, data, m, cfg), (g, slot)))
+        state.evaluations += 1
+    return members
+
+
+def _close_generation(
+    state: _RunState, g: int, members: list[Member],
+    cfg: EvolutionConfig, grammar: Grammar, data: TaskData, meter: Meter | None,
+) -> list[ArchiveEntry]:
+    """Install generation ``g``'s population, probe its unseen modules
+    and log it; returns the archive inserts."""
+    state.members = members
+    state.generation = g
+    inserted = _probe_new_modules(state, grammar, data, meter, cfg, g)
+    records = [m.record for m in members]
+    state.logs.append(GenerationLog(g, records, best_slot(records)))
+    return inserted
+
+
 def _initial_generation(
     state: _RunState,
     cfg: EvolutionConfig,
@@ -592,7 +633,7 @@ def _initial_generation(
     data: TaskData,
     meter: Meter | None,
 ) -> list[ArchiveEntry]:
-    inds = []
+    jobs = []
     for slot in range(cfg.population_size):
         ind = init_individual(
             grammar,
@@ -602,23 +643,9 @@ def _initial_generation(
             train_budget=cfg.default_train_budget,
         )
         state.next_id += 1
-        inds.append(ind)
-    trained = [
-        _train_phase(ind, grammar, data, cfg, _stream(cfg.seed, state.run, 0, slot, _EVAL))
-        for slot, ind in enumerate(inds)
-    ]
-    members = []
-    for slot, t in enumerate(trained):
-        m = _meter_for(meter, cfg, (cfg.seed, state.run, 0, slot, _METER))
-        rec = _measure_phase(t, data, m, cfg)
-        state.evaluations += 1
-        members.append(Member(t.individual, rec, (0, slot)))
-    state.members = members
-    state.generation = 0
-    inserted = _probe_new_modules(state, grammar, data, meter, cfg, 0)
-    records = [m.record for m in members]
-    state.logs.append(GenerationLog(0, records, best_slot(records)))
-    return inserted
+        jobs.append((slot, ind))
+    members = _evaluate_jobs(state, 0, jobs, cfg, grammar, data, meter)
+    return _close_generation(state, 0, members, cfg, grammar, data, meter)
 
 
 def _next_generation(
@@ -650,37 +677,23 @@ def _next_generation(
             cfg.rates,
             state.archive,
             grammar,
+            cfg.genome,
             rng,
             new_id=state.next_id,
             train_increment=cfg.train_longer_increment,
-            middle_point_symbol=cfg.genome.middle_point_symbol,
         )
         state.next_id += 1
         child.train_budget = min(child.train_budget, cfg.max_train_budget)
         jobs.append((slot, child))
 
-    results = [
-        (slot, _train_phase(ind, grammar, data, cfg, _stream(cfg.seed, state.run, g, slot, _EVAL)))
-        for slot, ind in jobs
-    ]
-
     new_members = {0: parent}
-    for slot, trained in results:
-        m = _meter_for(meter, cfg, (cfg.seed, state.run, g, slot, _METER))
-        rec = _measure_phase(trained, data, m, cfg)
-        state.evaluations += 1
-        if slot == 0:
-            state.parent_retrains += 1
-            if rec.fitness >= parent.record.fitness:
-                new_members[0] = Member(trained.individual, rec, (g, 0))
-        else:
-            new_members[slot] = Member(trained.individual, rec, (g, slot))
-    state.members = [new_members[slot] for slot in range(cfg.population_size)]
-    state.generation = g
-    inserted = _probe_new_modules(state, grammar, data, meter, cfg, g)
-    records = [m.record for m in state.members]
-    state.logs.append(GenerationLog(g, records, best_slot(records)))
-    return inserted
+    for member in _evaluate_jobs(state, g, jobs, cfg, grammar, data, meter):
+        slot = member.eval_key[1]
+        state.parent_retrains += slot == 0
+        if slot > 0 or member.record.fitness >= parent.record.fitness:
+            new_members[slot] = member
+    members = [new_members[slot] for slot in range(cfg.population_size)]
+    return _close_generation(state, g, members, cfg, grammar, data, meter)
 
 
 @one_blas_thread()

@@ -1,16 +1,22 @@
 """Individuals: modules of layer genes, macro genes, and the split point.
 
 An individual owns one or more modules, each an ordered list of layer
-derivations from a grammar start symbol, plus macro-level genes for the
-training hyperparameters and ``middle_point``, the index of the hidden
-layer where the auxiliary output attaches.  Decoding relies on a small
-attribute convention the grammar must follow:
+derivations from the grammar's ``<layer>`` symbol, plus macro-level genes
+for the training hyperparameters and ``middle_point``, the index of the
+hidden layer where the auxiliary output attaches.  :class:`GenomeConfig`
+holds the five scalars the config file names: the module count of a
+fresh individual, and one pair of layer bounds and one initial range
+that every module shares.  Decoding relies on a small convention the
+grammar must follow; ``LAYER_SYMBOL``, ``MACRO_SYMBOL`` and
+``MIDDLE_POINT_SYMBOL`` name its three symbols:
 
 * every ``<layer>`` alternative tags itself with a ``layer:<kind>``
   literal (``dense`` or ``dropout``);
 * dense layers provide ``units`` and ``act`` attributes, dropout layers
   provide ``rate``;
-* the macro symbol (``learning``) provides ``lr`` and ``batch``.
+* the macro symbol (``learning``) provides ``lr`` and ``batch``;
+* ``<middle_point>`` draws the split point from the dynamic bound that
+  :func:`~evopower.grammar.bind_dynamic_bound` sets.
 
 Hidden layers are counted over dense layers only; dropout attaches to its
 preceding dense layer and never hosts the auxiliary output.  Every
@@ -27,7 +33,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, fields, is_dataclass
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
@@ -36,67 +42,50 @@ import numpy as np
 from .errors import ConfigError, InvalidGenotypeError
 from .grammar import GeneList, Grammar, bind_dynamic_bound, decode, random_derivation
 
+LAYER_SYMBOL = "layer"
+MACRO_SYMBOL = "learning"
+MIDDLE_POINT_SYMBOL = "middle_point"
 MIN_HIDDEN_LAYERS = 2
 _INIT_TRIES = 200
-GENOTYPE_VERSION = 1
-
-
-@dataclass
-class ModuleSpec:
-    """Search-space bounds for one module slot."""
-
-    start_symbol: str = "layer"
-    min_layers: int = 2
-    max_layers: int = 6
-    init_layers: tuple[int, int] = (2, 3)
-
-    def validate(self) -> None:
-        if self.min_layers < 1:
-            raise ConfigError(f"min_layers must be >= 1, got {self.min_layers}")
-        if self.min_layers > self.max_layers:
-            raise ConfigError(
-                f"min_layers {self.min_layers} exceeds max_layers {self.max_layers}"
-            )
-        lo, hi = self.init_layers
-        if lo > hi or lo < self.min_layers or hi > self.max_layers:
-            raise ConfigError(
-                f"init_layers {self.init_layers} outside [{self.min_layers}, {self.max_layers}]"
-            )
+GENOTYPE_VERSION = 2
 
 
 @dataclass
 class GenomeConfig:
-    modules: list[ModuleSpec] = field(default_factory=lambda: [ModuleSpec()])
-    macro_symbols: tuple[str, ...] = ("learning",)
-    middle_point_symbol: str = "middle_point"
+    """Module count of a fresh individual, and the layer bounds every module shares."""
+
+    modules: int = 1
+    min_layers: int = 2
+    max_layers: int = 6
+    init_layers_min: int = 2
+    init_layers_max: int = 3
 
     def validate(self) -> None:
-        if not self.modules:
-            raise ConfigError("genome config needs at least one module")
-        for spec in self.modules:
-            spec.validate()
+        if self.modules < 1:
+            raise ConfigError(f"modules must be >= 1, got {self.modules}")
+        if self.min_layers < 1:
+            raise ConfigError(f"min_layers must be >= 1, got {self.min_layers}")
+        if self.min_layers > self.max_layers:
+            raise ConfigError(f"min_layers {self.min_layers} exceeds max_layers {self.max_layers}")
+        lo, hi = self.init_layers_min, self.init_layers_max
+        if lo > hi or lo < self.min_layers or hi > self.max_layers:
+            raise ConfigError(
+                f"init_layers ({lo}, {hi}) outside [{self.min_layers}, {self.max_layers}]"
+            )
 
 
 @dataclass
 class ModuleGene:
     """One module: an ordered list of layer derivations."""
 
-    start_symbol: str
     layer_genes: list[GeneList]
-    min_layers: int
-    max_layers: int
 
     def copy(self) -> "ModuleGene":
-        return ModuleGene(
-            self.start_symbol,
-            [g.copy() for g in self.layer_genes],
-            self.min_layers,
-            self.max_layers,
-        )
+        return ModuleGene([g.copy() for g in self.layer_genes])
 
     def genotype_key(self) -> tuple:
-        """Hashable identity of the module's genotype (bounds excluded)."""
-        return (self.start_symbol, tuple(g.canonical() for g in self.layer_genes))
+        """Hashable identity of the module's genotype."""
+        return tuple(g.canonical() for g in self.layer_genes)
 
 
 @dataclass
@@ -207,30 +196,29 @@ class PhenotypeSpec:
     batch_size: int
 
 
-def _decode_layer(grammar: Grammar, start_symbol: str, genes: GeneList) -> LayerSpec:
-    d = decode(grammar, start_symbol, genes)
+def _decode_layer(grammar: Grammar, genes: GeneList) -> LayerSpec:
+    d = decode(grammar, LAYER_SYMBOL, genes)
     kind = d.attrs.get("layer", [None])[0]
     if kind == "dense":
         return LayerSpec("dense", units=int(d.attrs["units"][0]), activation=d.attrs["act"][0])
     if kind == "dropout":
         return LayerSpec("dropout", rate=float(d.attrs["rate"][0]))
     raise InvalidGenotypeError(
-        f"<{start_symbol}> derivation must tag a known layer:<kind>, got {kind!r}"
+        f"<{LAYER_SYMBOL}> derivation must tag a known layer:<kind>, got {kind!r}"
     )
 
 
 def module_layer_specs(module: ModuleGene, grammar: Grammar) -> list[LayerSpec]:
     """Decode one module's layer genes into concrete layer specs."""
-    return [_decode_layer(grammar, module.start_symbol, g) for g in module.layer_genes]
+    return [_decode_layer(grammar, g) for g in module.layer_genes]
 
 
 def count_hidden_layers(ind: Individual, grammar: Grammar) -> int:
     """Number of trainable (dense) hidden layers across all modules."""
     return sum(
-        1
+        _decode_layer(grammar, genes).kind == "dense"
         for module in ind.modules
         for genes in module.layer_genes
-        if _decode_layer(grammar, module.start_symbol, genes).kind == "dense"
     )
 
 
@@ -250,6 +238,12 @@ def clamp_middle_point(ind: Individual, grammar: Grammar) -> Individual:
     return out
 
 
+def draw_middle_point(bound: Grammar, rng: np.random.Generator) -> int:
+    """A split point drawn from ``bound``, a grammar whose dynamic bound is set."""
+    genes = random_derivation(bound, MIDDLE_POINT_SYMBOL, rng)
+    return int(decode(bound, MIDDLE_POINT_SYMBOL, genes).attrs[MIDDLE_POINT_SYMBOL][0])
+
+
 def init_individual(
     grammar: Grammar,
     config: GenomeConfig,
@@ -259,27 +253,26 @@ def init_individual(
 ) -> Individual:
     """Draw a fresh individual with a valid split point.
 
-    Layer counts come from each module's ``init_layers`` range; the draw
-    repeats until the individual carries at least two dense layers, which
-    a dropout-heavy grammar may miss on a single attempt.
+    Each of the ``config.modules`` modules draws its layer count from
+    ``[init_layers_min, init_layers_max]``; the draw repeats until the
+    individual carries at least two dense layers, which a dropout-heavy
+    grammar may miss on a single attempt.
     """
     config.validate()
     for _ in range(_INIT_TRIES):
         modules = []
-        for spec in config.modules:
-            lo, hi = spec.init_layers
-            n_layers = int(rng.integers(lo, hi + 1))
-            genes = [random_derivation(grammar, spec.start_symbol, rng) for _ in range(n_layers)]
-            modules.append(ModuleGene(spec.start_symbol, genes, spec.min_layers, spec.max_layers))
+        for _ in range(config.modules):
+            n_layers = int(rng.integers(config.init_layers_min, config.init_layers_max + 1))
+            modules.append(
+                ModuleGene([random_derivation(grammar, LAYER_SYMBOL, rng) for _ in range(n_layers)])
+            )
         ind = Individual(modules, MacroGenes({}, 0), id, float(train_budget))
         hidden = count_hidden_layers(ind, grammar)
         if hidden < MIN_HIDDEN_LAYERS:
             continue
         bound = bind_dynamic_bound(grammar, hidden - MIN_HIDDEN_LAYERS)
-        macro = {s: random_derivation(bound, s, rng) for s in config.macro_symbols}
-        mp_genes = random_derivation(bound, config.middle_point_symbol, rng)
-        mp = decode(bound, config.middle_point_symbol, mp_genes).attrs[config.middle_point_symbol][0]
-        ind.macro = MacroGenes(macro, int(mp))
+        macro = {MACRO_SYMBOL: random_derivation(bound, MACRO_SYMBOL, rng)}
+        ind.macro = MacroGenes(macro, draw_middle_point(bound, rng))
         return ind
     raise ConfigError(
         f"could not draw {MIN_HIDDEN_LAYERS} dense layers in {_INIT_TRIES} attempts; "
@@ -290,21 +283,13 @@ def init_individual(
 def to_phenotype(ind: Individual, grammar: Grammar) -> PhenotypeSpec:
     """Unravel the genotype into a concrete layer stack plus hyperparameters.
 
-    Pure function; raises :class:`InvalidGenotypeError` when the individual
-    violates its invariants instead of silently repairing it.
+    Pure function; raises :class:`InvalidGenotypeError` when a gene does
+    not decode or the split point has no place, instead of silently
+    repairing it.  The layer bounds belong to the genome config, so
+    :func:`validate_individual` checks them.
     """
-    layers: list[LayerSpec] = []
-    dense = 0
-    for module in ind.modules:
-        if not module.min_layers <= len(module.layer_genes) <= module.max_layers:
-            raise InvalidGenotypeError(
-                f"module <{module.start_symbol}> has {len(module.layer_genes)} layers, "
-                f"outside [{module.min_layers}, {module.max_layers}]"
-            )
-        for genes in module.layer_genes:
-            layer = _decode_layer(grammar, module.start_symbol, genes)
-            layers.append(layer)
-            dense += layer.kind == "dense"
+    layers = [layer for module in ind.modules for layer in module_layer_specs(module, grammar)]
+    dense = sum(layer.kind == "dense" for layer in layers)
     if dense < MIN_HIDDEN_LAYERS:
         raise InvalidGenotypeError(f"phenotype has {dense} dense layers, need >= {MIN_HIDDEN_LAYERS}")
     aux = ind.macro.middle_point
@@ -324,10 +309,23 @@ def to_phenotype(ind: Individual, grammar: Grammar) -> PhenotypeSpec:
     return PhenotypeSpec(tuple(layers), aux, lr, batch)
 
 
-def validate_individual(ind: Individual, grammar: Grammar) -> None:
+def validate_module(module: ModuleGene, grammar: Grammar, genome: GenomeConfig) -> None:
+    """Raise :class:`InvalidGenotypeError` unless the module's layer count
+    lies within the genome's bounds and every layer decodes."""
+    if not genome.min_layers <= len(module.layer_genes) <= genome.max_layers:
+        raise InvalidGenotypeError(
+            f"module has {len(module.layer_genes)} layers, "
+            f"outside [{genome.min_layers}, {genome.max_layers}]"
+        )
+    module_layer_specs(module, grammar)
+
+
+def validate_individual(ind: Individual, grammar: Grammar, genome: GenomeConfig) -> None:
     """Raise :class:`InvalidGenotypeError` unless every invariant holds."""
     if not ind.modules:
         raise InvalidGenotypeError("individual has no modules")
     if not 0 <= ind.train_budget < math.inf:
         raise InvalidGenotypeError(f"train budget must be finite and >= 0, got {ind.train_budget}")
+    for module in ind.modules:
+        validate_module(module, grammar, genome)
     to_phenotype(ind, grammar)

@@ -29,13 +29,16 @@ import numpy as np
 
 from .errors import ConfigError
 from .genome import (
+    LAYER_SYMBOL,
     MIN_HIDDEN_LAYERS,
+    GenomeConfig,
     Individual,
     ModuleGene,
     clamp_middle_point,
     count_hidden_layers,
+    draw_middle_point,
 )
-from .grammar import GeneList, Grammar, bind_dynamic_bound, decode, random_derivation, repair
+from .grammar import GeneList, Grammar, bind_dynamic_bound, random_derivation, repair
 
 POWER_FLOOR_W = 1e-6
 DEFAULT_ARCHIVE_CAPACITY = 256
@@ -130,26 +133,26 @@ def select_archive_module(archive: ModuleArchive, rng: np.random.Generator) -> M
     return archive.entries[-1].module.copy()  # r landed on the top edge
 
 
-def _add_layer(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> None:
+def _add_layer(ind: Individual, grammar: Grammar, genome: GenomeConfig, rng: np.random.Generator) -> None:
     m = ind.modules[int(rng.integers(0, len(ind.modules)))]
-    if len(m.layer_genes) >= m.max_layers:
+    if len(m.layer_genes) >= genome.max_layers:
         return
     pos = int(rng.integers(0, len(m.layer_genes) + 1))
-    m.layer_genes.insert(pos, random_derivation(grammar, m.start_symbol, rng))
+    m.layer_genes.insert(pos, random_derivation(grammar, LAYER_SYMBOL, rng))
 
 
-def _reuse_layer(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> None:
+def _reuse_layer(ind: Individual, genome: GenomeConfig, rng: np.random.Generator) -> None:
     m = ind.modules[int(rng.integers(0, len(ind.modules)))]
-    if not m.layer_genes or len(m.layer_genes) >= m.max_layers:
+    if not m.layer_genes or len(m.layer_genes) >= genome.max_layers:
         return
     src = int(rng.integers(0, len(m.layer_genes)))
     pos = int(rng.integers(0, len(m.layer_genes) + 1))
     m.layer_genes.insert(pos, m.layer_genes[src].copy())
 
 
-def _remove_layer(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> None:
+def _remove_layer(ind: Individual, grammar: Grammar, genome: GenomeConfig, rng: np.random.Generator) -> None:
     m = ind.modules[int(rng.integers(0, len(ind.modules)))]
-    if len(m.layer_genes) <= m.min_layers:
+    if len(m.layer_genes) <= genome.min_layers:
         return
     pos = int(rng.integers(0, len(m.layer_genes)))
     removed = m.layer_genes.pop(pos)
@@ -157,7 +160,7 @@ def _remove_layer(ind: Individual, grammar: Grammar, rng: np.random.Generator) -
         m.layer_genes.insert(pos, removed)
 
 
-def _reuse_module(ind: Individual, grammar: Grammar, rng: np.random.Generator, archive: ModuleArchive) -> None:
+def _reuse_module(ind: Individual, rng: np.random.Generator, archive: ModuleArchive) -> None:
     module = select_archive_module(archive, rng)
     if module is None:
         return
@@ -178,7 +181,7 @@ def _dsge_level(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> 
     # re-derive one gene: redraw one expansion choice, then resample the
     # gene list's terminal values during repair (choices elsewhere are kept)
     targets: list[tuple[GeneList, str]] = [
-        (genes, m.start_symbol) for m in ind.modules for genes in m.layer_genes
+        (genes, LAYER_SYMBOL) for m in ind.modules for genes in m.layer_genes
     ]
     targets.extend((ind.macro.genes[s], s) for s in sorted(ind.macro.genes))
     genes, start = targets[int(rng.integers(0, len(targets)))]
@@ -195,9 +198,7 @@ def _dsge_level(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> 
         genes.choices, genes.values = before.choices, before.values
 
 
-def _macro_layer(
-    ind: Individual, grammar: Grammar, rng: np.random.Generator, middle_point_symbol: str
-) -> None:
+def _macro_layer(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> None:
     # resample the values of one macro derivation, or redraw the split point
     symbols = sorted(ind.macro.genes)
     pick = int(rng.integers(0, len(symbols) + 1))
@@ -209,10 +210,7 @@ def _macro_layer(
     else:
         hidden = count_hidden_layers(ind, grammar)
         bound = bind_dynamic_bound(grammar, hidden - MIN_HIDDEN_LAYERS)
-        mp_genes = random_derivation(bound, middle_point_symbol, rng)
-        ind.macro.middle_point = int(
-            decode(bound, middle_point_symbol, mp_genes).attrs[middle_point_symbol][0]
-        )
+        ind.macro.middle_point = draw_middle_point(bound, rng)
 
 
 def mutate(
@@ -220,32 +218,32 @@ def mutate(
     rates: MutationRates,
     archive: ModuleArchive,
     grammar: Grammar,
+    genome: GenomeConfig,
     rng: np.random.Generator,
     new_id: int,
     train_increment: float = 1.0,
-    middle_point_symbol: str = "middle_point",
 ) -> Individual:
     """Produce one offspring; the parent is never modified.
 
     Every operator keeps the offspring valid: layer counts stay inside
-    each module's bounds, at least two dense layers survive (violating
+    the genome's bounds, at least two dense layers survive (violating
     removals are reverted), and ``middle_point`` is re-clamped at the end.
     """
     child = ind.copy(new_id=new_id)
     if rng.random() < rates.add_layer:
-        _add_layer(child, grammar, rng)
+        _add_layer(child, grammar, genome, rng)
     if rng.random() < rates.reuse_layer:
-        _reuse_layer(child, grammar, rng)
+        _reuse_layer(child, genome, rng)
     if rng.random() < rates.remove_layer:
-        _remove_layer(child, grammar, rng)
+        _remove_layer(child, grammar, genome, rng)
     if rng.random() < rates.reuse_module:
-        _reuse_module(child, grammar, rng, archive)
+        _reuse_module(child, rng, archive)
     if rng.random() < rates.remove_module:
         _remove_module(child, grammar, rng)
     if rng.random() < rates.dsge_level:
         _dsge_level(child, grammar, rng)
     if rng.random() < rates.macro_layer:
-        _macro_layer(child, grammar, rng, middle_point_symbol)
+        _macro_layer(child, grammar, rng)
     if rng.random() < rates.train_longer:
         child.train_budget += train_increment
     return clamp_middle_point(child, grammar)

@@ -25,7 +25,6 @@ from evopower.evolution import run_experiment
 from evopower.fitness import fitness_f1, fitness_f2, fitness_f3
 from evopower.genome import (
     GenomeConfig,
-    ModuleSpec,
     count_hidden_layers,
     init_individual,
     to_phenotype,
@@ -76,7 +75,7 @@ def test_criterion_01_fitness_oracle_table():
 
 def test_criterion_02_inverse_power_selection():
     grammar = load_packaged_grammar("dense_only")
-    cfg = GenomeConfig(modules=[ModuleSpec(min_layers=2, max_layers=3, init_layers=(2, 3))])
+    cfg = GenomeConfig(min_layers=2, max_layers=3, init_layers_min=2, init_layers_max=3)
     rng = np.random.default_rng(2)
     modules = {}
     while len(modules) < 4:
@@ -137,9 +136,7 @@ def test_criterion_04_partition_equivalence():
     rng = np.random.default_rng(4)
     worst = 0.0
     for _ in range(100):
-        cfg = GenomeConfig(
-            modules=[ModuleSpec(min_layers=2, max_layers=4, init_layers=(2, 4))]
-        )
+        cfg = GenomeConfig(min_layers=2, max_layers=4, init_layers_min=2, init_layers_max=4)
         ind = init_individual(grammar, cfg, rng)
         dims = int(rng.integers(3, 13))
         classes = int(rng.integers(2, 7))
@@ -175,7 +172,7 @@ def test_criterion_05_gradient_correctness():
     worst = 0.0
     checked = 0
     while checked < 20:
-        cfg = GenomeConfig(modules=[ModuleSpec(min_layers=2, max_layers=3, init_layers=(2, 3))])
+        cfg = GenomeConfig(min_layers=2, max_layers=3, init_layers_min=2, init_layers_max=3)
         ind = init_individual(grammar, cfg, rng)
         spec = to_phenotype(ind, grammar)
         small = spec.__class__(
@@ -202,20 +199,22 @@ def test_criterion_06_mutation_validity_fuzz():
     steps = 0
     for chain in range(1000):
         grammar = grammars[chain % 2]
-        spec = ModuleSpec(
+        # keyword arguments evaluate in order: the bounds, then the module count
+        cfg = GenomeConfig(
             min_layers=int(rng.integers(1, 3)),
             max_layers=int(rng.integers(3, 6)),
-            init_layers=(2, 3),
+            init_layers_min=2,
+            init_layers_max=3,
+            modules=int(rng.integers(1, 3)),
         )
-        cfg = GenomeConfig(modules=[spec] * int(rng.integers(1, 3)))
         ind = init_individual(grammar, cfg, rng)
         rates = MutationRates(*(float(r) for r in rng.uniform(0.0, 1.0, 8)))
         archive = ModuleArchive()
         for mod in ind.modules:
             archive_insert(archive, mod, float(rng.uniform(30.0, 70.0)))
         for step in range(10):
-            ind = mutate(ind, rates, archive, grammar, rng, new_id=step)
-            validate_individual(ind, grammar)
+            ind = mutate(ind, rates, archive, grammar, cfg, rng, new_id=step)
+            validate_individual(ind, grammar, cfg)
             hidden = count_hidden_layers(ind, grammar)
             assert 0 <= ind.macro.middle_point <= hidden - 2
             archive_insert(archive, ind.modules[0], float(rng.uniform(30.0, 70.0)))

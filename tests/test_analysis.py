@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import math
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 import scipy.stats
 
 from evopower.analysis import (
+    ENUMERATION_CAP,
     SampleGroup,
     _chi2_sf,
     analyze_experiments,
@@ -21,6 +23,7 @@ from evopower.analysis import (
     midranks,
     summarize,
 )
+from evopower.cli import entry
 from evopower.errors import DataError, EnumerationCapError
 from evopower.evolution import CSV_COLUMNS, read_rows
 
@@ -299,18 +302,28 @@ def test_load_experiment_rows_fallback_and_missing(tmp_path):
     assert len(load_experiment_rows(tmp_path)) == 2
 
 
-def test_analyze_experiments_outputs(tmp_path):
+def write_experiments(root: Path, runs: int) -> None:
+    """baseline/ and proposed/ aggregate CSVs of ``runs`` runs each."""
     baseline_rows = [make_row(run=r, generation=gen, individual=i,
                               fitness=0.7 + 0.01 * i, acc_left=0.75 + 0.01 * r,
                               power_left=95.0 + r, power_right=90.0)
-                     for r in range(5) for gen in range(2) for i in range(3)]
+                     for r in range(runs) for gen in range(2) for i in range(3)]
     proposed_rows = [make_row(run=r, generation=gen, individual=i,
                               fitness=1.5 + 0.01 * i, acc_left=0.74 + 0.01 * r,
                               acc_right=0.70 + 0.01 * r, power_left=70.0 + r,
                               power_right=60.0 + r)
-                     for r in range(5) for gen in range(2) for i in range(3)]
-    write_rows(tmp_path / "baseline" / "aggregate.csv", baseline_rows)
-    write_rows(tmp_path / "proposed" / "aggregate.csv", proposed_rows)
+                     for r in range(runs) for gen in range(2) for i in range(3)]
+    write_rows(root / "baseline" / "aggregate.csv", baseline_rows)
+    write_rows(root / "proposed" / "aggregate.csv", proposed_rows)
+
+
+def pairwise_methods(path: Path) -> set[str]:
+    with open(path, newline="") as fh:
+        return {row["method"] for row in csv.DictReader(fh)}
+
+
+def test_analyze_experiments_outputs(tmp_path):
+    write_experiments(tmp_path, 5)
 
     written = analyze_experiments(tmp_path / "baseline", tmp_path / "proposed",
                                   tmp_path / "out")
@@ -330,6 +343,30 @@ def test_analyze_experiments_outputs(tmp_path):
     left_power_diff = float(summary[("power", "left_power_w")][5])
     assert base_power_median == 97.0  # median over runs 0..4 of 95+r
     assert left_power_diff == pytest.approx(72.0 - 97.0)
+
+
+def test_analyze_uses_exact_mann_whitney_while_enumeration_fits(tmp_path):
+    # C(10, 5) = 252 arrangements: exact, with the bytes the exact-only
+    # analyze wrote for these inputs
+    write_experiments(tmp_path, 5)
+    analyze_experiments(tmp_path / "baseline", tmp_path / "proposed", tmp_path / "out")
+    path = tmp_path / "out" / "pairwise_mann_whitney.csv"
+    assert pairwise_methods(path) == {"exact"}
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "107934819c67f2606bb184b4c671e1fe138f1cf3c2f06c198e7ef345e540aea4"
+
+
+def test_analyze_cli_switches_to_approximate_mann_whitney_for_eleven_runs(tmp_path, capsys):
+    # C(22, 11) = 705432 arrangements exceed the enumeration cap
+    assert math.comb(22, 11) > ENUMERATION_CAP >= math.comb(20, 10)
+    write_experiments(tmp_path, 11)
+    code = entry(["analyze", "--baseline", str(tmp_path / "baseline"),
+                  "--proposed", str(tmp_path / "proposed"), "--out", str(tmp_path / "out")])
+    assert code == 0, capsys.readouterr().err
+    assert pairwise_methods(tmp_path / "out" / "pairwise_mann_whitney.csv") == {"approximate"}
+    with pytest.raises(SystemExit):  # the group sizes pick the mode; no flag does
+        entry(["analyze", "--baseline", str(tmp_path / "baseline"), "--proposed",
+               str(tmp_path / "proposed"), "--out", str(tmp_path / "o2"), "--mw-mode", "exact"])
 
 
 def test_experiment_groups_shape():

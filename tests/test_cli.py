@@ -56,7 +56,7 @@ def test_config_defaults_and_round_trip(tmp_path):
     assert app.evolution.fitness.kind == "f3"
     assert app.grammar == "dense_only"
     assert app.data.dimensions == 5
-    assert app.evolution.genome.modules[0].max_layers == 4
+    assert app.evolution.genome.max_layers == 4
 
     flat = app.to_flat()
     again = AppConfig.from_flat(flat)
@@ -167,16 +167,17 @@ def test_probe_prints_watts_and_macs(tmp_path, capsys):
     assert entry(["probe", str(not_a_genotype), "--config", cfg]) == 2
 
 
-# a best_genotype.json "individual" entry as the per-generation-snapshot
-# releases wrote it (init_individual on dense_only, seed 0)
+# a best_genotype.json "individual" entry written by hand from the
+# version 2 format (init_individual on dense_only, seed 0), so that a
+# format change shows up here
 LEGACY_GENOTYPE = (
     '{"id": 3, "macro": {"genes": {"learning": {"choices": {"learning": [0]}, "values": '
     '{"batch": [[35]], "lr": [[0.08134569689610723]]}}}, "middle_point": 1}, "modules": '
     '[{"layer_genes": [{"choices": {"activation": [1], "dense": [0], "layer": [0]}, '
     '"values": {"units": [[169]]}}, {"choices": {"activation": [0], "dense": [0], '
     '"layer": [0]}, "values": {"units": [[81]]}}, {"choices": {"activation": [0], '
-    '"dense": [0], "layer": [0]}, "values": {"units": [[25]]}}], "max_layers": 4, '
-    '"min_layers": 2, "start_symbol": "layer"}], "train_budget": 2.0, "version": 1}'
+    '"dense": [0], "layer": [0]}, "values": {"units": [[25]]}}]}], "train_budget": 2.0, '
+    '"version": 2}'
 )
 
 
@@ -187,6 +188,14 @@ def test_probe_reads_legacy_genotype_files(tmp_path, capsys):
     path.write_text(json.dumps({"mode": "proposed", "run": 0, "individual": legacy}))
     assert entry(["probe", str(path), "--config", write_cfg(tmp_path)]) == 0
     assert capsys.readouterr().out.startswith("module 0: ")
+
+    # version 1 kept the layer bounds and the start symbol in every module
+    old = {**legacy, "version": 1}
+    old["modules"] = [{**m, "max_layers": 4, "min_layers": 2, "start_symbol": "layer"}
+                      for m in legacy["modules"]]
+    path.write_text(json.dumps({"mode": "proposed", "run": 0, "individual": old}))
+    assert entry(["probe", str(path), "--config", write_cfg(tmp_path)]) == 2
+    assert "unsupported individual record version 1" in capsys.readouterr().err
 
 
 def test_analyze_cli(tmp_path, capsys):

@@ -23,7 +23,7 @@ from evopower.evolution import (
     select_parent,
 )
 from evopower.fitness import WORST_FITNESS, evaluate_fitness
-from evopower.genome import GenomeConfig, ModuleSpec, init_individual
+from evopower.genome import GenomeConfig, init_individual
 from evopower.grammar import load_packaged_grammar
 from evopower.mutation import MutationRates
 from evopower.network import Network, load_weights
@@ -52,8 +52,7 @@ def tiny_config(**overrides):
         max_train_budget=6.0,
         n_measures=3,
         seed=11,
-        genome=GenomeConfig(modules=[ModuleSpec(min_layers=2, max_layers=4,
-                                                init_layers=(2, 3))]),
+        genome=GenomeConfig(min_layers=2, max_layers=4, init_layers_min=2, init_layers_max=3),
     )
     base.update(overrides)
     return EvolutionConfig(**base)
@@ -406,6 +405,36 @@ def test_journal_member_that_does_not_decode_is_a_checkpoint_error(tmp_path):
     with pytest.raises(CheckpointError,
                        match=r"journal\.jsonl line 4: member 0: individual has no modules"):
         run_es(longer, GRAMMAR, DATA, out_dir=tmp_path / "r")
+
+
+def _undecodable(entry):
+    entry["module"]["layer_genes"][0]["choices"]["layer"] = [99]
+
+
+def _too_long(entry):
+    entry["module"]["layer_genes"] *= 5
+
+
+@pytest.mark.parametrize("damage, message", [
+    (_undecodable, "inserted module 0: expansion index 99 out of range"),
+    (_too_long, r"inserted module 0: module has \d+ layers, outside \[2, 4\]"),
+    (lambda entry: entry.update(power_watts=math.nan), "inserted module 0: power must be finite"),
+    (lambda entry: entry.update(power_watts=math.inf), "inserted module 0: power must be finite"),
+    (lambda entry: entry.update(power_watts=-1.0), "inserted module 0: power must be finite"),
+])
+def test_journal_archive_insert_that_is_unusable_is_a_checkpoint_error(tmp_path, damage, message):
+    # an archived module is only decoded when reuse_module picks it, and a
+    # NaN power would poison every roulette draw, so resume checks both
+    cfg = tiny_config(runs=1, generations=2, seed=5)
+    run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
+    journal = tmp_path / "r" / "checkpoints" / "journal.jsonl"
+    lines = journal.read_text().splitlines(keepends=True)
+    first = json.loads(lines[1])
+    assert first["inserted"]
+    damage(first["inserted"][0])
+    journal.write_text(lines[0] + json.dumps(first) + "\n" + "".join(lines[2:]))
+    with pytest.raises(CheckpointError, match=r"journal\.jsonl line 2: " + message):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
 
 
 def test_journal_lines_are_the_asdict_serialization(tmp_path, monkeypatch):

@@ -11,7 +11,6 @@ from evopower.genome import (
     Individual,
     MacroGenes,
     ModuleGene,
-    ModuleSpec,
     clamp_middle_point,
     count_hidden_layers,
     genotype_payload,
@@ -43,13 +42,13 @@ def learning_gene(lr=0.01, batch=64):
 
 def make_individual(layer_genes, middle_point=0, id=0, modules=None):
     if modules is None:
-        modules = [ModuleGene("layer", layer_genes, 1, 10)]
+        modules = [ModuleGene(layer_genes)]
     macro = MacroGenes({"learning": learning_gene()}, middle_point)
     return Individual(modules, macro, id, 1.0)
 
 
 def test_init_respects_layer_range():
-    cfg = GenomeConfig(modules=[ModuleSpec(init_layers=(2, 3))])
+    cfg = GenomeConfig(init_layers_min=2, init_layers_max=3)
     rng = np.random.default_rng(0)
     counts = set()
     for i in range(1000):
@@ -74,11 +73,13 @@ def test_init_is_deterministic():
 def test_init_rejects_inverted_bounds():
     with pytest.raises(ConfigError):
         init_individual(
-            GRAMMAR, GenomeConfig(modules=[ModuleSpec(min_layers=3, max_layers=2)]),
+            GRAMMAR, GenomeConfig(min_layers=3, max_layers=2),
             np.random.default_rng(0),
         )
     with pytest.raises(ConfigError):
-        ModuleSpec(init_layers=(1, 3)).validate()  # below min_layers
+        GenomeConfig(init_layers_min=1, init_layers_max=3).validate()  # below min_layers
+    with pytest.raises(ConfigError, match="modules"):
+        GenomeConfig(modules=0).validate()
 
 
 def test_init_fails_on_dense_free_grammar():
@@ -92,8 +93,8 @@ def test_count_hidden_layers():
     mixed = [dense_gene(), dropout_gene(), dense_gene()]
     assert count_hidden_layers(make_individual(mixed), GRAMMAR) == 2
     two_mods = [
-        ModuleGene("layer", [dense_gene(32), dense_gene(48)], 1, 10),
-        ModuleGene("layer", [dense_gene(64), dense_gene(96)], 1, 10),
+        ModuleGene([dense_gene(32), dense_gene(48)]),
+        ModuleGene([dense_gene(64), dense_gene(96)]),
     ]
     assert count_hidden_layers(make_individual(None, modules=two_mods), GRAMMAR) == 4
 
@@ -119,8 +120,8 @@ def test_clamp_rejects_single_hidden_layer():
 
 def test_to_phenotype_concatenates_modules():
     mods = [
-        ModuleGene("layer", [dense_gene(32), dense_gene(48)], 1, 10),
-        ModuleGene("layer", [dense_gene(64), dense_gene(96)], 1, 10),
+        ModuleGene([dense_gene(32), dense_gene(48)]),
+        ModuleGene([dense_gene(64), dense_gene(96)]),
     ]
     ind = make_individual(None, middle_point=1, modules=mods)
     spec = to_phenotype(ind, GRAMMAR)
@@ -151,24 +152,32 @@ def test_to_phenotype_rejects_invariant_violations():
     ind = make_individual([dense_gene()] * 2, middle_point=1)
     with pytest.raises(InvalidGenotypeError, match="middle_point"):
         to_phenotype(ind, GRAMMAR)
-    # module layer count outside bounds
-    ind = make_individual(None, modules=[ModuleGene("layer", [dense_gene()] * 3, 1, 2)])
-    with pytest.raises(InvalidGenotypeError, match="outside"):
-        to_phenotype(ind, GRAMMAR)
     # too few dense layers overall
     ind = make_individual([dense_gene(), dropout_gene()])
     with pytest.raises(InvalidGenotypeError, match="dense"):
         to_phenotype(ind, GRAMMAR)
 
 
+def test_validate_individual_rejects_module_outside_layer_bounds():
+    # the genome's bounds, not the phenotype, limit a module's layer count
+    ind = make_individual(None, modules=[ModuleGene([dense_gene()] * 3)])
+    to_phenotype(ind, GRAMMAR)
+    validate_individual(ind, GRAMMAR, GenomeConfig(min_layers=1, max_layers=3))
+    with pytest.raises(InvalidGenotypeError, match="outside"):
+        validate_individual(ind, GRAMMAR, GenomeConfig(min_layers=1, max_layers=2))
+    with pytest.raises(InvalidGenotypeError, match="outside"):
+        validate_individual(ind, GRAMMAR, GenomeConfig(min_layers=4, max_layers=6,
+                                                       init_layers_min=4, init_layers_max=4))
+
+
 @pytest.mark.parametrize("budget", [-1.0, math.inf, math.nan])
 def test_validate_individual_rejects_unusable_train_budgets(budget):
     # a journal may carry any float; training rounds the budget to epochs
     ind = init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(3))
-    validate_individual(ind, GRAMMAR)
+    validate_individual(ind, GRAMMAR, GenomeConfig())
     ind.train_budget = budget
     with pytest.raises(InvalidGenotypeError, match="train budget"):
-        validate_individual(ind, GRAMMAR)
+        validate_individual(ind, GRAMMAR, GenomeConfig())
 
 
 def test_to_phenotype_is_pure():
@@ -190,7 +199,7 @@ def test_serialization_round_trip():
     blob = json.dumps(genotype_payload(ind))
     back = load_genotype(json.loads(blob))
     assert back == ind
-    validate_individual(back, GRAMMAR)
+    validate_individual(back, GRAMMAR, GenomeConfig())
     assert load_typed(Individual, json.loads(json.dumps(dataclasses.asdict(ind)))) == ind
 
 

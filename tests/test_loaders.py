@@ -5,6 +5,7 @@ truncated or mutated input."""
 import copy
 import gzip
 import json
+import math
 import struct
 import tempfile
 from functools import lru_cache
@@ -26,7 +27,7 @@ from evopower.evolution import (
     run_experiment,
     write_rows_csv,
 )
-from evopower.genome import GenomeConfig, ModuleSpec
+from evopower.genome import GenomeConfig, validate_module
 from evopower.grammar import load_packaged_grammar, parse_grammar
 
 GRAMMAR = load_packaged_grammar("dense_only")
@@ -38,7 +39,7 @@ CFG = EvolutionConfig(
     max_train_budget=2.0,
     n_measures=2,
     seed=3,
-    genome=GenomeConfig(modules=[ModuleSpec(min_layers=2, max_layers=3, init_layers=(2, 3))]),
+    genome=GenomeConfig(min_layers=2, max_layers=3, init_layers_min=2, init_layers_max=3),
 )
 
 # unbounded draws rarely reach the ints a float cannot hold, so add some
@@ -124,9 +125,13 @@ def test_journal_loader_raises_only_checkpoint_error(data):
         path = Path(tmp) / "journal.jsonl"
         path.write_bytes(payload)
         try:
-            _load_journal(path, fingerprint, 0, CFG, GRAMMAR)
+            state = _load_journal(path, fingerprint, 0, CFG, GRAMMAR)
         except CheckpointError:
-            pass
+            return
+    # whatever loads can feed reuse_module: every archived module decodes
+    for entry in state.archive.entries if state is not None else ():
+        validate_module(entry.module, GRAMMAR, CFG.genome)
+        assert 0 <= entry.power_watts < math.inf
 
 
 @settings(max_examples=300, deadline=None)

@@ -23,6 +23,7 @@ from evopower.mutation import (
 from evopower.grammar import load_packaged_grammar
 
 GRAMMAR = load_packaged_grammar("default")
+GENOME = GenomeConfig()
 ZERO = MutationRates(0, 0, 0, 0, 0, 0, 0, 0)
 
 
@@ -196,7 +197,7 @@ def test_archive_capacity_never_exceeded():
 
 def test_zero_rates_change_only_identity():
     parent = fresh(7, id=1)
-    child = mutate(parent, ZERO, ModuleArchive(), GRAMMAR, np.random.default_rng(0), new_id=2)
+    child = mutate(parent, ZERO, ModuleArchive(), GRAMMAR, GENOME, np.random.default_rng(0), new_id=2)
     assert child.id == 2
     assert child.genotype_key() == parent.genotype_key()
     assert child.train_budget == parent.train_budget
@@ -207,15 +208,15 @@ def test_mutate_never_touches_parent():
     key = parent.genotype_key()
     rng = np.random.default_rng(1)
     for i in range(50):
-        mutate(parent, MutationRates(), archive_with([50.0, 80.0]), GRAMMAR, rng, new_id=i)
+        mutate(parent, MutationRates(), archive_with([50.0, 80.0]), GRAMMAR, GENOME, rng, new_id=i)
     assert parent.genotype_key() == key
 
 
 def test_mutate_is_deterministic():
     parent = fresh(9)
     archive = archive_with([45.0, 60.0, 75.0])
-    a = mutate(parent, MutationRates(), archive, GRAMMAR, np.random.default_rng(33), new_id=5)
-    b = mutate(parent, MutationRates(), archive, GRAMMAR, np.random.default_rng(33), new_id=5)
+    a = mutate(parent, MutationRates(), archive, GRAMMAR, GENOME, np.random.default_rng(33), new_id=5)
+    b = mutate(parent, MutationRates(), archive, GRAMMAR, GENOME, np.random.default_rng(33), new_id=5)
     assert a.genotype_key() == b.genotype_key()
     assert a.train_budget == b.train_budget
 
@@ -223,7 +224,7 @@ def test_mutate_is_deterministic():
 def test_train_longer_adds_exact_increment():
     parent = fresh(2)
     child = mutate(
-        parent, only(train_longer=1.0), ModuleArchive(), GRAMMAR,
+        parent, only(train_longer=1.0), ModuleArchive(), GRAMMAR, GENOME,
         np.random.default_rng(0), new_id=1, train_increment=2.5,
     )
     assert child.train_budget == parent.train_budget + 2.5
@@ -232,17 +233,17 @@ def test_train_longer_adds_exact_increment():
 
 def test_add_layer_grows_by_one_until_max():
     parent = fresh(5)
-    child = mutate(parent, only(add_layer=1.0), ModuleArchive(), GRAMMAR, np.random.default_rng(3), new_id=1)
+    child = mutate(parent, only(add_layer=1.0), ModuleArchive(), GRAMMAR, GENOME, np.random.default_rng(3), new_id=1)
     assert len(child.modules[0].layer_genes) == len(parent.modules[0].layer_genes) + 1
 
     # saturate, then verify the guard
     rng = np.random.default_rng(4)
     ind = parent
     for i in range(20):
-        ind = mutate(ind, only(add_layer=1.0), ModuleArchive(), GRAMMAR, rng, new_id=i)
-    assert len(ind.modules[0].layer_genes) == ind.modules[0].max_layers
-    again = mutate(ind, only(add_layer=1.0), ModuleArchive(), GRAMMAR, rng, new_id=99)
-    assert len(again.modules[0].layer_genes) == ind.modules[0].max_layers
+        ind = mutate(ind, only(add_layer=1.0), ModuleArchive(), GRAMMAR, GENOME, rng, new_id=i)
+    assert len(ind.modules[0].layer_genes) == GENOME.max_layers
+    again = mutate(ind, only(add_layer=1.0), ModuleArchive(), GRAMMAR, GENOME, rng, new_id=99)
+    assert len(again.modules[0].layer_genes) == GENOME.max_layers
 
 
 def test_remove_layer_respects_min_and_dense_floor():
@@ -250,15 +251,15 @@ def test_remove_layer_respects_min_and_dense_floor():
     rng = np.random.default_rng(5)
     ind = parent
     for i in range(30):
-        ind = mutate(ind, only(remove_layer=1.0), ModuleArchive(), GRAMMAR, rng, new_id=i)
-        assert len(ind.modules[0].layer_genes) >= ind.modules[0].min_layers
+        ind = mutate(ind, only(remove_layer=1.0), ModuleArchive(), GRAMMAR, GENOME, rng, new_id=i)
+        assert len(ind.modules[0].layer_genes) >= GENOME.min_layers
         assert count_hidden_layers(ind, GRAMMAR) >= 2
-    assert len(ind.modules[0].layer_genes) == ind.modules[0].min_layers
+    assert len(ind.modules[0].layer_genes) == GENOME.min_layers
 
 
 def test_reuse_layer_duplicates_existing_gene():
     parent = fresh(12)
-    child = mutate(parent, only(reuse_layer=1.0), ModuleArchive(), GRAMMAR, np.random.default_rng(2), new_id=1)
+    child = mutate(parent, only(reuse_layer=1.0), ModuleArchive(), GRAMMAR, GENOME, np.random.default_rng(2), new_id=1)
     genes = child.modules[0].layer_genes
     assert len(genes) == len(parent.modules[0].layer_genes) + 1
     parent_keys = [g.canonical() for g in parent.modules[0].layer_genes]
@@ -269,37 +270,35 @@ def test_reuse_module_inserts_archive_pick():
     parent = fresh(14)
     archive = archive_with([25.0, 70.0])
     archive_keys = [e.module.genotype_key() for e in archive.entries]
-    child = mutate(parent, only(reuse_module=1.0), archive, GRAMMAR, np.random.default_rng(6), new_id=1)
+    child = mutate(parent, only(reuse_module=1.0), archive, GRAMMAR, GENOME, np.random.default_rng(6), new_id=1)
     assert len(child.modules) == len(parent.modules) + 1
     added = [m for m in child.modules if m.genotype_key() not in
              [p.genotype_key() for p in parent.modules]]
     assert any(m.genotype_key() in archive_keys for m in added)
-    validate_individual(child, GRAMMAR)
+    validate_individual(child, GRAMMAR, GENOME)
 
 
 def test_reuse_module_skipped_on_empty_archive():
     parent = fresh(15)
-    child = mutate(parent, only(reuse_module=1.0), ModuleArchive(), GRAMMAR, np.random.default_rng(7), new_id=1)
+    child = mutate(parent, only(reuse_module=1.0), ModuleArchive(), GRAMMAR, GENOME, np.random.default_rng(7), new_id=1)
     assert child.genotype_key() == parent.genotype_key()
 
 
 def test_remove_module_skipped_at_one_module():
     parent = fresh(16)
     assert len(parent.modules) == 1
-    child = mutate(parent, only(remove_module=1.0), ModuleArchive(), GRAMMAR, np.random.default_rng(8), new_id=1)
+    child = mutate(parent, only(remove_module=1.0), ModuleArchive(), GRAMMAR, GENOME, np.random.default_rng(8), new_id=1)
     assert len(child.modules) == 1
     assert child.genotype_key() == parent.genotype_key()
 
 
 def test_remove_module_drops_one_when_possible():
-    from evopower.genome import ModuleSpec
-
     dense = load_packaged_grammar("dense_only")
-    cfg = GenomeConfig(modules=[ModuleSpec(init_layers=(2, 2)), ModuleSpec(init_layers=(2, 2))])
+    cfg = GenomeConfig(modules=2, init_layers_min=2, init_layers_max=2)
     parent = init_individual(dense, cfg, np.random.default_rng(17))
-    child = mutate(parent, only(remove_module=1.0), ModuleArchive(), dense, np.random.default_rng(9), new_id=1)
+    child = mutate(parent, only(remove_module=1.0), ModuleArchive(), dense, cfg, np.random.default_rng(9), new_id=1)
     assert len(child.modules) == 1
-    validate_individual(child, dense)
+    validate_individual(child, dense, cfg)
 
 
 def test_dsge_level_keeps_genotype_decodable():
@@ -307,8 +306,8 @@ def test_dsge_level_keeps_genotype_decodable():
     ind = fresh(18)
     changed = 0
     for i in range(200):
-        child = mutate(ind, only(dsge_level=1.0), ModuleArchive(), GRAMMAR, rng, new_id=i)
-        validate_individual(child, GRAMMAR)
+        child = mutate(ind, only(dsge_level=1.0), ModuleArchive(), GRAMMAR, GENOME, rng, new_id=i)
+        validate_individual(child, GRAMMAR, GENOME)
         changed += child.genotype_key() != ind.genotype_key()
         ind = child
     assert changed > 0
@@ -322,7 +321,7 @@ def test_macro_layer_resamples_hyperparams_or_split():
     base = to_phenotype(parent, GRAMMAR)
     seen_change = False
     for i in range(100):
-        child = mutate(parent, only(macro_layer=1.0), ModuleArchive(), GRAMMAR, rng, new_id=i)
+        child = mutate(parent, only(macro_layer=1.0), ModuleArchive(), GRAMMAR, GENOME, rng, new_id=i)
         spec = to_phenotype(child, GRAMMAR)
         assert 0.0001 <= spec.learning_rate < 0.1
         assert 32 <= spec.batch_size <= 256
@@ -337,7 +336,7 @@ def test_middle_point_reclamped_after_structural_change():
     rng = np.random.default_rng(13)
     for i in range(300):
         ind = fresh(400 + i)
-        child = mutate(ind, MutationRates(), archive_with([40.0]), GRAMMAR, rng, new_id=i)
+        child = mutate(ind, MutationRates(), archive_with([40.0]), GRAMMAR, GENOME, rng, new_id=i)
         hidden = count_hidden_layers(child, GRAMMAR)
         assert 0 <= child.macro.middle_point <= hidden - 2
 
@@ -352,7 +351,7 @@ def test_mutation_closure_fuzz():
         ind = fresh(1000 + chain)
         archive_insert(archive, ind.modules[0], float(rng.uniform(20, 90)))
         for step in range(100):
-            ind = mutate(ind, rates, archive, GRAMMAR, rng, new_id=step)
-            validate_individual(ind, GRAMMAR)
+            ind = mutate(ind, rates, archive, GRAMMAR, GENOME, rng, new_id=step)
+            validate_individual(ind, GRAMMAR, GENOME)
             checked += 1
     assert checked == 10_000

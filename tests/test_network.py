@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from evopower.errors import EvaluationError, TrainingDivergedError
-from evopower.genome import GenomeConfig, LayerSpec, ModuleSpec, PhenotypeSpec, init_individual, to_phenotype
+from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, init_individual, to_phenotype
 from evopower.grammar import load_packaged_grammar
 from evopower.network import (
     _backward,
@@ -525,7 +525,7 @@ def criterion_5_networks():
     rng = np.random.default_rng(5)
     nets = []
     while len(nets) < 20:
-        cfg = GenomeConfig(modules=[ModuleSpec(min_layers=2, max_layers=3, init_layers=(2, 3))])
+        cfg = GenomeConfig(min_layers=2, max_layers=3, init_layers_min=2, init_layers_max=3)
         spec = to_phenotype(init_individual(grammar, cfg, rng), grammar)
         small = PhenotypeSpec(
             tuple(LayerSpec(l.kind, int(rng.integers(3, 7)), l.activation, l.rate) for l in spec.layers),

@@ -25,7 +25,7 @@ def dense_module(units=64):
         choices={"layer": [0], "dense": [0], "activation": [0]},
         values={"units": [[units]]},
     )
-    return ModuleGene("layer", [genes], 1, 10)
+    return ModuleGene([genes])
 
 
 def test_watt_conversion():

@@ -21,7 +21,7 @@ from evopower.power import (
     measure_mean,
 )
 
-# watts = mJ / 1000 / s, one reading per window
+# watts = mJ / (1000 * s), one reading per window
 meter = ScriptedMeter([(5000.0, 0.5), (1000.0, 1.0), (1500.0, 0.25)])
 res = measure_mean(meter, work=lambda: None, n_measures=3)
 print("scripted watts:", res.samples, " mean %.3f W" % res.mean_watts)

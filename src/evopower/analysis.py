@@ -6,9 +6,9 @@ with Bonferroni correction, and summary tables reporting mean, sample
 standard deviation, median, and each group's difference to the baseline
 median.  Ties are handled by midranks throughout.
 
-Mann-Whitney supports two modes.  Exact mode enumerates every
-C(n_a + n_b, n_a) assignment of the pooled values to group a, so its
-p-values are exact even under ties; enumeration is refused above
+Mann-Whitney supports two modes.  Exact mode counts every one of the
+C(n_a + n_b, n_a) assignments of the pooled values to group a by its
+rank sum, so its p-values are exact even under ties; it is refused above
 ``ENUMERATION_CAP`` arrangements.  Approximate mode uses the normal
 approximation with tie-corrected variance and a 0.5 continuity
 correction.  Two-sided p-values are reported by default.  The experiment
@@ -120,8 +120,17 @@ def _normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
-def _u_statistic(ranks: np.ndarray, idx, n_a: int) -> float:
-    return float(ranks[list(idx)].sum()) - n_a * (n_a + 1) / 2.0
+def _rank_sum_counts(doubled: np.ndarray, n_a: int) -> np.ndarray:
+    """``counts[s]``: how many size-``n_a`` subsets of the integer
+    ``doubled`` ranks sum to ``s``, by dynamic programming over the items."""
+    top = int(doubled.sum())
+    counts = np.zeros((n_a + 1, top + 1), dtype=np.int64)
+    counts[0, 0] = 1
+    for i, w in enumerate(doubled.tolist()):
+        # larger subsets first, so each item joins a subset at most once
+        for k in range(min(i + 1, n_a), 0, -1):
+            counts[k, w:] += counts[k - 1, : top + 1 - w]
+    return counts[n_a]
 
 
 def mann_whitney_u(
@@ -130,7 +139,7 @@ def mann_whitney_u(
     mode: str = "exact",
     alternative: str = "two-sided",
 ) -> TestResult:
-    """U for group a against b; exact enumeration or normal approximation.
+    """U for group a against b; exact null distribution or normal approximation.
 
     ``alternative`` follows the usual convention: "less" means group a
     tends to produce smaller values.
@@ -145,7 +154,7 @@ def mann_whitney_u(
     pooled = np.concatenate([np.asarray(a.values, float), np.asarray(b.values, float)])
     n = n_a + n_b
     ranks = midranks(pooled)
-    u_a = _u_statistic(ranks, range(n_a), n_a)
+    u_a = float(ranks[:n_a].sum()) - n_a * (n_a + 1) / 2.0
 
     if mode == "exact":
         total = math.comb(n, n_a)
@@ -154,12 +163,13 @@ def mann_whitney_u(
                 f"exact mode needs {total} arrangements, cap is {ENUMERATION_CAP}; "
                 "use approximate mode"
             )
-        eps = 1e-9
-        less_eq = greater_eq = 0
-        for idx in combinations(range(n), n_a):
-            u = _u_statistic(ranks, idx, n_a)
-            less_eq += u <= u_a + eps
-            greater_eq += u >= u_a - eps
+        # doubled midranks are integers, and U orders arrangements as their
+        # rank sums do
+        doubled = (2.0 * ranks).astype(np.int64)
+        counts = _rank_sum_counts(doubled, n_a)
+        s_a = int(doubled[:n_a].sum())
+        less_eq = int(counts[: s_a + 1].sum())
+        greater_eq = int(counts[s_a:].sum())
         p_less = less_eq / total
         p_greater = greater_eq / total
         if alternative == "less":

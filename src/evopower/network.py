@@ -19,7 +19,14 @@ Layers compute their activations in the buffer of the affine map, and
 gradient steps update the weights in place, with the operations in the
 same order as the out-of-place expressions they replace.  Backpropagation
 stops at the first dense layer: the gradient with respect to the input
-is never needed.
+is never needed.  ``_Dense.backward`` and ``_Dropout.backward`` overwrite
+the incoming gradient ``g``.
+
+The sigmoid is ``0.5 * tanh(0.5 * z) + 0.5``: it cannot overflow, and it
+lies within one ulp of 1.0 of the exact sigmoid (2**-23 in float32,
+2**-52 in float64).  Training scales the heads' dL/dz by
+``learning_rate / n`` in one multiply, so every stored dW and db is the
+descent step itself and ``_Dense.step`` only subtracts it.
 
 Networks compute in float32 (``DTYPE``): weights, biases, activations,
 dropout masks, gradients and steps.  The code is dtype-generic, so a
@@ -48,15 +55,13 @@ DTYPE = np.float32
 
 
 def _sigmoid(z, out=None):
-    # 1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, so exp
-    # never overflows; exp(-|z|) is that exp operand on either side, which
-    # keeps every result bit-equal to evaluating the two formulas apart
-    e = np.abs(z)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    num = np.where(z >= 0, 1.0, e)
-    e += 1.0
-    return np.divide(num, e, out=num if out is None else out)
+    # 0.5 * tanh(0.5 * z) + 0.5 in four passes over ``out``; tanh saturates
+    # where exp would overflow
+    out = np.multiply(z, 0.5, out=out)
+    np.tanh(out, out=out)
+    out *= 0.5
+    out += 0.5
+    return out
 
 
 def _softmax(z):
@@ -101,27 +106,26 @@ class _Dense:
         return a
 
     def backward(self, g: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Gradient through activation and affine map; g is dL/d(output).
-        Returns dL/d(input), or None without ``input_grad``."""
+        """Gradient through activation and affine map; g is dL/d(output)
+        and is overwritten with dL/dz.  Returns dL/d(input), or None
+        without ``input_grad``."""
         if self.activation == "relu":
-            dz = g * (self._a > 0)
+            np.multiply(g, self._a > 0, out=g)
         elif self.activation == "sigmoid":
-            dz = g * self._a
-            dz *= 1.0 - self._a
+            g *= self._a
+            g *= 1.0 - self._a
         else:
             raise ValueError("softmax layers receive dz directly")
-        return self.backward_from_dz(dz, input_grad)
+        return self.backward_from_dz(g, input_grad)
 
     def backward_from_dz(self, dz: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
         self.dw = self._x.T @ dz
         self.db = dz.sum(axis=0)
         return dz @ self.w.T if input_grad else None
 
-    def step(self, lr: float) -> None:
-        """Descend along the stored gradients, which are scaled by lr in place."""
-        self.dw *= lr
+    def step(self) -> None:
+        """Descend by the stored gradients, which already carry the learning rate."""
         self.w -= self.dw
-        self.db *= lr
         self.b -= self.db
 
     def copy(self, dtype=None) -> "_Dense":
@@ -270,10 +274,12 @@ def build(
 
 
 def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
-    p = np.clip(probs[np.arange(labels.shape[0]), labels], PROB_FLOOR, None)
+    n = labels.shape[0]
+    p = np.maximum(probs[np.arange(n), labels], PROB_FLOOR)
+    np.log(p, out=p)
     # the per-sample log-probabilities keep the network's dtype; their
     # mean is taken in float64
-    return float(-np.mean(np.log(p), dtype=np.float64))
+    return float(-(p.sum(dtype=np.float64) / n))
 
 
 def joint_loss(net: Network, x: np.ndarray, y: np.ndarray) -> float:
@@ -292,16 +298,17 @@ class TrainReport:
     history: list[float]
 
 
-def _backward(net: Network, main: np.ndarray, aux: np.ndarray, y: np.ndarray) -> None:
-    """Store dL/dW and dL/db of the joint loss on every dense layer, from
-    the heads' cached forward pass.  ``main`` and ``aux`` are overwritten
-    with the heads' dL/dz."""
+def _backward(net: Network, main: np.ndarray, aux: np.ndarray, y: np.ndarray, scale: float) -> None:
+    """Store ``scale`` times dL/dW and dL/db of the joint loss on every
+    dense layer, from the heads' cached forward pass; with the learning
+    rate as ``scale`` they are the descent steps.  ``main`` and ``aux``
+    are overwritten with the heads' scaled dL/dz."""
     n = y.shape[0]
     rows = np.arange(n)
     for probs in (main, aux):
-        # (probs - onehot) / n: subtracting the one-hot zeros is exact
+        # (probs - onehot) * scale / n: subtracting the one-hot zeros is exact
         probs[rows, y] -= 1.0
-        probs /= n
+        probs *= scale / n
     g = net.main_head.backward_from_dz(main)
     d_tap = net.aux_head.backward_from_dz(aux)
     first = next(i for i, layer in enumerate(net.layers) if isinstance(layer, _Dense))
@@ -314,12 +321,20 @@ def _backward(net: Network, main: np.ndarray, aux: np.ndarray, y: np.ndarray) ->
             g = net.layers[i].backward(g)
 
 
-def _train_batch(net: Network, x: np.ndarray, y: np.ndarray, lr: float, rng: np.random.Generator) -> float:
+def _train_batch(
+    net: Network,
+    dense: list[_Dense],
+    x: np.ndarray,
+    y: np.ndarray,
+    lr: float,
+    rng: np.random.Generator,
+) -> float:
+    """One descent step on a batch; ``dense`` is ``net.dense_layers()``."""
     main, aux = net.forward(x, train=True, rng=rng)
     loss = cross_entropy(main, y) + cross_entropy(aux, y)
-    _backward(net, main, aux, y)
-    for layer in net.dense_layers():
-        layer.step(lr)
+    _backward(net, main, aux, y, lr)
+    for layer in dense:
+        layer.step()
     return loss
 
 
@@ -347,13 +362,14 @@ def train(
         raise EvaluationError("empty training set")
     batch = max(1, min(int(batch_size), n))
     x = x.astype(net.dtype, copy=False)
+    dense = net.dense_layers()
     history = []
     for _ in range(int(budget_epochs)):
         order = rng.permutation(n)
         total = 0.0
         for start in range(0, n, batch):
             idx = order[start : start + batch]
-            loss = _train_batch(net, x[idx], y[idx], learning_rate, rng)
+            loss = _train_batch(net, dense, x[idx], y[idx], learning_rate, rng)
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss {loss} during training")
             total += loss * idx.shape[0]
@@ -429,7 +445,7 @@ def finite_difference_check(
     net = net.astype(np.float64)
     x = np.asarray(x, dtype=np.float64)
     main, aux = net.forward(x, train=True, rng=None)
-    _backward(net, main, aux, y)
+    _backward(net, main, aux, y, 1.0)
 
     grads = []
     for layer in net.dense_layers():

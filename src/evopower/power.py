@@ -5,7 +5,7 @@ energy in millijoules and the duration in seconds for the last start/stop
 window.  The measurement loop takes ``n_measures`` windows and converts
 each to watts::
 
-    watts = millijoules / 1000 / seconds
+    watts = millijoules / (1000 * seconds)
 
 returning all samples and their mean.  A meter that reads real telemetry
 needs the workload running inside each window, so the loop runs it once
@@ -46,6 +46,8 @@ DEFAULT_P_MAX_W = 100.0
 # 30 + k * log1p(134400 macs) = 65 for the reference stack above
 DEFAULT_K = 2.964
 NOISE_TRUNCATION_SIGMAS = 6.0
+# the analytic meter's window: W watts for WINDOW_S seconds is W millijoules
+WINDOW_S = 0.001
 
 
 class Meter:
@@ -101,7 +103,7 @@ def measure_mean(meter: Meter, work, n_measures: int = DEFAULT_N_MEASURES) -> Me
             raise MeasurementError(f"meter reported non-positive duration {seconds}")
         if millijoules < 0:
             raise MeasurementError(f"meter reported negative energy {millijoules}")
-        samples.append(millijoules / 1000.0 / seconds)
+        samples.append(millijoules / (1000.0 * seconds))
     return MeasureResult(output, samples, float(np.mean(samples)))
 
 
@@ -201,10 +203,10 @@ def _add_noise(base: float, cfg: AnalyticMeterConfig, rng: np.random.Generator |
 class AnalyticMeter(Meter):
     """Deterministic (or seeded-noise) stand-in for device telemetry.
 
-    Reports a synthetic one-second window whose energy is the modeled
-    draw of the last observed network times 1000, so
-    :func:`measure_mean` converts it back to that draw, though with noise
-    the ``* 1000 / 1000`` round trip can be off by one ulp.  The reading
+    Reports a synthetic one-millisecond window whose energy in
+    millijoules is the modeled draw of the last observed network in
+    watts.  ``1000.0 * 0.001`` is exactly 1.0, so :func:`measure_mean`
+    returns that draw bit for bit, with or without noise.  The reading
     never depends on the workload, so :func:`measure_mean` does not run
     it.  Each read equals :func:`analytic_power` of the observed network
     with this meter's generator; the noiseless part is computed once per
@@ -239,7 +241,7 @@ class AnalyticMeter(Meter):
         if self._state != "ready":
             raise MeasurementError("read() before a start/stop pair completed")
         self._state = "idle"
-        return _add_noise(self._base, self.cfg, self._rng) * 1000.0, 1.0
+        return _add_noise(self._base, self.cfg, self._rng), WINDOW_S
 
 
 def build_probe_network(

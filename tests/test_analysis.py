@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import math
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +155,48 @@ def test_mann_whitney_approximate_matches_reference():
                                        method="asymptotic", use_continuity=True)
         assert ours.statistic == pytest.approx(ref.statistic, abs=1e-9)
         assert ours.p_value == pytest.approx(ref.pvalue, abs=1e-9)
+
+
+def enumerated_p_values(a, b):
+    """Exact (less, greater, two-sided) p-values by walking every
+    assignment of the pooled midranks to group a."""
+    n_a = len(a)
+    ranks = midranks(np.concatenate([np.asarray(a, float), np.asarray(b, float)]))
+    offset = n_a * (n_a + 1) / 2.0
+    u_a = float(ranks[:n_a].sum()) - offset
+    total = less_eq = greater_eq = 0
+    for idx in combinations(range(len(ranks)), n_a):
+        u = float(ranks[list(idx)].sum()) - offset
+        total += 1
+        less_eq += u <= u_a + 1e-9
+        greater_eq += u >= u_a - 1e-9
+    p_less, p_greater = less_eq / total, greater_eq / total
+    return {"less": p_less, "greater": p_greater,
+            "two-sided": min(1.0, 2.0 * min(p_less, p_greater))}
+
+
+def assert_exact_p_values_equal_enumeration(a, b):
+    want = enumerated_p_values(a, b)
+    for alternative, p in want.items():
+        result = mann_whitney_u(g("a", a), g("b", b), mode="exact", alternative=alternative)
+        assert result.method == "exact"
+        assert result.p_value == p, (a, b, alternative)
+
+
+def test_mann_whitney_exact_counts_equal_enumeration_for_small_groups():
+    rng = np.random.default_rng(4)
+    for n_a in range(1, 8):
+        for n_b in range(1, 8):
+            # values from a few levels, so most draws carry ties
+            a = rng.integers(0, 4, size=n_a).tolist()
+            b = rng.integers(0, 4, size=n_b).tolist()
+            assert_exact_p_values_equal_enumeration(a, b)
+
+
+def test_mann_whitney_exact_counts_equal_enumeration_for_ten_runs():
+    rng = np.random.default_rng(5)
+    assert_exact_p_values_equal_enumeration(rng.integers(0, 6, size=10).tolist(),
+                                            rng.integers(2, 8, size=10).tolist())
 
 
 def test_mann_whitney_enumeration_cap():

@@ -288,14 +288,16 @@ def test_forward_batch_invariance():
     assert np.allclose(full[3], one[0], atol=1e-12)
 
 
-def two_formula_sigmoid(z):
-    """Reference: the stable sigmoid evaluated as two masked formulas."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def reference_sigmoid(z):
+    """Reference: the tanh form of the sigmoid, evaluated out of place."""
+    return 0.5 * np.tanh(0.5 * z) + 0.5
+
+
+def exact_sigmoid(z):
+    """The sigmoid in extended precision, from the side where exp cannot overflow."""
+    z = z.astype(np.longdouble)
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
 
 
 def same_bits(a, b):
@@ -309,31 +311,56 @@ SIGMOID_EDGES = [0.0, -0.0, np.inf, -np.inf, 745.0, -745.0, 800.0, -800.0,
                  1e-300, -1e-300, 5e-324, -5e-324, 36.75, -36.75, 709.8, -709.8]
 
 
+# where float32 exp overflows (above 88.7) and underflows (below about
+# -104); the float64-only tiny values round to zero
+FLOAT32_SIGMOID_EDGES = SIGMOID_EDGES + [88.7, -88.7, 103.9, -103.9, 1e-45, -1e-45]
+
+
 @pytest.mark.parametrize("shape", SIGMOID_SHAPES)
 def test_sigmoid_bit_equal_to_two_formula_reference(shape):
     z = np.random.default_rng(shape[0] * shape[1]).normal(0.0, 4.0, size=shape)
-    assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
+    before = z.copy()
+    assert same_bits(_sigmoid(z), reference_sigmoid(z))
+    assert same_bits(z, before)  # without ``out`` the input is left alone
 
 
 def test_sigmoid_bit_equal_on_edge_values():
     z = np.array(SIGMOID_EDGES)
-    assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
-    # a nan input has already diverged; only the nan's sign bit may differ
+    assert same_bits(_sigmoid(z), reference_sigmoid(z))
+    # a nan input has already diverged; it stays nan
     assert np.isnan(_sigmoid(np.array([np.nan, -np.nan]))).all()
-    assert np.isnan(two_formula_sigmoid(np.array([np.nan, -np.nan]))).all()
 
 
 @pytest.mark.parametrize("shape", SIGMOID_SHAPES)
 def test_float32_sigmoid_bit_equal_to_two_formula_reference(shape):
     z = np.random.default_rng(shape[0] * shape[1]).normal(0.0, 4.0, size=shape).astype(np.float32)
-    assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
+    assert same_bits(_sigmoid(z), reference_sigmoid(z))
 
 
 def test_float32_sigmoid_bit_equal_on_edge_values():
-    # float32 exp overflows above 88.7 and underflows below about -104;
-    # the float64-only tiny values round to zero
-    z = np.array(SIGMOID_EDGES + [88.7, -88.7, 103.9, -103.9, 1e-45, -1e-45], dtype=np.float32)
-    assert same_bits(_sigmoid(z), two_formula_sigmoid(z))
+    z = np.array(FLOAT32_SIGMOID_EDGES, dtype=np.float32)
+    assert same_bits(_sigmoid(z), reference_sigmoid(z))
+
+
+# one ulp of 1.0: the sigmoid's values lie in [0, 1]
+@pytest.mark.parametrize("dtype, bound", [(np.float32, 2.0**-23), (np.float64, 2.0**-52)])
+def test_sigmoid_is_within_one_ulp_of_one_of_the_exact_sigmoid(dtype, bound):
+    edges = FLOAT32_SIGMOID_EDGES if dtype == np.float32 else SIGMOID_EDGES
+    inputs = [np.array(edges, dtype=dtype)] + [
+        np.random.default_rng(shape[0] * shape[1]).normal(0.0, 4.0, size=shape).astype(dtype)
+        for shape in SIGMOID_SHAPES
+    ]
+    for z in inputs:
+        # no overflow, invalid operation or division; halving a subnormal
+        # input underflows by design and still yields exactly 0.5
+        with np.errstate(all="raise", under="ignore"):
+            got = _sigmoid(z)
+            out = np.empty_like(z)
+            assert _sigmoid(z, out=out) is out and same_bits(out, got)
+        assert got.dtype == dtype
+        assert np.abs(got.astype(np.longdouble) - exact_sigmoid(z)).max() <= bound
+    with np.errstate(all="raise"):
+        assert np.isnan(_sigmoid(np.array([np.nan, -np.nan], dtype=dtype))).all()
 
 
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
@@ -344,30 +371,30 @@ def test_backward_from_cached_activation_matches_recompute(activation):
     layer.forward(x, cache=True)
     layer.forward(rng.normal(size=(5, 16)))  # inference leaves the cache alone
     g = rng.normal(size=(64, 32))
-    dx = layer.backward(g)
+    dx = layer.backward(g.copy())  # backward overwrites g
 
     z = x @ layer.w + layer.b
     if activation == "relu":
         dz = g * (z > 0)
     else:
-        a = two_formula_sigmoid(z)
+        a = reference_sigmoid(z)
         dz = g * a * (1.0 - a)
     assert same_bits(dx, dz @ layer.w.T)
     assert same_bits(layer.dw, x.T @ dz)
     assert same_bits(layer.db, dz.sum(axis=0))
 
 
-# --- the out-of-place training step the network used before, kept as the
-# reference: in-place activations and steps, and a backward pass that
-# stops at the first dense layer, must leave every weight bit-equal
+# --- the training step written out of place, kept as the reference:
+# in-place activations, activation gradients and steps, and a backward
+# pass that stops at the first dense layer, must leave every weight
+# bit-equal
 
 
 def reference_activation(z, activation):
     if activation == "relu":
         return np.maximum(z, 0.0)
     if activation == "sigmoid":
-        e = np.exp(-np.abs(z))
-        return np.where(z >= 0, 1.0, e) / (1.0 + e)
+        return reference_sigmoid(z)
     shifted = z - z.max(axis=1, keepdims=True)
     ez = np.exp(shifted)
     return ez / ez.sum(axis=1, keepdims=True)
@@ -394,11 +421,12 @@ def reference_train_batch(net, x, y, lr, rng):
     onehot = np.zeros((y.shape[0], net.class_count), dtype=main.dtype)
     onehot[np.arange(y.shape[0]), y] = 1.0
     n = y.shape[0]
+    # the heads' gradients carry lr / n, so every dw and db is the step itself
     grads = []
-    dz = (main - onehot) / n
+    dz = (main - onehot) * (lr / n)
     grads.append((net.main_head, out.T @ dz, dz.sum(axis=0)))
     g = dz @ net.main_head.w.T
-    dz = (aux - onehot) / n
+    dz = (aux - onehot) * (lr / n)
     grads.append((net.aux_head, tap.T @ dz, dz.sum(axis=0)))
     d_tap = dz @ net.aux_head.w.T
     for i in reversed(range(len(net.layers))):
@@ -413,8 +441,8 @@ def reference_train_batch(net, x, y, lr, rng):
         grads.append((layer, inputs[i].T @ dz, dz.sum(axis=0)))
         g = dz @ layer.w.T
     for layer, dw, db in grads:
-        layer.w -= lr * dw
-        layer.b -= lr * db
+        layer.w -= dw
+        layer.b -= db
     return loss
 
 
@@ -441,7 +469,7 @@ def check_training_against_reference(input_dim, units, classes, batch, activatio
     for _ in range(6):
         x = data.random((batch, input_dim)).astype(dtype)
         y = data.integers(0, classes, size=batch)
-        loss = _train_batch(net, x, y, 0.05, train_rng)
+        loss = _train_batch(net, net.dense_layers(), x, y, 0.05, train_rng)
         assert loss == reference_train_batch(reference, x, y, 0.05, reference_rng)
     assert net_bits(net) == net_bits(reference)
     assert train_rng.random() == reference_rng.random()  # the same draws were consumed
@@ -558,7 +586,7 @@ def test_float32_gradients_match_the_float64_copy():
         exact = net.astype(np.float64)  # the same weights; float32 values are exact in float64
         for n, inputs in ((net, x32), (exact, x32.astype(np.float64))):
             main, aux = n.forward(inputs, train=True)
-            _backward(n, main, aux, y)
+            _backward(n, main, aux, y, 1.0)
         for got, want in zip(net.dense_layers(), exact.dense_layers()):
             for g32, g64 in ((got.dw, want.dw), (got.db, want.db)):
                 assert g32.dtype == np.float32 and g64.dtype == np.float64

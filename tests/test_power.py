@@ -184,7 +184,21 @@ def test_analytic_meter_reads_equal_analytic_power(sigma):
                 meter.stop()
                 millijoules, seconds = meter.read()
                 expected = analytic_power(0 if subject is None else subject, cfg, reference)
-                assert (millijoules.hex(), seconds) == ((expected * 1000.0).hex(), 1.0)
+                # W watts over one millisecond is W millijoules
+                assert (millijoules.hex(), seconds) == (expected.hex(), 0.001)
+
+
+@pytest.mark.parametrize("sigma", [0.0, 2.0])
+def test_measure_mean_returns_the_modeled_draw_bit_for_bit(sigma):
+    # a 1-second window of watts * 1000 mJ lost an ulp in the * 1000 / 1000
+    # round trip for 395 of these MAC counts even without noise
+    cfg = AnalyticMeterConfig(noise_sigma=sigma, seed=4)
+    meter = AnalyticMeter(cfg)
+    reference = np.random.default_rng(cfg.seed)
+    for macs in range(0, 200_000, 7):
+        meter.observe(macs)
+        result = measure_mean(meter, lambda: None, n_measures=1)
+        assert result.samples[0].hex() == analytic_power(macs, cfg, reference).hex(), macs
 
 
 def test_analytic_meter_skips_the_workload_but_keeps_every_window():
@@ -236,7 +250,7 @@ def test_analytic_meter_enforces_protocol():
         meter.start()
     meter.stop()
     energy, duration = meter.read()
-    assert duration == 1.0 and energy == 30.0 * 1000.0  # nothing observed -> floor
+    assert duration == 0.001 and energy == 30.0  # nothing observed -> floor
 
 
 def test_probe_is_deterministic():

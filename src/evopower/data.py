@@ -123,26 +123,25 @@ def synthetic_dataset(
     if not separation >= 0:
         raise DataError(f"separation must be >= 0, got {separation}")
     rng = np.random.default_rng(seed)
-    chunks = []
-    labels = []
-    center_index = 0
-    for c in range(classes):
-        base = samples_per_class // clusters_per_class
-        remainder = samples_per_class % clusters_per_class
-        for j in range(clusters_per_class):
-            n = base + (j < remainder)
-            axis = center_index % dimensions
-            ring = center_index // dimensions + 1
-            center = np.zeros(dimensions)
-            center[axis] = ring * separation
-            center_index += 1
-            chunks.append(rng.normal(0.0, 1.0, size=(n, dimensions)) + center)
-            labels.append(np.full(n, c, dtype=np.int64))
-    samples = np.vstack(chunks)
-    labels = np.concatenate(labels)
+    # each cluster is drawn into its rows of one array and shifted and
+    # scaled there: the bits of rng.normal(0, 1, size) + center, stacked
+    # and min-max scaled out of place, without the copies
+    samples = np.empty((classes * samples_per_class, dimensions))
+    labels = np.repeat(np.arange(classes, dtype=np.int64), samples_per_class)
+    base, remainder = divmod(samples_per_class, clusters_per_class)
+    start = 0
+    for center_index in range(classes * clusters_per_class):
+        n = base + (center_index % clusters_per_class < remainder)
+        center = np.zeros(dimensions)
+        center[center_index % dimensions] = (center_index // dimensions + 1) * separation
+        block = samples[start : start + n]
+        rng.standard_normal(out=block)
+        block += center
+        start += n
     lo, hi = samples.min(), samples.max()
     if hi > lo:
-        samples = (samples - lo) / (hi - lo)
+        samples -= lo
+        samples /= hi - lo
     order = rng.permutation(samples.shape[0])
     return Dataset(samples[order], labels[order], classes, source=f"synthetic(seed={seed})")
 

@@ -5,8 +5,10 @@ Three rules keep runs reproducible:
 * every stochastic decision draws from a stream keyed by
   (seed, run, generation, slot, purpose), so outcomes cannot depend on
   evaluation order;
-* power measurement happens after a generation's training, in slot
-  order, so stateful meters stay deterministic;
+* evaluations finish one at a time, in slot order: each offspring is
+  trained, scored and metered before the next is built, so a shared
+  stateful meter reads in a fixed order and one trained network is
+  alive at a time;
 * each run appends one line per finished generation to
   ``checkpoints/journal.jsonl``: its records, population, archive
   inserts and counters.  A resumed run replays the lines, so it rebuilds
@@ -44,6 +46,7 @@ from .fitness import WORST_FITNESS, FitnessConfig, evaluate_fitness
 from .genome import (
     GenomeConfig,
     Individual,
+    PhenotypeSpec,
     genotype_payload,
     init_individual,
     load_typed,
@@ -53,7 +56,7 @@ from .genome import (
 )
 from .grammar import Grammar
 from .mutation import ArchiveEntry, ModuleArchive, MutationRates, archive_insert, mutate
-from .network import build, evaluate_accuracy, save_weights, split, train
+from .network import Network, TrainReport, build, evaluate_accuracy, save_weights, split, train
 from .power import (
     DEFAULT_N_MEASURES,
     AnalyticMeter,
@@ -217,31 +220,32 @@ def select_parent(population: list[Member]) -> Member:
     return population[best_slot([m.record for m in population])]
 
 
-@dataclass
-class _Trained:
-    individual: Individual
-    hidden_layers: int
-    net: object
-    left: object
-    right: object
-    acc_left: float
-    acc_right: float
-    epochs_run: int
-    final_loss: float
-    wall_time_s: float
-    diverged: bool
+def _meter_for(base: Meter | None, cfg: EvolutionConfig, key: tuple) -> Meter:
+    """Per-measurement meters for the analytic model, shared otherwise.
+
+    Keying an analytic meter's noise stream by (run, generation, slot)
+    decouples measurements from each other, so resume points cannot
+    shift them.  A noiseless meter never draws, so it gets no stream.
+    """
+    if base is not None and not isinstance(base, AnalyticMeter):
+        return base
+    meter_cfg = cfg.meter if base is None else base.cfg
+    return AnalyticMeter(meter_cfg, rng=_stream(*key) if meter_cfg.noise_sigma > 0 else None)
 
 
-def _train_phase(
+def _train_network(
     ind: Individual,
     grammar: Grammar,
     data: TaskData,
     cfg: EvolutionConfig,
     rng: np.random.Generator,
-) -> _Trained:
-    t0 = time.perf_counter()
+) -> tuple[PhenotypeSpec, Network, TrainReport | None]:
+    """Phenotype, build and train ``ind`` on the training split.
+
+    Returns the phenotype, the network and the training report; the
+    report is None when training diverged.
+    """
     spec = to_phenotype(ind, grammar)
-    hidden = sum(layer.kind == "dense" for layer in spec.layers)
     net = build(spec, data.input_dim, data.class_count, rng)
     epochs = max(1, int(round(min(ind.train_budget, cfg.max_train_budget))))
     try:
@@ -255,61 +259,8 @@ def _train_phase(
             rng,
         )
     except TrainingDivergedError:
-        wall = time.perf_counter() - t0
-        return _Trained(ind, hidden, None, None, None, 0.0, 0.0, 0, float("nan"), wall, True)
-    left, right = split(net)
-    # the partitions answer bit for bit like the heads, so one pass over
-    # the validation set scores both
-    acc_left, acc_right = evaluate_accuracy(net, data.validation.samples, data.validation.labels)
-    wall = time.perf_counter() - t0
-    return _Trained(
-        ind, hidden, net, left, right, acc_left, acc_right,
-        report.epochs_run, report.final_loss, wall, False,
-    )
-
-
-def _measure_phase(
-    trained: _Trained,
-    data: TaskData,
-    meter: Meter,
-    cfg: EvolutionConfig,
-) -> EvaluationRecord:
-    ind = trained.individual
-    hidden = trained.hidden_layers
-    budget = float(min(ind.train_budget, cfg.max_train_budget))
-    if trained.diverged:
-        return EvaluationRecord(
-            ind.id, WORST_FITNESS, 0.0, 0.0, 0.0, 0.0,
-            hidden, ind.macro.middle_point, budget,
-            0, float("nan"), trained.wall_time_s, True,
-        )
-    t0 = time.perf_counter()
-    # the metered inference runs in the partitions' dtype, cast once here
-    vx = data.validation.samples.astype(trained.left.dtype, copy=False)
-    meter.observe(trained.left)
-    power_left = measure_mean(meter, lambda: trained.left.forward(vx), cfg.n_measures).mean_watts
-    meter.observe(trained.right)
-    power_right = measure_mean(meter, lambda: trained.right.forward(vx), cfg.n_measures).mean_watts
-    fit = evaluate_fitness(cfg.fitness, trained.acc_left, trained.acc_right, power_left)
-    wall = trained.wall_time_s + (time.perf_counter() - t0)
-    return EvaluationRecord(
-        ind.id, fit, trained.acc_left, trained.acc_right,
-        power_left, power_right, hidden, ind.macro.middle_point, budget,
-        trained.epochs_run, trained.final_loss, wall, False,
-    )
-
-
-def _meter_for(base: Meter | None, cfg: EvolutionConfig, key: tuple) -> Meter:
-    """Per-measurement meters for the analytic model, shared otherwise.
-
-    Keying an analytic meter's noise stream by (run, generation, slot)
-    decouples measurements from each other, so resume points cannot
-    shift them.  A noiseless meter never draws, so it gets no stream.
-    """
-    if base is not None and not isinstance(base, AnalyticMeter):
-        return base
-    meter_cfg = cfg.meter if base is None else base.cfg
-    return AnalyticMeter(meter_cfg, rng=_stream(*key) if meter_cfg.noise_sigma > 0 else None)
+        return spec, net, None
+    return spec, net, report
 
 
 def evaluate_individual(
@@ -325,7 +276,32 @@ def evaluate_individual(
     the configured fitness.  Divergence maps to the worst fitness."""
     if meter is None:
         meter = AnalyticMeter(cfg.meter)
-    return _measure_phase(_train_phase(ind, grammar, data, cfg, rng), data, meter, cfg)
+    t0 = time.perf_counter()
+    spec, net, report = _train_network(ind, grammar, data, cfg, rng)
+    hidden = sum(layer.kind == "dense" for layer in spec.layers)
+    budget = float(min(ind.train_budget, cfg.max_train_budget))
+    if report is None:
+        return EvaluationRecord(
+            ind.id, WORST_FITNESS, 0.0, 0.0, 0.0, 0.0,
+            hidden, ind.macro.middle_point, budget,
+            0, float("nan"), time.perf_counter() - t0, True,
+        )
+    left, right = split(net)
+    # the partitions answer bit for bit like the heads, so one pass over
+    # the validation set scores both
+    acc_left, acc_right = evaluate_accuracy(net, data.validation.samples, data.validation.labels)
+    # the metered inference runs in the partitions' dtype, cast once here
+    vx = data.validation.samples.astype(left.dtype, copy=False)
+    meter.observe(left)
+    power_left = measure_mean(meter, lambda: left.forward(vx), cfg.n_measures).mean_watts
+    meter.observe(right)
+    power_right = measure_mean(meter, lambda: right.forward(vx), cfg.n_measures).mean_watts
+    fit = evaluate_fitness(cfg.fitness, acc_left, acc_right, power_left)
+    return EvaluationRecord(
+        ind.id, fit, acc_left, acc_right,
+        power_left, power_right, hidden, ind.macro.middle_point, budget,
+        report.epochs_run, report.final_loss, time.perf_counter() - t0, False,
+    )
 
 
 class _RunState:
@@ -598,16 +574,14 @@ def _evaluate_jobs(
     state: _RunState, g: int, jobs: list[tuple[int, Individual]],
     cfg: EvolutionConfig, grammar: Grammar, data: TaskData, meter: Meter | None,
 ) -> list[Member]:
-    """Train every (slot, individual) job in slot order, then meter them
-    in the same order; each job counts as one evaluation."""
-    trained = [
-        (slot, _train_phase(ind, grammar, data, cfg, _stream(cfg.seed, state.run, g, slot, _EVAL)))
-        for slot, ind in jobs
-    ]
+    """Evaluate every (slot, individual) job start to finish, in slot
+    order; each job counts as one evaluation."""
     members = []
-    for slot, t in trained:
-        m = _meter_for(meter, cfg, (cfg.seed, state.run, g, slot, _METER))
-        members.append(Member(t.individual, _measure_phase(t, data, m, cfg), (g, slot)))
+    for slot, ind in jobs:
+        key = (cfg.seed, state.run, g, slot)
+        m = _meter_for(meter, cfg, (*key, _METER))
+        record = evaluate_individual(ind, grammar, data, m, cfg, _stream(*key, _EVAL))
+        members.append(Member(ind, record, (g, slot)))
         state.evaluations += 1
     return members
 
@@ -756,8 +730,8 @@ def run_es(
 
 def mode_config(cfg: EvolutionConfig, mode: str) -> EvolutionConfig:
     """The baseline disables the module archive operators and scores by
-    main-head accuracy; the proposed mode uses the thresholded
-    power-aware fitness with the full operator suite."""
+    main-head accuracy; the proposed mode keeps the configured fitness
+    (``fitness.kind``) and the full operator suite."""
     if mode not in MODES:
         raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
     adjusted = copy.deepcopy(cfg)
@@ -765,8 +739,6 @@ def mode_config(cfg: EvolutionConfig, mode: str) -> EvolutionConfig:
         adjusted.rates.reuse_module = 0.0
         adjusted.rates.remove_module = 0.0
         adjusted.fitness.kind = "accuracy"
-    else:
-        adjusted.fitness.kind = "f3"
     adjusted.validate()
     return adjusted
 
@@ -838,12 +810,12 @@ def run_experiment(
         run_i, gen, slot = winner.best_eval_key
         # on one BLAS thread, like the evaluation it repeats
         with one_blas_thread():
-            trained = _train_phase(
+            _, net, report = _train_network(
                 winner.best, grammar, data, adjusted,
                 _stream(adjusted.seed, run_i, gen, slot, _EVAL),
             )
-        if not trained.diverged:
-            save_weights(trained.net, out / "best_weights.bin")
+        if report is not None:
+            save_weights(net, out / "best_weights.bin")
     return ExperimentResult(
         mode, out, results, aggregate, winner.run, winner.best, winner.best_record
     )

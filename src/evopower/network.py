@@ -351,7 +351,9 @@ def train(
 
     The per-epoch history records the exact sample-weighted mean of the
     batch losses.  A non-finite loss aborts with
-    :class:`TrainingDivergedError`.
+    :class:`TrainingDivergedError`.  Either way the network is left
+    holding its weights only: no cached batch, activation, dropout mask
+    or gradient step.
     """
     if budget_epochs < 1:
         raise ValueError(f"budget_epochs must be >= 1, got {budget_epochs}")
@@ -364,16 +366,25 @@ def train(
     x = x.astype(net.dtype, copy=False)
     dense = net.dense_layers()
     history = []
-    for _ in range(int(budget_epochs)):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
-            loss = _train_batch(net, dense, x[idx], y[idx], learning_rate, rng)
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(f"non-finite loss {loss} during training")
-            total += loss * idx.shape[0]
-        history.append(total / n)
+    try:
+        for _ in range(int(budget_epochs)):
+            order = rng.permutation(n)
+            total = 0.0
+            for start in range(0, n, batch):
+                idx = order[start : start + batch]
+                loss = _train_batch(net, dense, x[idx], y[idx], learning_rate, rng)
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(f"non-finite loss {loss} during training")
+                total += loss * idx.shape[0]
+            history.append(total / n)
+    finally:
+        # the last batch's inputs, activations, masks and steps are dead
+        # weight once training stops
+        for layer in dense:
+            layer._x = layer._a = layer.dw = layer.db = None
+        for layer in net.layers:
+            if isinstance(layer, _Dropout):
+                layer._mask = None
     return TrainReport(len(history), history[-1], history)
 
 

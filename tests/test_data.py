@@ -93,6 +93,43 @@ def test_synthetic_multi_cluster_classes():
     assert np.bincount(ds.labels, minlength=3).tolist() == [20] * 3
 
 
+def reference_synthetic(classes, samples_per_class, dimensions, separation, seed,
+                        clusters_per_class):
+    """The blob generator drawn, stacked and scaled out of place."""
+    rng = np.random.default_rng(seed)
+    chunks, labels = [], []
+    center_index = 0
+    for c in range(classes):
+        for j in range(clusters_per_class):
+            n = samples_per_class // clusters_per_class + (j < samples_per_class % clusters_per_class)
+            center = np.zeros(dimensions)
+            center[center_index % dimensions] = (center_index // dimensions + 1) * separation
+            center_index += 1
+            chunks.append(rng.normal(0.0, 1.0, size=(n, dimensions)) + center)
+            labels.append(np.full(n, c, dtype=np.int64))
+    samples = np.vstack(chunks)
+    lo, hi = samples.min(), samples.max()
+    if hi > lo:
+        samples = (samples - lo) / (hi - lo)
+    order = rng.permutation(samples.shape[0])
+    return samples[order], np.concatenate(labels)[order]
+
+
+@pytest.mark.parametrize("args", [
+    (10, 100, 784, 3.0, 1, 1),  # the IDX-shaped benchmark task
+    (4, 800, 8, 4.5, 0, 1),  # configs/desk.cfg
+    (3, 20, 4, 5.0, 2, 3),
+    (3, 7, 5, 1.0, 3, 3),  # clusters of unequal size
+    (2, 2, 3, 1.0, 4, 3),  # an empty cluster
+    (1, 1, 1, 0.0, 5, 1),  # one value: nothing to scale
+])
+def test_synthetic_is_bit_equal_to_the_out_of_place_reference(args):
+    ds = synthetic_dataset(*args[:5], clusters_per_class=args[5])
+    samples, labels = reference_synthetic(*args)
+    assert ds.samples.dtype == samples.dtype and ds.samples.tobytes() == samples.tobytes()
+    assert ds.labels.dtype == labels.dtype and np.array_equal(ds.labels, labels)
+
+
 def test_synthetic_rejects_bad_arguments():
     with pytest.raises(DataError):
         synthetic_dataset(0, 10, 2, 1.0)

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from evopower.evolution import (
     run_experiment,
     select_parent,
 )
-from evopower.fitness import WORST_FITNESS, evaluate_fitness
+from evopower.fitness import WORST_FITNESS, FitnessConfig, evaluate_fitness
 from evopower.genome import GenomeConfig, init_individual
 from evopower.grammar import load_packaged_grammar
 from evopower.mutation import MutationRates
@@ -477,6 +478,46 @@ def test_mode_config_gating():
     assert cfg.fitness.kind == "f3" and cfg.rates.remove_module == 0.25
     with pytest.raises(ConfigError, match="mode"):
         mode_config(cfg, "turbo")
+    # the proposed mode keeps every configured fitness; the baseline forces accuracy
+    for kind in ("accuracy", "f1", "f2", "f3"):
+        chosen = tiny_config(fitness=FitnessConfig(kind=kind))
+        assert mode_config(chosen, "proposed").fitness.kind == kind
+        assert mode_config(chosen, "baseline").fitness.kind == "accuracy"
+
+
+def test_proposed_run_scores_by_the_configured_fitness(tmp_path):
+    f2 = FitnessConfig(kind="f2")
+    result = run_experiment(tiny_config(runs=1, generations=2, fitness=f2), "proposed",
+                            GRAMMAR, DATA, tmp_path)
+    records = [r for log in result.runs[0].logs for r in log.records if not r.diverged]
+    assert records and all(r.fitness_consistent(f2) for r in records)
+    # f2 caps the accuracies where f3 does not, so the two kinds disagree here
+    assert not all(r.fitness_consistent(FitnessConfig(kind="f3")) for r in records)
+
+
+def test_one_trained_network_is_alive_at_a_time(tmp_path, monkeypatch):
+    import evopower.evolution as evo
+
+    built = []  # weak references to every network the engine built, in order
+    overlaps = []  # per train call, how many earlier networks were still alive
+    plain_build, plain_train = evo.build, evo.train
+
+    def tracking_build(*args, **kwargs):
+        net = plain_build(*args, **kwargs)
+        built.append(weakref.ref(net))
+        return net
+
+    def checking_train(net, *args, **kwargs):
+        overlaps.append(sum(ref() is not None for ref in built[:-1]))
+        return plain_train(net, *args, **kwargs)
+
+    monkeypatch.setattr(evo, "build", tracking_build)
+    monkeypatch.setattr(evo, "train", checking_train)
+    result = run_experiment(tiny_config(runs=2, generations=3), "proposed", GRAMMAR, DATA,
+                            tmp_path)
+    # every evaluation, then the winner's retrain, trained beside no other network
+    assert len(overlaps) == sum(run.evaluations for run in result.runs) + 1
+    assert overlaps == [0] * len(overlaps)
 
 
 def test_baseline_mode_scores_by_main_accuracy(tmp_path):

@@ -1,6 +1,9 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
 
+from evopower import network
 from evopower.errors import EvaluationError, TrainingDivergedError
 from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, init_individual, to_phenotype
 from evopower.grammar import load_packaged_grammar
@@ -523,7 +526,7 @@ def test_float32_dropout_mask_is_the_float64_mask_rounded():
     assert same_bits(out, want)
 
 
-def test_float32_training_leaks_no_float64():
+def test_float32_training_leaks_no_float64(monkeypatch):
     spec = PhenotypeSpec(
         (
             LayerSpec("dense", units=6, activation="relu"),
@@ -536,15 +539,54 @@ def test_float32_training_leaks_no_float64():
     )
     net = build(spec, input_dim=2, class_count=2, rng=np.random.default_rng(43))
     x, y = two_blobs()
+    batches = []
+
+    def checked_batch(net, dense, xb, yb, lr, rng):
+        # train has cast the float64 samples once, so the batch is float32
+        assert xb.dtype == np.float32
+        loss = _train_batch(net, dense, xb, yb, lr, rng)
+        # train clears the caches when it returns, so check them here
+        dropout = net.layers[1]
+        assert dropout._mask is not None and dropout._mask.dtype == np.float32
+        for layer in net.dense_layers():
+            for name in ("w", "b", "dw", "db", "_x", "_a"):
+                assert getattr(layer, name).dtype == np.float32, name
+        batches.append(loss)
+        return loss
+
+    monkeypatch.setattr(network, "_train_batch", checked_batch)
     # one batch of float64 samples: train casts them once, then one _train_batch
     report = train(net, x[:30], y[:30], budget_epochs=1, learning_rate=0.1, batch_size=30,
                    rng=np.random.default_rng(44))
+    assert len(batches) == 1
     assert isinstance(report.final_loss, float) and np.isfinite(report.final_loss)
-    dropout = net.layers[1]
-    assert dropout._mask is not None and dropout._mask.dtype == np.float32
     for layer in net.dense_layers():
-        for name in ("w", "b", "dw", "db", "_x", "_a"):
-            assert getattr(layer, name).dtype == np.float32, name
+        assert layer.w.dtype == layer.b.dtype == np.float32
+
+
+@pytest.mark.parametrize("diverge", [False, True], ids=["trained", "diverged"])
+def test_train_leaves_weights_only(diverge):
+    spec = PhenotypeSpec(
+        (
+            LayerSpec("dense", units=6, activation="relu"),
+            LayerSpec("dropout", rate=0.4),
+            LayerSpec("dense", units=5, activation="sigmoid"),
+        ),
+        aux_index=1,
+        learning_rate=0.1,
+        batch_size=16,
+    )
+    net = build(spec, input_dim=2, class_count=2, rng=np.random.default_rng(45))
+    if diverge:
+        net.layers[0].w[0, 0] = np.inf
+    x, y = two_blobs()
+    with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) if diverge else nullcontext():
+        train(net, x, y, budget_epochs=2, learning_rate=0.1, batch_size=16,
+              rng=np.random.default_rng(46))
+    for layer in net.dense_layers():
+        for name in ("_x", "_a", "dw", "db"):
+            assert getattr(layer, name) is None, name
+    assert net.layers[1]._mask is None
 
 
 def criterion_5_networks():

@@ -15,8 +15,8 @@ grammar must follow; ``LAYER_SYMBOL``, ``MACRO_SYMBOL`` and
 * dense layers provide ``units`` and ``act`` attributes, dropout layers
   provide ``rate``;
 * the macro symbol (``learning``) provides ``lr`` and ``batch``;
-* ``<middle_point>`` draws the split point from the dynamic bound that
-  :func:`~evopower.grammar.bind_dynamic_bound` sets.
+* ``<middle_point>`` draws the split point from its dynamic block, whose
+  upper limit is passed to :func:`~evopower.grammar.derive` as ``bound``.
 
 Hidden layers are counted over dense layers only; dropout attaches to its
 preceding dense layer and never hosts the auxiliary output.  Every
@@ -40,7 +40,7 @@ from typing import get_args, get_origin, get_type_hints
 import numpy as np
 
 from .errors import ConfigError, InvalidGenotypeError
-from .grammar import GeneList, Grammar, bind_dynamic_bound, decode, random_derivation
+from .grammar import GeneList, Grammar, derive
 
 LAYER_SYMBOL = "layer"
 MACRO_SYMBOL = "learning"
@@ -197,12 +197,12 @@ class PhenotypeSpec:
 
 
 def _decode_layer(grammar: Grammar, genes: GeneList) -> LayerSpec:
-    d = decode(grammar, LAYER_SYMBOL, genes)
-    kind = d.attrs.get("layer", [None])[0]
+    attrs = derive(grammar, LAYER_SYMBOL, genes)[1]
+    kind = attrs.get("layer", [None])[0]
     if kind == "dense":
-        return LayerSpec("dense", units=int(d.attrs["units"][0]), activation=d.attrs["act"][0])
+        return LayerSpec("dense", units=int(attrs["units"][0]), activation=attrs["act"][0])
     if kind == "dropout":
-        return LayerSpec("dropout", rate=float(d.attrs["rate"][0]))
+        return LayerSpec("dropout", rate=float(attrs["rate"][0]))
     raise InvalidGenotypeError(
         f"<{LAYER_SYMBOL}> derivation must tag a known layer:<kind>, got {kind!r}"
     )
@@ -238,10 +238,10 @@ def clamp_middle_point(ind: Individual, grammar: Grammar) -> Individual:
     return out
 
 
-def draw_middle_point(bound: Grammar, rng: np.random.Generator) -> int:
-    """A split point drawn from ``bound``, a grammar whose dynamic bound is set."""
-    genes = random_derivation(bound, MIDDLE_POINT_SYMBOL, rng)
-    return int(decode(bound, MIDDLE_POINT_SYMBOL, genes).attrs[MIDDLE_POINT_SYMBOL][0])
+def draw_middle_point(grammar: Grammar, hidden: int, rng: np.random.Generator) -> int:
+    """A split point drawn for an individual with ``hidden`` dense layers."""
+    attrs = derive(grammar, MIDDLE_POINT_SYMBOL, GeneList(), rng, hidden - MIN_HIDDEN_LAYERS)[1]
+    return int(attrs[MIDDLE_POINT_SYMBOL][0])
 
 
 def init_individual(
@@ -264,15 +264,14 @@ def init_individual(
         for _ in range(config.modules):
             n_layers = int(rng.integers(config.init_layers_min, config.init_layers_max + 1))
             modules.append(
-                ModuleGene([random_derivation(grammar, LAYER_SYMBOL, rng) for _ in range(n_layers)])
+                ModuleGene([derive(grammar, LAYER_SYMBOL, GeneList(), rng)[0] for _ in range(n_layers)])
             )
         ind = Individual(modules, MacroGenes({}, 0), id, float(train_budget))
         hidden = count_hidden_layers(ind, grammar)
         if hidden < MIN_HIDDEN_LAYERS:
             continue
-        bound = bind_dynamic_bound(grammar, hidden - MIN_HIDDEN_LAYERS)
-        macro = {MACRO_SYMBOL: random_derivation(bound, MACRO_SYMBOL, rng)}
-        ind.macro = MacroGenes(macro, draw_middle_point(bound, rng))
+        macro = {MACRO_SYMBOL: derive(grammar, MACRO_SYMBOL, GeneList(), rng, hidden - MIN_HIDDEN_LAYERS)[0]}
+        ind.macro = MacroGenes(macro, draw_middle_point(grammar, hidden, rng))
         return ind
     raise ConfigError(
         f"could not draw {MIN_HIDDEN_LAYERS} dense layers in {_INIT_TRIES} attempts; "
@@ -300,7 +299,7 @@ def to_phenotype(ind: Individual, grammar: Grammar) -> PhenotypeSpec:
 
     macro_attrs: dict[str, list] = {}
     for symbol, genes in ind.macro.genes.items():
-        macro_attrs.update(decode(grammar, symbol, genes).attrs)
+        macro_attrs.update(derive(grammar, symbol, genes)[1])
     try:
         lr = float(macro_attrs["lr"][0])
         batch = int(macro_attrs["batch"][0])

@@ -10,17 +10,20 @@ Angle-bracketed names are nonterminals, bare tokens are literals, and a
 bracketed five-field group ``[name,kind,count,lo,hi]`` is a terminal block
 that samples ``count`` numeric genes from ``[lo, hi]``.  ``kind`` is ``int``
 (inclusive bounds) or ``float`` (uniform over ``[lo, hi)``).  The upper
-bound may be the token ``x``, a placeholder resolved per individual through
-:func:`bind_dynamic_bound`.  ``#`` starts a comment; blank lines are
-ignored; files may be LF or CRLF.
+bound may be the token ``x``, a placeholder that each walk resolves from
+its ``bound`` argument.  ``#`` starts a comment; blank lines are ignored;
+files may be LF or CRLF.
 
 A genotype (:class:`GeneList`) stores, per nonterminal, the ordered
 expansion indices consumed while deriving a sentence, plus the sampled
-values of every terminal block encountered.  Decoding replays those
-choices and collects literals and block values into an attribute map:
-a ``key:value`` literal appends ``value`` under ``key``, a bare literal
-is recorded under the name of the nonterminal whose alternative produced
-it, and block values are recorded under the block name.
+values of every terminal block encountered.  One walker, :func:`derive`,
+follows those genes and collects literals and block values into an
+attribute map: a ``key:value`` literal appends ``value`` under ``key``, a
+bare literal is recorded under the name of the nonterminal whose
+alternative produced it, and block values are recorded under the block
+name.  A strict walk rejects any gene it cannot use; a resample walk
+draws such genes afresh, which both derives new sentences and repairs
+edited ones.
 """
 
 from __future__ import annotations
@@ -47,8 +50,8 @@ class NonTerminal:
 class TerminalBlock:
     """Numeric gene block ``[name,kind,count,lo,hi]``.
 
-    ``hi`` may be the dynamic token ``"x"``; such a block cannot be
-    sampled until the grammar is bound via :func:`bind_dynamic_bound`.
+    ``hi`` may be the dynamic token ``"x"``; a walk reads such a block's
+    upper bound from its ``bound`` argument.
     """
 
     name: str
@@ -77,19 +80,6 @@ class Grammar:
         except KeyError:
             raise GrammarError(f"unknown nonterminal <{name}>") from None
 
-    def blocks(self) -> dict[str, TerminalBlock]:
-        """All terminal blocks keyed by block name."""
-        out: dict[str, TerminalBlock] = {}
-        for alts in self.rules.values():
-            for alt in alts:
-                for sym in alt:
-                    if isinstance(sym, TerminalBlock):
-                        out[sym.name] = sym
-        return out
-
-    def has_dynamic_bound(self) -> bool:
-        return any(b.dynamic for b in self.blocks().values())
-
 
 @dataclass
 class GeneList:
@@ -114,15 +104,6 @@ class GeneList:
         ch = tuple(sorted((k, tuple(v)) for k, v in self.choices.items()))
         va = tuple(sorted((k, tuple(tuple(g) for g in v)) for k, v in self.values.items()))
         return (ch, va)
-
-
-@dataclass
-class Decoded:
-    """Result of :func:`decode`: attribute map plus consumption counts."""
-
-    attrs: dict[str, list]
-    consumed_choices: dict[str, int]
-    consumed_values: dict[str, int]
 
 
 def load_packaged_grammar(name: str) -> Grammar:
@@ -289,174 +270,102 @@ def _validate(grammar: Grammar, rule_lines: dict[str, int]) -> None:
         raise GrammarError(f"dynamic bound token '{DYNAMIC_BOUND_TOKEN}' appears in multiple rules: {names}")
 
 
-def bind_dynamic_bound(grammar: Grammar, value: int) -> Grammar:
-    """Return a grammar in which every dynamic upper bound reads as ``value``.
-
-    The input grammar is left untouched; grammars without a dynamic block
-    pass through as an equivalent copy.
-    """
-    if value < 0:
-        raise ValueError(f"dynamic bound must be >= 0, got {value}")
-    if not grammar.has_dynamic_bound():
-        return Grammar({n: [list(a) for a in alts] for n, alts in grammar.rules.items()})
-    rules: dict[str, list[list[Symbol]]] = {}
-    for name, alts in grammar.rules.items():
-        new_alts = []
-        for alt in alts:
-            new_alt: list[Symbol] = []
-            for sym in alt:
-                if isinstance(sym, TerminalBlock) and sym.dynamic:
-                    bound = int(value) if sym.kind == "int" else float(value)
-                    sym = TerminalBlock(sym.name, sym.kind, sym.count, sym.lo, bound)
-                new_alt.append(sym)
-            new_alts.append(new_alt)
-        rules[name] = new_alts
-    return Grammar(rules)
-
-
-def _sample_block(block: TerminalBlock, rng: np.random.Generator) -> list[int | float]:
-    if block.dynamic:
+def _sample_block(block: TerminalBlock, hi, rng: np.random.Generator) -> list[int | float]:
+    if hi is None:
         raise DerivationError(f"block [{block.name}] has an unbound dynamic upper bound")
-    if block.hi < block.lo:
-        raise DerivationError(f"block [{block.name}] has empty range [{block.lo}, {block.hi}]")
+    if hi < block.lo:
+        raise DerivationError(f"block [{block.name}] has empty range [{block.lo}, {hi}]")
     if block.kind == "int":
-        return [int(rng.integers(int(block.lo), int(block.hi) + 1)) for _ in range(block.count)]
-    return [float(rng.uniform(block.lo, block.hi)) for _ in range(block.count)]
+        return [int(rng.integers(int(block.lo), int(hi) + 1)) for _ in range(block.count)]
+    return [float(rng.uniform(block.lo, hi)) for _ in range(block.count)]
 
 
-def random_derivation(
+def _group_fault(block: TerminalBlock, hi, groups: list, pos: int) -> str | None:
+    """Why value group ``pos`` cannot fill ``block``, or None when it can."""
+    if pos >= len(groups):
+        return "values exhausted"
+    group = groups[pos]
+    if len(group) != block.count:
+        return f"{len(group)} values where {block.count} are expected"
+    if hi is None:
+        return "value under an unbound dynamic upper bound"
+    for v in group:
+        if block.kind == "int" and type(v) is not int:
+            return f"non-integer value {v!r}"
+        if not block.lo <= v <= hi:
+            return f"value {v} outside [{block.lo}, {hi}]"
+    return None
+
+
+def derive(
     grammar: Grammar,
     start: str,
-    rng: np.random.Generator,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> GeneList:
-    """Derive a random sentence from ``start``, recording genes DSGE-style.
+    genes: GeneList,
+    rng: np.random.Generator | None = None,
+    bound: int | None = None,
+) -> tuple[GeneList, dict[str, list]]:
+    """Walk the derivation from ``start`` that ``genes`` records.
 
-    Expansion alternatives are chosen uniformly.  Recursion deeper than
-    ``depth_cap`` raises :class:`DerivationError` rather than truncating.
+    Returns the genes the walk used, in derivation order, and the
+    attribute map.  ``bound`` is the upper limit of the dynamic block.
+
+    Without ``rng`` the walk is strict: a missing or out-of-range
+    expansion index, or a value group that is missing, of the wrong
+    length, out of bounds or (in an ``int`` block) not an int, raises
+    :class:`InvalidGenotypeError`.  With ``rng`` each such gene is drawn
+    afresh (alternatives uniformly), and genes the walk never reaches are
+    dropped; ``derive(grammar, start, GeneList(), rng)`` is a random
+    derivation.  Recursion deeper than :data:`DEFAULT_DEPTH_CAP`, or a
+    dynamic block met without ``bound``, raises
+    :class:`InvalidGenotypeError` in a strict walk and
+    :class:`DerivationError` otherwise.
     """
-    genes = GeneList()
-    alts_of = grammar.alternatives  # raises on unknown start
-
-    def expand(name: str, depth: int) -> None:
-        if depth > depth_cap:
-            raise DerivationError(
-                f"expansion of <{name}> exceeded depth cap {depth_cap}; grammar may be non-terminating"
-            )
-        alts = alts_of(name)
-        idx = int(rng.integers(0, len(alts)))
-        genes.choices.setdefault(name, []).append(idx)
-        for sym in alts[idx]:
-            if isinstance(sym, NonTerminal):
-                expand(sym.name, depth + 1)
-            elif isinstance(sym, TerminalBlock):
-                genes.values.setdefault(sym.name, []).append(_sample_block(sym, rng))
-
-    expand(start, 0)
-    return genes
-
-
-def decode(grammar: Grammar, start: str, genes: GeneList) -> Decoded:
-    """Replay ``genes`` from ``start`` and collect the attribute map.
-
-    Pure function of its inputs.  Raises :class:`InvalidGenotypeError` on
-    gene exhaustion, out-of-range expansion indices, or block values
-    outside their declared bounds.
-    """
+    out = GeneList()
     attrs: dict[str, list] = {}
     cursors: dict[str, int] = {}
     value_cursors: dict[str, int] = {}
 
-    def expand(name: str) -> None:
-        alts = grammar.alternatives(name)
-        pos = cursors.get(name, 0)
-        stored = genes.choices.get(name, [])
-        if pos >= len(stored):
-            raise InvalidGenotypeError(f"genes exhausted for <{name}> (needed index {pos})")
-        idx = stored[pos]
-        cursors[name] = pos + 1
-        if not 0 <= idx < len(alts):
-            raise InvalidGenotypeError(
-                f"expansion index {idx} out of range for <{name}> with {len(alts)} alternatives"
-            )
-        for sym in alts[idx]:
-            if isinstance(sym, NonTerminal):
-                expand(sym.name)
-            elif isinstance(sym, TerminalBlock):
-                vpos = value_cursors.get(sym.name, 0)
-                groups = genes.values.get(sym.name, [])
-                if vpos >= len(groups):
-                    raise InvalidGenotypeError(f"values exhausted for block [{sym.name}]")
-                group = groups[vpos]
-                value_cursors[sym.name] = vpos + 1
-                if len(group) != sym.count:
-                    raise InvalidGenotypeError(
-                        f"block [{sym.name}] expects {sym.count} values, got {len(group)}"
-                    )
-                if not sym.dynamic:
-                    for v in group:
-                        if not (sym.lo <= v <= sym.hi):
-                            raise InvalidGenotypeError(
-                                f"value {v} outside [{sym.lo}, {sym.hi}] for block [{sym.name}]"
-                            )
-                attrs.setdefault(sym.name, []).extend(group)
-            else:
-                if ":" in sym:
-                    key, val = sym.split(":", 1)
-                    attrs.setdefault(key, []).append(val)
-                else:
-                    attrs.setdefault(name, []).append(sym)
-
-    expand(start)
-    return Decoded(attrs, dict(cursors), dict(value_cursors))
-
-
-def repair(
-    grammar: Grammar,
-    start: str,
-    genes: GeneList,
-    rng: np.random.Generator,
-    depth_cap: int = DEFAULT_DEPTH_CAP,
-) -> GeneList:
-    """Re-derive from ``start`` reusing ``genes`` where possible.
-
-    Out-of-range indices are resampled, missing genes are drawn fresh, and
-    trailing unconsumed genes are dropped.  Used after point mutations so a
-    perturbed genotype always decodes.
-    """
-    out = GeneList()
-    cursors: dict[str, int] = {}
-    value_cursors: dict[str, int] = {}
-
     def expand(name: str, depth: int) -> None:
-        if depth > depth_cap:
-            raise DerivationError(f"repair of <{name}> exceeded depth cap {depth_cap}")
+        if depth > DEFAULT_DEPTH_CAP:
+            error = InvalidGenotypeError if rng is None else DerivationError
+            raise error(f"expansion of <{name}> exceeded depth cap {DEFAULT_DEPTH_CAP}")
         alts = grammar.alternatives(name)
         pos = cursors.get(name, 0)
-        stored = genes.choices.get(name, [])
+        cursors[name] = pos + 1
+        stored = genes.choices.get(name, ())
         if pos < len(stored) and 0 <= stored[pos] < len(alts):
             idx = stored[pos]
-        else:
+        elif rng is not None:
             idx = int(rng.integers(0, len(alts)))
-        cursors[name] = pos + 1
+        elif pos >= len(stored):
+            raise InvalidGenotypeError(f"genes exhausted for <{name}> (needed index {pos})")
+        else:
+            raise InvalidGenotypeError(
+                f"expansion index {stored[pos]} out of range for <{name}> with {len(alts)} alternatives"
+            )
         out.choices.setdefault(name, []).append(idx)
         for sym in alts[idx]:
             if isinstance(sym, NonTerminal):
                 expand(sym.name, depth + 1)
             elif isinstance(sym, TerminalBlock):
+                hi = bound if sym.dynamic else sym.hi
                 vpos = value_cursors.get(sym.name, 0)
-                groups = genes.values.get(sym.name, [])
-                if (
-                    vpos < len(groups)
-                    and len(groups[vpos]) == sym.count
-                    and not sym.dynamic
-                    and all(sym.lo <= v <= sym.hi for v in groups[vpos])
-                ):
-                    group = list(groups[vpos])
-                else:
-                    group = _sample_block(sym, rng)
                 value_cursors[sym.name] = vpos + 1
+                groups = genes.values.get(sym.name, ())
+                fault = _group_fault(sym, hi, groups, vpos)
+                if fault is None:
+                    group = list(groups[vpos])
+                elif rng is None:
+                    raise InvalidGenotypeError(f"{fault} for block [{sym.name}]")
+                else:
+                    group = _sample_block(sym, hi, rng)
                 out.values.setdefault(sym.name, []).append(group)
+                attrs.setdefault(sym.name, []).extend(group)
+            elif ":" in sym:
+                key, val = sym.split(":", 1)
+                attrs.setdefault(key, []).append(val)
+            else:
+                attrs.setdefault(name, []).append(sym)
 
     expand(start, 0)
-    return out
+    return out, attrs

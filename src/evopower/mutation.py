@@ -38,7 +38,7 @@ from .genome import (
     count_hidden_layers,
     draw_middle_point,
 )
-from .grammar import GeneList, Grammar, bind_dynamic_bound, random_derivation, repair
+from .grammar import GeneList, Grammar, derive
 
 POWER_FLOOR_W = 1e-6
 DEFAULT_ARCHIVE_CAPACITY = 256
@@ -138,7 +138,7 @@ def _add_layer(ind: Individual, grammar: Grammar, genome: GenomeConfig, rng: np.
     if len(m.layer_genes) >= genome.max_layers:
         return
     pos = int(rng.integers(0, len(m.layer_genes) + 1))
-    m.layer_genes.insert(pos, random_derivation(grammar, LAYER_SYMBOL, rng))
+    m.layer_genes.insert(pos, derive(grammar, LAYER_SYMBOL, GeneList(), rng)[0])
 
 
 def _reuse_layer(ind: Individual, genome: GenomeConfig, rng: np.random.Generator) -> None:
@@ -179,7 +179,7 @@ def _remove_module(ind: Individual, grammar: Grammar, rng: np.random.Generator) 
 
 def _dsge_level(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> None:
     # re-derive one gene: redraw one expansion choice, then resample the
-    # gene list's terminal values during repair (choices elsewhere are kept)
+    # gene list's terminal values in a resample walk (choices elsewhere are kept)
     targets: list[tuple[GeneList, str]] = [
         (genes, LAYER_SYMBOL) for m in ind.modules for genes in m.layer_genes
     ]
@@ -192,7 +192,7 @@ def _dsge_level(ind: Individual, grammar: Grammar, rng: np.random.Generator) -> 
     before = genes.copy()
     genes.choices[nt][i] = int(rng.integers(0, len(grammar.alternatives(nt))))
     stripped = GeneList(choices=genes.choices, values={})
-    fixed = repair(grammar, start, stripped, rng)
+    fixed = derive(grammar, start, stripped, rng)[0]
     genes.choices, genes.values = fixed.choices, fixed.values
     if count_hidden_layers(ind, grammar) < MIN_HIDDEN_LAYERS:
         genes.choices, genes.values = before.choices, before.values
@@ -205,12 +205,10 @@ def _macro_layer(ind: Individual, grammar: Grammar, rng: np.random.Generator) ->
     if pick < len(symbols):
         genes = ind.macro.genes[symbols[pick]]
         stripped = GeneList(choices={k: list(v) for k, v in genes.choices.items()}, values={})
-        fixed = repair(grammar, symbols[pick], stripped, rng)
+        fixed = derive(grammar, symbols[pick], stripped, rng)[0]
         genes.choices, genes.values = fixed.choices, fixed.values
     else:
-        hidden = count_hidden_layers(ind, grammar)
-        bound = bind_dynamic_bound(grammar, hidden - MIN_HIDDEN_LAYERS)
-        ind.macro.middle_point = draw_middle_point(bound, rng)
+        ind.macro.middle_point = draw_middle_point(grammar, count_hidden_layers(ind, grammar), rng)
 
 
 def mutate(

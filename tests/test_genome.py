@@ -19,6 +19,7 @@ from evopower.genome import (
     load_typed,
     to_phenotype,
     validate_individual,
+    validate_module,
 )
 from evopower.grammar import GeneList, load_packaged_grammar, parse_grammar
 
@@ -168,6 +169,31 @@ def test_validate_individual_rejects_module_outside_layer_bounds():
     with pytest.raises(InvalidGenotypeError, match="outside"):
         validate_individual(ind, GRAMMAR, GenomeConfig(min_layers=4, max_layers=6,
                                                        init_layers_min=4, init_layers_max=4))
+
+
+def test_validate_module_rejects_a_derivation_past_the_depth_cap():
+    # a user grammar whose <layer> recurses: a long enough genotype must fail
+    # as an invalid genotype, not exhaust the interpreter's recursion limit
+    grammar = parse_grammar(
+        "<layer> ::= <layer> | layer:dense [units,int,1,16,256] <activation>\n"
+        "<activation> ::= act:relu\n"
+    )
+    deep = GeneList(choices={"layer": [0] * 5000 + [1], "activation": [0]}, values={"units": [[64]]})
+    with pytest.raises(InvalidGenotypeError, match="depth cap"):
+        validate_module(ModuleGene([deep]), grammar, GenomeConfig(min_layers=1))
+    shallow = GeneList(choices={"layer": [0, 0, 1], "activation": [0]}, values={"units": [[64]]})
+    validate_module(ModuleGene([shallow]), grammar, GenomeConfig(min_layers=1))
+
+
+def test_validate_individual_rejects_fractional_units():
+    # 16.5 units would train as 16 under a genotype key of its own, so the
+    # archive could hold one phenotype twice
+    d = genotype_payload(make_individual([dense_gene(16)] * 2))
+    load_genotype(d)
+    d["modules"][0]["layer_genes"][0]["values"]["units"] = [[16.5]]
+    ind = load_genotype(json.loads(json.dumps(d)))
+    with pytest.raises(InvalidGenotypeError, match="non-integer"):
+        validate_individual(ind, GRAMMAR, GenomeConfig())
 
 
 @pytest.mark.parametrize("budget", [-1.0, math.inf, math.nan])

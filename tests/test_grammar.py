@@ -3,19 +3,19 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evopower.errors import DerivationError, GrammarError, InvalidGenotypeError
 from evopower.genome import load_typed
 from evopower.grammar import (
+    DEFAULT_DEPTH_CAP,
     GeneList,
     NonTerminal,
     TerminalBlock,
-    bind_dynamic_bound,
-    decode,
+    derive,
     load_packaged_grammar,
     parse_grammar,
-    random_derivation,
-    repair,
 )
 
 SMALL = """
@@ -99,40 +99,48 @@ def test_parse_rejects_empty_text():
         parse_grammar("   \n# only a comment\n")
 
 
+def fresh(g, start, rng, bound=None):
+    return derive(g, start, GeneList(), rng, bound)[0]
+
+
 def test_dynamic_bound_binding():
     g = parse_grammar(DYNAMIC)
-    assert g.has_dynamic_bound()
-    bound = bind_dynamic_bound(g, 4)
-    block = bound.blocks()["middle_point"]
-    assert (block.lo, block.hi) == (0, 4)
-    assert not bound.has_dynamic_bound()
-    # original grammar untouched
-    assert g.blocks()["middle_point"].dynamic
-
-    tight = bind_dynamic_bound(g, 0)
     rng = np.random.default_rng(0)
+    seen = {fresh(g, "middle_point", rng, bound=4).values["middle_point"][0][0] for _ in range(200)}
+    assert seen == {0, 1, 2, 3, 4}
+    # the grammar keeps its dynamic token; each walk reads its own bound
+    assert g.rules["middle_point"][0][0].dynamic
     for _ in range(20):
-        genes = random_derivation(tight, "middle_point", rng)
+        genes, attrs = derive(g, "middle_point", GeneList(), rng, bound=0)
         assert genes.values["middle_point"] == [[0]]
+        assert attrs == {"middle_point": [0]}
+    genes = GeneList({"middle_point": [0]}, {"middle_point": [[3]]})
+    assert derive(g, "middle_point", genes, bound=3)[1] == {"middle_point": [3]}
+    with pytest.raises(InvalidGenotypeError, match="outside"):
+        derive(g, "middle_point", genes, bound=2)
 
 
-def test_bind_on_static_grammar_is_identity_copy():
+def test_bound_on_static_grammar_changes_nothing():
     g = parse_grammar(SMALL)
-    h = bind_dynamic_bound(g, 7)
-    assert h.rules == g.rules
-    assert h.rules is not g.rules
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    for _ in range(50):
+        assert derive(g, "layer", GeneList(), a, bound=7) == derive(g, "layer", GeneList(), b)
+    assert a.random() == b.random()
 
 
 def test_bind_rejects_negative():
     g = parse_grammar(DYNAMIC)
-    with pytest.raises(ValueError):
-        bind_dynamic_bound(g, -1)
+    with pytest.raises(DerivationError, match="empty range"):
+        fresh(g, "middle_point", np.random.default_rng(0), bound=-1)
 
 
 def test_derivation_requires_bound_grammar():
     g = parse_grammar(DYNAMIC)
     with pytest.raises(DerivationError, match="unbound"):
-        random_derivation(g, "middle_point", np.random.default_rng(0))
+        fresh(g, "middle_point", np.random.default_rng(0))
+    genes = GeneList({"middle_point": [0]}, {"middle_point": [[0]]})
+    with pytest.raises(InvalidGenotypeError, match="unbound"):
+        derive(g, "middle_point", genes)
 
 
 def test_alternative_choice_is_uniform():
@@ -141,7 +149,7 @@ def test_alternative_choice_is_uniform():
     n = 10_000
     relu = 0
     for _ in range(n):
-        genes = random_derivation(g, "activation", rng)
+        genes = fresh(g, "activation", rng)
         relu += genes.choices["activation"][0] == 0
     assert abs(relu / n - 0.5) < 0.02
 
@@ -150,7 +158,7 @@ def test_block_sampling_respects_bounds():
     g = parse_grammar(SMALL)
     rng = np.random.default_rng(7)
     for _ in range(500):
-        genes = random_derivation(g, "layer", rng)
+        genes = fresh(g, "layer", rng)
         if "units" in genes.values:
             (u,) = genes.values["units"][0]
             assert isinstance(u, int) and 16 <= u <= 256
@@ -164,71 +172,104 @@ def test_int_block_bounds_inclusive():
     rng = np.random.default_rng(3)
     seen = set()
     for _ in range(300):
-        seen.add(random_derivation(g, "a", rng).values["v"][0][0])
+        seen.add(fresh(g, "a", rng).values["v"][0][0])
     assert seen == {0, 1, 2}
 
 
 def test_decode_round_trip_many():
-    """Every random derivation must decode, consuming all of its genes."""
+    """Every random derivation re-walks strictly to the same genes."""
     g = parse_grammar(SMALL)
     rng = np.random.default_rng(11)
     for _ in range(1000):
-        genes = random_derivation(g, "layer", rng)
-        d = decode(g, "layer", genes)
-        assert d.consumed_choices == {k: len(v) for k, v in genes.choices.items()}
-        assert d.consumed_values == {k: len(v) for k, v in genes.values.items()}
-        assert d.attrs["layer"][0] in ("dense", "dropout")
-        if d.attrs["layer"][0] == "dense":
-            assert d.attrs["act"][0] in ("relu", "sigmoid")
-            assert 16 <= d.attrs["units"][0] <= 256
+        genes = fresh(g, "layer", rng)
+        walked, attrs = derive(g, "layer", genes)
+        assert walked == genes
+        assert attrs["layer"][0] in ("dense", "dropout")
+        if attrs["layer"][0] == "dense":
+            assert attrs["act"][0] in ("relu", "sigmoid")
+            assert 16 <= attrs["units"][0] <= 256
 
 
 def test_decode_is_deterministic_replay():
     g = parse_grammar(SMALL)
-    genes = random_derivation(g, "layer", np.random.default_rng(5))
-    a = decode(g, "layer", genes)
-    b = decode(g, "layer", genes)
-    assert a.attrs == b.attrs
+    genes = fresh(g, "layer", np.random.default_rng(5))
+    assert derive(g, "layer", genes) == derive(g, "layer", genes)
 
 
 def test_decode_attribute_conventions():
     g = parse_grammar("<a> ::= tag:val bare [v,int,2,1,3]\n")
-    genes = random_derivation(g, "a", np.random.default_rng(0))
-    d = decode(g, "a", genes)
-    assert d.attrs["tag"] == ["val"]
-    assert d.attrs["a"] == ["bare"]
-    assert len(d.attrs["v"]) == 2
+    genes = fresh(g, "a", np.random.default_rng(0))
+    attrs = derive(g, "a", genes)[1]
+    assert attrs["tag"] == ["val"]
+    assert attrs["a"] == ["bare"]
+    assert len(attrs["v"]) == 2
 
 
 def test_decode_rejects_bad_genotypes():
     g = parse_grammar(SMALL)
     with pytest.raises(InvalidGenotypeError, match="exhausted"):
-        decode(g, "layer", GeneList())
+        derive(g, "layer", GeneList())
 
     genes = GeneList(choices={"layer": [5]})
     with pytest.raises(InvalidGenotypeError, match="out of range"):
-        decode(g, "layer", genes)
+        derive(g, "layer", genes)
 
     genes = GeneList(
         choices={"layer": [0], "dense": [0], "activation": [0]},
         values={"units": [[9999]]},
     )
     with pytest.raises(InvalidGenotypeError, match="outside"):
-        decode(g, "layer", genes)
+        derive(g, "layer", genes)
+
+
+def test_int_blocks_accept_only_ints():
+    g = parse_grammar(SMALL)
+    genes = GeneList(
+        choices={"layer": [0], "dense": [0], "activation": [0]},
+        values={"units": [[16.5]]},
+    )
+    with pytest.raises(InvalidGenotypeError, match="non-integer"):
+        derive(g, "layer", genes)
+    genes.values["units"] = [[16.0]]
+    with pytest.raises(InvalidGenotypeError, match="non-integer"):
+        derive(g, "layer", genes)
+    # a resample walk redraws the value and keeps the choices
+    fixed = derive(g, "layer", genes, np.random.default_rng(0))[0]
+    (u,) = fixed.values["units"][0]
+    assert type(u) is int and 16 <= u <= 256
+    assert fixed.choices == genes.choices
+    # float blocks keep accepting ints, as JSON writes 0.0 as 0
+    g = parse_grammar("<a> ::= [r,float,1,0,1]\n")
+    assert derive(g, "a", GeneList({"a": [0]}, {"r": [[0]]}))[1] == {"r": [0]}
 
 
 def test_depth_cap():
     g = parse_grammar("<a> ::= <a>\n")
     with pytest.raises(DerivationError, match="depth cap"):
-        random_derivation(g, "a", np.random.default_rng(0))
+        fresh(g, "a", np.random.default_rng(0))
+
+
+def test_strict_walk_obeys_depth_cap():
+    g = parse_grammar("<a> ::= <a> | y\n")
+    with pytest.raises(InvalidGenotypeError, match="depth cap"):
+        derive(g, "a", GeneList({"a": [0] * 5000 + [1]}))
+    # both walks accept the same depth and reject one level more
+    deepest = GeneList({"a": [0] * DEFAULT_DEPTH_CAP + [1]})
+    assert derive(g, "a", deepest)[0] == deepest
+    assert derive(g, "a", deepest, np.random.default_rng(0))[0] == deepest
+    too_deep = GeneList({"a": [0] * (DEFAULT_DEPTH_CAP + 1) + [1]})
+    with pytest.raises(InvalidGenotypeError, match="depth cap"):
+        derive(g, "a", too_deep)
+    with pytest.raises(DerivationError, match="depth cap"):
+        derive(g, "a", too_deep, np.random.default_rng(0))
 
 
 def test_repair_fixes_out_of_range_choice():
     g = parse_grammar(SMALL)
-    genes = random_derivation(g, "layer", np.random.default_rng(1))
+    genes = fresh(g, "layer", np.random.default_rng(1))
     genes.choices["layer"][0] = 99
-    fixed = repair(g, "layer", genes, np.random.default_rng(2))
-    decode(g, "layer", fixed)
+    fixed = derive(g, "layer", genes, np.random.default_rng(2))[0]
+    derive(g, "layer", fixed)
     assert 0 <= fixed.choices["layer"][0] < 2
 
 
@@ -237,16 +278,16 @@ def test_repair_appends_missing_and_truncates_extra():
     rng = np.random.default_rng(9)
     # force the dense branch but omit everything downstream
     genes = GeneList(choices={"layer": [0, 1, 1]})
-    fixed = repair(g, "layer", genes, rng)
+    fixed = derive(g, "layer", genes, rng)[0]
     assert fixed.choices["layer"] == [0]
     assert "dense" in fixed.choices and "units" in fixed.values
-    decode(g, "layer", fixed)
+    derive(g, "layer", fixed)
 
 
 def test_repair_preserves_valid_genes():
     g = parse_grammar(SMALL)
-    genes = random_derivation(g, "layer", np.random.default_rng(13))
-    fixed = repair(g, "layer", genes, np.random.default_rng(14))
+    genes = fresh(g, "layer", np.random.default_rng(13))
+    fixed = derive(g, "layer", genes, np.random.default_rng(14))[0]
     assert fixed.choices == genes.choices
     assert fixed.values == genes.values
 
@@ -257,9 +298,58 @@ def test_repair_resamples_out_of_bounds_value():
         choices={"layer": [0], "dense": [0], "activation": [1]},
         values={"units": [[100_000]]},
     )
-    fixed = repair(g, "layer", genes, np.random.default_rng(4))
+    fixed = derive(g, "layer", genes, np.random.default_rng(4))[0]
     (u,) = fixed.values["units"][0]
     assert 16 <= u <= 256
+
+
+PACKAGED = [load_packaged_grammar("default"), load_packaged_grammar("dense_only")]
+
+
+@st.composite
+def walks(draw):
+    """A packaged grammar, one of its start symbols, a seed and a bound."""
+    g = draw(st.sampled_from(PACKAGED))
+    return g, draw(st.sampled_from(sorted(g.rules))), draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 10))
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_fresh_walk_rewalks_strictly(walk):
+    g, start, seed, bound = walk
+    genes, attrs = derive(g, start, GeneList(), np.random.default_rng(seed), bound)
+    assert derive(g, start, genes, bound=bound) == (genes, attrs)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_resample_walk_of_valid_genes_draws_nothing(walk):
+    g, start, seed, bound = walk
+    genes, attrs = derive(g, start, GeneList(), np.random.default_rng(seed), bound)
+    rng, untouched = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+    assert derive(g, start, genes, rng, bound) == (genes, attrs)
+    assert rng.random() == untouched.random()
+
+
+RULES = sorted({n for g in PACKAGED for n in g.rules})
+NUMBERS = st.integers(-3, 300) | st.floats(allow_nan=True, allow_infinity=True)
+CHOICES = st.lists(st.integers(-1, 2), max_size=4)
+GROUPS = st.lists(st.lists(NUMBERS, max_size=2), max_size=3)
+# JSON payloads that load_typed accepts, over the packaged symbol and block names
+PAYLOADS = st.fixed_dictionaries({
+    "choices": st.fixed_dictionaries({n: CHOICES for n in RULES}),
+    "values": st.fixed_dictionaries({n: GROUPS for n in ["units", "rate", "lr", "batch", "middle_point"]}),
+})
+
+
+@settings(max_examples=500, deadline=None)
+@given(walks(), PAYLOADS, st.none() | st.integers(-2, 10))
+def test_strict_walk_of_any_payload_raises_only_invalid_genotype(walk, payload, bound):
+    g, start, _, _ = walk
+    try:
+        derive(g, start, load_typed(GeneList, payload), bound=bound)
+    except InvalidGenotypeError:
+        pass
 
 
 def test_genelist_copy_is_deep():
@@ -287,7 +377,7 @@ def test_packaged_grammars_load():
         g = load_packaged_grammar(name)
         assert "layer" in g.rules
         assert "middle_point" in g.rules
-        assert g.has_dynamic_bound()
+        assert g.rules["middle_point"][0][0].dynamic
     assert "dropout" not in load_packaged_grammar("dense_only").rules
     with pytest.raises(GrammarError, match="no packaged grammar"):
         load_packaged_grammar("nope")

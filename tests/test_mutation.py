@@ -1,3 +1,6 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from evopower.errors import ConfigError
 from evopower.genome import (
     GenomeConfig,
     count_hidden_layers,
+    genotype_payload,
     init_individual,
     validate_individual,
 )
@@ -355,3 +359,29 @@ def test_mutation_closure_fuzz():
             validate_individual(ind, GRAMMAR, GENOME)
             checked += 1
     assert checked == 10_000
+
+
+# sha256 of the mutation stream below; any change to the draws a mutation
+# consumes, or to the genes it writes, moves it
+GOLDEN_STREAM_SHA256 = "2e80c5bcaed1501c872ce970fb858ca96cae23e26df242ac75123a5e85558b4d"
+
+
+def test_golden_mutation_stream():
+    """init_individual plus 2,000 mutate steps over the packaged grammars,
+    archive fed fixed watts; the JSON of every genotype feeds one digest."""
+    digest = hashlib.sha256()
+    rates = MutationRates(dsge_level=0.5, macro_layer=0.5)
+    for grammar_seed, name in enumerate(("default", "dense_only")):
+        grammar = load_packaged_grammar(name)
+        genome = GenomeConfig(modules=2, min_layers=1, max_layers=5)
+        rng = np.random.default_rng(2024 + grammar_seed)
+        archive = ModuleArchive(capacity=8)
+        for chain in range(10):
+            ind = init_individual(grammar, genome, rng, id=chain)
+            for step in range(100):
+                digest.update(json.dumps(genotype_payload(ind), sort_keys=True).encode())
+                for m, module in enumerate(ind.modules):
+                    archive_insert(archive, module, 20.0 + (step * 37 + m * 11) % 61)
+                ind = mutate(ind, rates, archive, grammar, genome, rng, new_id=step + 1)
+            digest.update(json.dumps(genotype_payload(ind), sort_keys=True).encode())
+    assert digest.hexdigest() == GOLDEN_STREAM_SHA256

@@ -10,9 +10,12 @@ Three rules keep runs reproducible:
   stateful meter reads in a fixed order and one trained network is
   alive at a time;
 * each run appends one line per finished generation to
-  ``checkpoints/journal.jsonl``: its records, population, archive
-  inserts and counters.  A resumed run replays the lines, so it rebuilds
-  the uninterrupted logs, archive and CSV byte for byte.
+  ``checkpoints/journal.jsonl`` (version 4): the records and genotypes
+  the generation added, the watts of the modules it probed, and the
+  counters.  A carried parent is stored by its eval key and a probed
+  module by its place among the members, so each genotype is journaled
+  once.  A resumed run replays the lines, so it rebuilds the
+  uninterrupted logs, archive and CSV byte for byte.
 
 ``generations.csv`` grows by appended rows too; a fresh start rewrites
 both files, and a resume rewrites the CSV once from the replayed logs.
@@ -46,16 +49,16 @@ from .fitness import WORST_FITNESS, FitnessConfig, evaluate_fitness
 from .genome import (
     GenomeConfig,
     Individual,
+    ModuleGene,
     PhenotypeSpec,
     genotype_payload,
     init_individual,
     load_typed,
     to_phenotype,
     validate_individual,
-    validate_module,
 )
 from .grammar import Grammar
-from .mutation import ArchiveEntry, ModuleArchive, MutationRates, archive_insert, mutate
+from .mutation import ModuleArchive, MutationRates, archive_insert, mutate
 from .network import Network, TrainReport, build, evaluate_accuracy, save_weights, split, train
 from .power import (
     DEFAULT_N_MEASURES,
@@ -66,7 +69,7 @@ from .power import (
     probe_module_power,
 )
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 MODES = ("baseline", "proposed")
 
 # rng stream purposes
@@ -317,6 +320,25 @@ class _RunState:
         self.generation = -1  # last completed generation
 
 
+def _unprobed_modules(state: _RunState, rates: MutationRates) -> list[tuple[int, int, ModuleGene]]:
+    """(slot, module index, module) of the members' modules that no earlier
+    generation probed, in slot then module order, each genotype once; from
+    here on they count as probed.  Probing and replay both walk this list.
+    """
+    unprobed: list[tuple[int, int, ModuleGene]] = []
+    # the archive only feeds reuse_module, so skip the probing cost when
+    # that operator is disabled (baseline mode)
+    if rates.reuse_module <= 0:
+        return unprobed
+    for slot, member in enumerate(state.members):
+        for mi, module in enumerate(member.individual.modules):
+            key = module.genotype_key()
+            if key not in state.probed:
+                state.probed.add(key)
+                unprobed.append((slot, mi, module))
+    return unprobed
+
+
 def _probe_new_modules(
     state: _RunState,
     grammar: Grammar,
@@ -324,33 +346,25 @@ def _probe_new_modules(
     meter: Meter | None,
     cfg: EvolutionConfig,
     generation: int,
-) -> list[ArchiveEntry]:
-    """Probe and archive the members' unseen modules; returns the inserts."""
-    inserted: list[ArchiveEntry] = []
-    # the archive only feeds reuse_module, so skip the probing cost when
-    # that operator is disabled (baseline mode)
-    if cfg.rates.reuse_module <= 0:
-        return inserted
-    for slot, member in enumerate(state.members):
-        for mi, module in enumerate(member.individual.modules):
-            key = module.genotype_key()
-            if key in state.probed:
-                continue
-            probe_meter = _meter_for(
-                meter, cfg, (cfg.seed, state.run, generation, slot, _PROBE, mi)
-            )
-            watts = probe_module_power(
-                module,
-                grammar,
-                probe_meter,
-                (data.input_dim, data.class_count),
-                n_measures=cfg.n_measures,
-                seed=cfg.seed,
-            )
-            archive_insert(state.archive, module, watts)
-            state.probed.add(key)
-            inserted.append(ArchiveEntry(module, watts))
-    return inserted
+) -> list[float]:
+    """Probe and archive the members' unseen modules; returns their raw
+    watts in probe order."""
+    probe_watts: list[float] = []
+    for slot, mi, module in _unprobed_modules(state, cfg.rates):
+        probe_meter = _meter_for(
+            meter, cfg, (cfg.seed, state.run, generation, slot, _PROBE, mi)
+        )
+        watts = probe_module_power(
+            module,
+            grammar,
+            probe_meter,
+            (data.input_dim, data.class_count),
+            n_measures=cfg.n_measures,
+            seed=cfg.seed,
+        )
+        archive_insert(state.archive, module, watts)
+        probe_watts.append(watts)
+    return probe_watts
 
 
 # generations.csv: the run, the generation, then these record fields; a
@@ -417,22 +431,28 @@ def _append_rows_csv(path: Path, rows: list[dict]) -> None:
 
 @dataclass
 class _JournalLine:
-    """One finished generation, as appended to ``journal.jsonl``.
+    """One finished generation, as appended to ``journal.jsonl`` (version 4).
 
     Slot ``s`` holds ``individuals[s]``, scored by ``records[s]`` at
-    ``eval_keys[s]``; ``inserted`` lists the modules probed this
-    generation, with raw watts, in archive insertion order.
+    ``eval_keys[s]``.  When ``eval_keys[s]`` names an earlier generation
+    the slot carries the previous line's member of that eval key over,
+    and its individual and record are None.  ``probe_watts`` holds the
+    raw watts of the modules :func:`_unprobed_modules` lists for the
+    members, in that order.
     """
 
     generation: int
     best_slot: int
-    records: list[EvaluationRecord]
-    individuals: list[Individual]
+    records: list[EvaluationRecord | None]
+    individuals: list[Individual | None]
     eval_keys: list[tuple[int, int]]
-    inserted: list[ArchiveEntry]
+    probe_watts: list[float]
     next_id: int
     evaluations: int
     parent_retrains: int
+
+
+_COMPACT = (",", ":")  # json separators of the journal lines
 
 
 def _journal_path(out: Path) -> Path:
@@ -444,22 +464,24 @@ def _start_files(out: Path, fingerprint: str, run: int) -> None:
     journal = _journal_path(out)
     journal.parent.mkdir(parents=True, exist_ok=True)
     header = {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint, "run": run}
-    journal.write_text(json.dumps(header) + "\n")
+    journal.write_text(json.dumps(header, separators=_COMPACT) + "\n")
     write_rows_csv(out / "generations.csv", [])
 
 
-def _finish_generation(state: _RunState, inserted: list[ArchiveEntry], out: Path | None) -> None:
+def _finish_generation(state: _RunState, probe_watts: list[float], out: Path | None) -> None:
     """Append the generation to the journal, then its rows to the CSV."""
     if out is None:
         return
     log = state.logs[-1]
+    # a member scored in an earlier generation is carried: its eval key alone
+    new = [m if m.eval_key[0] == log.generation else None for m in state.members]
     line = _JournalLine(
         log.generation,
         log.best_slot,
-        log.records,
-        [m.individual for m in state.members],
+        [m and m.record for m in new],
+        [m and m.individual for m in new],
         [m.eval_key for m in state.members],
-        inserted,
+        probe_watts,
         state.next_id,
         state.evaluations,
         state.parent_retrains,
@@ -468,7 +490,7 @@ def _finish_generation(state: _RunState, inserted: list[ArchiveEntry], out: Path
     # the fields in declaration order: the bytes of json.dumps(asdict(line))
     # without asdict's deep copy
     with open(_journal_path(out), "a") as fh:
-        fh.write(json.dumps(line, default=vars) + "\n")
+        fh.write(json.dumps(line, default=vars, separators=_COMPACT) + "\n")
     _append_rows_csv(out / "generations.csv", _log_rows(state.run, [log]))
 
 
@@ -479,15 +501,41 @@ def _parse_line(path: Path, number: int, raw: bytes):
         raise CheckpointError(f"unreadable checkpoint {path} line {number}: {exc}")
 
 
+def _replay_member(
+    line: _JournalLine, slot: int, previous: dict[tuple[int, int], Member],
+    grammar: Grammar, genome: GenomeConfig,
+) -> Member:
+    """Slot ``slot`` of a journal line: the member of ``previous`` (the
+    last population, by eval key) that it carries over, or a new member
+    that decodes within the genome's layer bounds.  Raises
+    :class:`InvalidGenotypeError` or :class:`GrammarError`."""
+    ind, rec, key = line.individuals[slot], line.records[slot], line.eval_keys[slot]
+    if ind is None and rec is None:
+        if key not in previous:
+            raise InvalidGenotypeError(
+                f"carries eval key {list(key)}, which no member of the previous line has"
+            )
+        return previous[key]
+    if ind is None or rec is None:
+        raise InvalidGenotypeError("individual and record must both be null or both be set")
+    if key != (line.generation, slot):
+        raise InvalidGenotypeError(
+            f"new member with eval key {list(key)}, expected {[line.generation, slot]}"
+        )
+    validate_individual(ind, grammar, genome)
+    return Member(ind, rec, key)
+
+
 def _load_journal(
     path: Path, fingerprint: str, run: int, cfg: EvolutionConfig, grammar: Grammar
 ) -> _RunState | None:
     """Replay a run's journal; None when it holds no finished generation.
 
     An unterminated last line is an append cut short, so it is dropped
-    and the file truncated to the lines before it.  Every member and
-    every archive insert must decode against ``grammar`` within the
-    genome's layer bounds, and every insert needs finite watts >= 0.
+    and the file truncated to the lines before it.  Every new member must
+    decode against ``grammar`` within the genome's layer bounds, every
+    carried one must name a member of the line before, and every probed
+    module needs finite watts >= 0.
     """
     try:
         data = path.read_bytes()
@@ -503,9 +551,12 @@ def _load_journal(
     if not lines:
         return None
     header = _parse_line(path, 1, lines[0])
-    version = header.get("version") if isinstance(header, dict) else header
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointError(f"unsupported checkpoint version {version!r:.60} in {path}")
+    if not isinstance(header, dict):
+        raise CheckpointError(f"checkpoint {path} header is not an object: {header!r:.60}")
+    if header.get("version") != CHECKPOINT_VERSION:
+        raise CheckpointError(
+            f"unsupported checkpoint version {header.get('version')!r:.60} in {path}"
+        )
     if header.get("fingerprint") != fingerprint:
         raise CheckpointError(f"checkpoint {path} does not match the current configuration")
     if header.get("run") != run:
@@ -528,29 +579,30 @@ def _load_journal(
                 f"malformed checkpoint {path} line {number}: not generation "
                 f"{state.generation + 1} of a population of {size}"
             )
-        where = ""
+        previous = {m.eval_key: m for m in state.members}
+        members = []
         try:
-            for slot, ind in enumerate(line.individuals):
-                where = f"member {slot}"
-                validate_individual(ind, grammar, cfg.genome)
-            for i, entry in enumerate(line.inserted):
-                where = f"inserted module {i}"
-                validate_module(entry.module, grammar, cfg.genome)
-                if not 0 <= entry.power_watts < math.inf:
-                    raise InvalidGenotypeError(
-                        f"power must be finite and >= 0, got {entry.power_watts}"
-                    )
+            for slot in range(size):
+                where = f"in member {slot}"
+                members.append(_replay_member(line, slot, previous, grammar, cfg.genome))
+            state.members = members
+            # the probed modules are members' modules, validated above
+            unprobed = _unprobed_modules(state, cfg.rates)
+            where = "in probe_watts"
+            if len(line.probe_watts) != len(unprobed):
+                raise InvalidGenotypeError(
+                    f"{len(line.probe_watts)} values for {len(unprobed)} unprobed modules"
+                )
+            for i, ((slot, mi, module), watts) in enumerate(zip(unprobed, line.probe_watts)):
+                where = f"in probe_watts[{i}] (member {slot}, module {mi})"
+                if not 0 <= watts < math.inf:
+                    raise InvalidGenotypeError(f"power must be finite and >= 0, got {watts}")
+                archive_insert(state.archive, module, watts)
         except (InvalidGenotypeError, GrammarError) as exc:
             raise CheckpointError(f"malformed checkpoint {path} line {number}: {where}: {exc}")
-        # _probe_new_modules is the only writer of the archive and of probed
-        for entry in line.inserted:
-            archive_insert(state.archive, entry.module, entry.power_watts)
-            state.probed.add(entry.module.genotype_key())
-        state.logs.append(GenerationLog(line.generation, line.records, line.best_slot))
-        state.members = [
-            Member(ind, rec, key)
-            for ind, rec, key in zip(line.individuals, line.records, line.eval_keys)
-        ]
+        state.logs.append(
+            GenerationLog(line.generation, [m.record for m in members], line.best_slot)
+        )
         state.next_id = line.next_id
         state.evaluations = line.evaluations
         state.parent_retrains = line.parent_retrains
@@ -589,15 +641,15 @@ def _evaluate_jobs(
 def _close_generation(
     state: _RunState, g: int, members: list[Member],
     cfg: EvolutionConfig, grammar: Grammar, data: TaskData, meter: Meter | None,
-) -> list[ArchiveEntry]:
+) -> list[float]:
     """Install generation ``g``'s population, probe its unseen modules
-    and log it; returns the archive inserts."""
+    and log it; returns the probes' watts."""
     state.members = members
     state.generation = g
-    inserted = _probe_new_modules(state, grammar, data, meter, cfg, g)
+    probe_watts = _probe_new_modules(state, grammar, data, meter, cfg, g)
     records = [m.record for m in members]
     state.logs.append(GenerationLog(g, records, best_slot(records)))
-    return inserted
+    return probe_watts
 
 
 def _initial_generation(
@@ -606,7 +658,7 @@ def _initial_generation(
     grammar: Grammar,
     data: TaskData,
     meter: Meter | None,
-) -> list[ArchiveEntry]:
+) -> list[float]:
     jobs = []
     for slot in range(cfg.population_size):
         ind = init_individual(
@@ -629,7 +681,7 @@ def _next_generation(
     grammar: Grammar,
     data: TaskData,
     meter: Meter | None,
-) -> list[ArchiveEntry]:
+) -> list[float]:
     parent = select_parent(state.members)
 
     # slot 0 carries the parent; a train_longer draw may grant it a
@@ -701,11 +753,11 @@ def run_es(
         if out is not None:
             _start_files(out, fingerprint, run_index)
         state = _RunState(run_index, cfg)
-        inserted = _initial_generation(state, cfg, grammar, data, meter)
-        _finish_generation(state, inserted, out)
+        probe_watts = _initial_generation(state, cfg, grammar, data, meter)
+        _finish_generation(state, probe_watts, out)
     for g in range(state.generation + 1, cfg.generations + 1):
-        inserted = _next_generation(state, g, cfg, grammar, data, meter)
-        _finish_generation(state, inserted, out)
+        probe_watts = _next_generation(state, g, cfg, grammar, data, meter)
+        _finish_generation(state, probe_watts, out)
 
     best = select_parent(state.members)
     result = RunResult(

@@ -310,9 +310,10 @@ def derive(
     attribute map.  ``bound`` is the upper limit of the dynamic block.
 
     Without ``rng`` the walk is strict: a missing or out-of-range
-    expansion index, or a value group that is missing, of the wrong
-    length, out of bounds or (in an ``int`` block) not an int, raises
-    :class:`InvalidGenotypeError`.  With ``rng`` each such gene is drawn
+    expansion index, a value group that is missing, of the wrong length,
+    out of bounds or (in an ``int`` block) not an int, or a gene the walk
+    never reaches raises :class:`InvalidGenotypeError`, so the genes it
+    accepts are the genes it returns.  With ``rng`` each such gene is drawn
     afresh (alternatives uniformly), and genes the walk never reaches are
     dropped; ``derive(grammar, start, GeneList(), rng)`` is a random
     derivation.  Recursion deeper than :data:`DEFAULT_DEPTH_CAP`, or a
@@ -368,4 +369,16 @@ def derive(
                 attrs.setdefault(name, []).append(sym)
 
     expand(start, 0)
+    # a strict walk copies every gene it reads, so its genes differ from
+    # the input only where the input holds genes the walk never reached,
+    # which would give one sentence two genotypes
+    if rng is None and (out.choices != genes.choices or out.values != genes.values):
+        for kind, given, used in (("choices", genes.choices, out.choices),
+                                  ("value groups", genes.values, out.values)):
+            for name, stored in given.items():
+                if name not in used or len(used[name]) != len(stored):
+                    raise InvalidGenotypeError(
+                        f"unused {kind} for {name!r}: {len(stored)} given, "
+                        f"{len(used.get(name, ()))} walked"
+                    )
     return out, attrs

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import json
 import math
@@ -120,6 +121,16 @@ def journal_lines(run_dir):
     return [json.loads(line) for line in text.splitlines()]
 
 
+def journaled_individual(lines, generation, slot):
+    """The individual in a slot of a journal, following carried slots to
+    the line that wrote it."""
+    line = lines[1 + generation]
+    while line["individuals"][slot] is None:
+        generation, slot = line["eval_keys"][slot]
+        line = lines[1 + generation]
+    return line["individuals"][slot]
+
+
 def test_evaluate_individual_deterministic_and_consistent():
     cfg = tiny_config()
     ind = init_individual(GRAMMAR, cfg.genome, np.random.default_rng(3), id=0,
@@ -205,11 +216,13 @@ def test_zero_rates_keep_population_constant(tmp_path):
     for prev, cur in zip(result.logs, result.logs[1:]):
         assert cur.records[0] == prev.best_record  # parent carried forward
         assert cur.best_record.fitness >= prev.best_record.fitness
-    final = journal_lines(tmp_path / "r0")[-1]
-    assert final["generation"] == cfg.generations
+    lines = journal_lines(tmp_path / "r0")
+    assert lines[-1]["generation"] == cfg.generations
+    assert lines[-1]["individuals"][0] is None  # the carried parent
     genotypes = {
         json.dumps({k: v for k, v in ind.items() if k != "id"}, sort_keys=True)
-        for ind in final["individuals"]
+        for ind in (journaled_individual(lines, cfg.generations, s)
+                    for s in range(cfg.population_size))
     }
     assert len(genotypes) == 1
 
@@ -400,39 +413,44 @@ def test_journal_member_that_does_not_decode_is_a_checkpoint_error(tmp_path):
     lines = journal.read_text().splitlines(keepends=True)
     last = json.loads(lines[-1])
     for member in last["individuals"]:
-        member["modules"] = []
+        if member is not None:  # a carried slot is checked where it was written
+            member["modules"] = []
     journal.write_text("".join(lines[:-1]) + json.dumps(last) + "\n")
     longer = dataclasses.replace(cfg, generations=3)
     with pytest.raises(CheckpointError,
-                       match=r"journal\.jsonl line 4: member 0: individual has no modules"):
+                       match=r"journal\.jsonl line 4: in member \d: individual has no modules"):
         run_es(longer, GRAMMAR, DATA, out_dir=tmp_path / "r")
 
 
-def _undecodable(entry):
-    entry["module"]["layer_genes"][0]["choices"]["layer"] = [99]
+def _undecodable(line):
+    line["individuals"][0]["modules"][0]["layer_genes"][0]["choices"]["layer"] = [99]
 
 
-def _too_long(entry):
-    entry["module"]["layer_genes"] *= 5
+def _too_long(line):
+    line["individuals"][0]["modules"][0]["layer_genes"] *= 5
 
 
 @pytest.mark.parametrize("damage, message", [
-    (_undecodable, "inserted module 0: expansion index 99 out of range"),
-    (_too_long, r"inserted module 0: module has \d+ layers, outside \[2, 4\]"),
-    (lambda entry: entry.update(power_watts=math.nan), "inserted module 0: power must be finite"),
-    (lambda entry: entry.update(power_watts=math.inf), "inserted module 0: power must be finite"),
-    (lambda entry: entry.update(power_watts=-1.0), "inserted module 0: power must be finite"),
+    (_undecodable, "in member 0: expansion index 99 out of range"),
+    (_too_long, r"in member 0: module has \d+ layers, outside \[2, 4\]"),
+    (lambda line: line.update(probe_watts=[math.nan, *line["probe_watts"][1:]]),
+     r"in probe_watts\[0\] \(member 0, module 0\): power must be finite"),
+    (lambda line: line.update(probe_watts=[math.inf, *line["probe_watts"][1:]]),
+     r"in probe_watts\[0\] \(member 0, module 0\): power must be finite"),
+    (lambda line: line.update(probe_watts=[-1.0, *line["probe_watts"][1:]]),
+     r"in probe_watts\[0\] \(member 0, module 0\): power must be finite"),
 ])
 def test_journal_archive_insert_that_is_unusable_is_a_checkpoint_error(tmp_path, damage, message):
-    # an archived module is only decoded when reuse_module picks it, and a
-    # NaN power would poison every roulette draw, so resume checks both
+    # resume rebuilds the archive from the members' modules and the probes'
+    # watts; an archived module is only decoded when reuse_module picks it,
+    # and a NaN power would poison every roulette draw, so resume checks both
     cfg = tiny_config(runs=1, generations=2, seed=5)
     run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
     journal = tmp_path / "r" / "checkpoints" / "journal.jsonl"
     lines = journal.read_text().splitlines(keepends=True)
     first = json.loads(lines[1])
-    assert first["inserted"]
-    damage(first["inserted"][0])
+    assert first["probe_watts"]
+    damage(first)
     journal.write_text(lines[0] + json.dumps(first) + "\n" + "".join(lines[2:]))
     with pytest.raises(CheckpointError, match=r"journal\.jsonl line 2: " + message):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
@@ -444,25 +462,139 @@ def test_journal_lines_are_the_asdict_serialization(tmp_path, monkeypatch):
     import evopower.evolution as evo
 
     plain = evo._finish_generation
-    inserts = []
+    probes, carried = [], []
 
-    def checking(state, inserted, out):
-        plain(state, inserted, out)
+    def checking(state, probe_watts, out):
+        plain(state, probe_watts, out)
         log = state.logs[-1]
+        new = [m if m.eval_key[0] == log.generation else None for m in state.members]
         line = evo._JournalLine(
-            log.generation, log.best_slot, log.records,
-            [m.individual for m in state.members], [m.eval_key for m in state.members],
-            inserted, state.next_id, state.evaluations, state.parent_retrains,
+            log.generation, log.best_slot,
+            [m and m.record for m in new], [m and m.individual for m in new],
+            [m.eval_key for m in state.members],
+            probe_watts, state.next_id, state.evaluations, state.parent_retrains,
         )
         written = (out / "checkpoints" / "journal.jsonl").read_text().splitlines()[-1]
-        assert written == json.dumps(dataclasses.asdict(line))
-        inserts.append(len(inserted))
+        assert written == json.dumps(dataclasses.asdict(line), separators=(",", ":"))
+        probes.append(len(probe_watts))
+        carried.append(new.count(None))
 
     monkeypatch.setattr(evo, "_finish_generation", checking)
     cfg = mode_config(tiny_config(runs=1, generations=4, seed=5,
                                   meter=AnalyticMeterConfig(noise_sigma=2.0)), "proposed")
     run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
-    assert len(inserts) == cfg.generations + 1 and sum(inserts) > 0
+    assert len(probes) == cfg.generations + 1 and sum(probes) > 0 and sum(carried) > 0
+
+
+def test_each_genotype_is_journaled_once(tmp_path):
+    # a carried parent is written as its eval key and a probed module as
+    # its watts; only an accepted retrain writes an id again, because it is
+    # a new evaluation of the parent's genes (with a budget that may have grown)
+    cfg = tiny_config(runs=1, generations=6, seed=9)
+    run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+    lines = journal_lines(tmp_path)[1:]
+    written = {}
+    for line in lines:
+        assert all(isinstance(w, float) for w in line["probe_watts"])
+        for slot, ind in enumerate(line["individuals"]):
+            if ind is None:
+                continue
+            if ind["id"] in written:
+                assert (slot, line["eval_keys"][slot]) == (0, [line["generation"], 0])
+                assert {**written[ind["id"]], "train_budget": 0} == {**ind, "train_budget": 0}
+            written[ind["id"]] = ind
+    assert any(ind is None for line in lines for ind in line["individuals"])
+
+
+def _first_carried_line(lines):
+    return next(n for n, line in enumerate(lines) if n > 1 and line["individuals"][0] is None)
+
+
+def _null_slot_in_generation_0(lines):
+    lines[1]["individuals"][0] = lines[1]["records"][0] = None
+    return r"line 2: in member 0: carries eval key \[0, 0\], which no member of the previous"
+
+
+def _null_individual(lines):
+    lines[1]["individuals"][1] = None
+    return r"line 2: in member 1: individual and record must both be null or both be set"
+
+
+def _null_record(lines):
+    lines[1]["records"][2] = None
+    return r"line 2: in member 2: individual and record must both be null or both be set"
+
+
+def _unknown_carried_key(lines):
+    n = _first_carried_line(lines)
+    lines[n]["eval_keys"][0] = [0, 99]
+    return rf"line {n + 1}: in member 0: carries eval key \[0, 99\], which no member"
+
+
+def _misplaced_new_key(lines):
+    lines[1]["eval_keys"][1] = [0, 2]
+    return r"line 2: in member 1: new member with eval key \[0, 2\], expected \[0, 1\]"
+
+
+def _extra_probe_watts(lines):
+    lines[1]["probe_watts"].append(1.0)
+    return r"line 2: in probe_watts: \d+ values for \d+ unprobed modules"
+
+
+def _missing_probe_watts(lines):
+    lines[1]["probe_watts"].pop()
+    return r"line 2: in probe_watts: \d+ values for \d+ unprobed modules"
+
+
+def _padded_member(lines):
+    # same phenotype, but a second genotype key for its module in the archive
+    lines[1]["individuals"][0]["modules"][0]["layer_genes"][0]["choices"]["layer"].append(0)
+    return r"line 2: in member 0: unused choices for 'layer': 2 given, 1 walked"
+
+
+@pytest.fixture(scope="module")
+def version_4_journal(tmp_path_factory):
+    cfg = tiny_config(runs=1, generations=3, seed=5)
+    out = tmp_path_factory.mktemp("journal")
+    run_es(cfg, GRAMMAR, DATA, out_dir=out)
+    lines = journal_lines(out)
+    assert lines[0]["version"] == 4 and lines[1]["probe_watts"]
+    _first_carried_line(lines)
+    return cfg, lines
+
+
+@pytest.mark.parametrize("damage", [
+    _null_slot_in_generation_0, _null_individual, _null_record, _unknown_carried_key,
+    _misplaced_new_key, _extra_probe_watts, _missing_probe_watts, _padded_member,
+])
+def test_journal_slot_faults_are_checkpoint_errors(tmp_path, version_4_journal, damage):
+    cfg, lines = version_4_journal
+    lines = copy.deepcopy(lines)
+    message = damage(lines)
+    journal = tmp_path / "checkpoints" / "journal.jsonl"
+    journal.parent.mkdir()
+    journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    with pytest.raises(CheckpointError, match=r"journal\.jsonl " + message):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+
+
+@pytest.mark.parametrize("header", [4, [4], None, "x"])
+def test_journal_header_that_is_not_an_object_is_a_checkpoint_error(tmp_path, header):
+    cfg = tiny_config(runs=1, generations=1)
+    journal = tmp_path / "checkpoints" / "journal.jsonl"
+    journal.parent.mkdir()
+    journal.write_text(json.dumps(header) + "\n")
+    with pytest.raises(CheckpointError, match="header is not an object"):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+
+
+def test_version_3_journal_is_refused(tmp_path, version_4_journal):
+    cfg, lines = version_4_journal
+    journal = tmp_path / "checkpoints" / "journal.jsonl"
+    journal.parent.mkdir()
+    journal.write_text(json.dumps({**lines[0], "version": 3}) + "\n")
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
 
 
 def test_mode_config_gating():

@@ -196,6 +196,18 @@ def test_validate_individual_rejects_fractional_units():
         validate_individual(ind, GRAMMAR, GenomeConfig())
 
 
+def test_validate_individual_rejects_unreached_genes():
+    # a padded layer decodes to the same phenotype, but its module would
+    # be archived a second time under a genotype key of its own
+    ind = init_individual(GRAMMAR, GenomeConfig(), np.random.default_rng(3))
+    padded = ind.copy()
+    padded.modules[0].layer_genes[0].choices["layer"].append(1)
+    assert padded.modules[0].genotype_key() != ind.modules[0].genotype_key()
+    with pytest.raises(InvalidGenotypeError, match="unused choices for 'layer'"):
+        validate_individual(padded, GRAMMAR, GenomeConfig())
+    validate_individual(ind, GRAMMAR, GenomeConfig())
+
+
 @pytest.mark.parametrize("budget", [-1.0, math.inf, math.nan])
 def test_validate_individual_rejects_unusable_train_budgets(budget):
     # a journal may carry any float; training rounds the budget to epochs
@@ -269,3 +281,12 @@ def test_load_typed_rejects_missing_and_unknown_fields():
     d["train_budget"] = 3
     back = load_typed(Individual, d)
     assert back.train_budget == 3.0 and type(back.train_budget) is float
+
+
+def test_load_typed_reads_optional_values():
+    assert load_typed(list[int | None], [1, None]) == [1, None]
+    assert load_typed(Individual | None, None) is None
+    with pytest.raises(InvalidGenotypeError, match=r"value\[1\]: expected"):
+        load_typed(list[int | None], [1, "x"], "value")
+    with pytest.raises(InvalidGenotypeError, match="expected"):
+        load_typed(int, None)

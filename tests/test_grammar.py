@@ -243,6 +243,24 @@ def test_int_blocks_accept_only_ints():
     assert derive(g, "a", GeneList({"a": [0]}, {"r": [[0]]}))[1] == {"r": [0]}
 
 
+def test_strict_walk_rejects_genes_it_never_reaches():
+    # unreached genes would give one sentence a second genotype key
+    g = parse_grammar(SMALL)
+    genes = GeneList({"layer": [0], "dense": [0], "activation": [1]}, {"units": [[64]]})
+    assert derive(g, "layer", genes)[0] == genes
+    padded = {
+        "choices for 'layer'": GeneList({**genes.choices, "layer": [0, 1]}, genes.values),
+        "choices for 'dropout'": GeneList({**genes.choices, "dropout": []}, genes.values),
+        "value groups for 'rate'": GeneList(genes.choices, {**genes.values, "rate": [[0.2]]}),
+        "value groups for 'units'": GeneList(genes.choices, {"units": [[64], [32]]}),
+    }
+    for what, extra in padded.items():
+        with pytest.raises(InvalidGenotypeError, match=f"unused {what}"):
+            derive(g, "layer", extra)
+        # a resample walk drops them instead
+        assert derive(g, "layer", extra, np.random.default_rng(0))[0] == genes
+
+
 def test_depth_cap():
     g = parse_grammar("<a> ::= <a>\n")
     with pytest.raises(DerivationError, match="depth cap"):

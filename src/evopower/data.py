@@ -12,8 +12,8 @@ with several clusters per class so classes can be multi-modal; values
 are min-max scaled to [0, 1] like pixel data.
 
 Splits are computed from fractions with exact global sizes
-(floor of fraction times N); the stratified variant distributes each
-split's quota across classes by largest remainder, keeping every split
+(floor of fraction times N) and are stratified: each split's quota is
+distributed across classes by largest remainder, keeping every split
 balanced within one sample per class.  Leftover samples are dropped.
 """
 
@@ -150,7 +150,6 @@ def synthetic_dataset(
 class SplitSpec:
     fractions: tuple[float, float, float] = (0.8, 0.1, 0.1)
     seed: int = 0
-    stratified: bool = True
 
     def validate(self) -> None:
         if len(self.fractions) != 3:
@@ -179,32 +178,27 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     if sum(sizes) > n:
         raise DataError(f"split sizes {sizes} exceed dataset size {n}")
     rng = np.random.default_rng(spec.seed)
-    if not spec.stratified:
-        order = rng.permutation(n)
-        bounds = np.cumsum([0] + sizes)
-        parts = [order[bounds[i] : bounds[i + 1]] for i in range(3)]
-    else:
-        pools = []
+    pools = []
+    for c in range(ds.class_count):
+        idx = np.flatnonzero(ds.labels == c)
+        pools.append(idx[rng.permutation(idx.shape[0])])
+    remaining = np.array([p.shape[0] for p in pools])
+    cursors = np.zeros(ds.class_count, dtype=int)
+    parts = []
+    for size in sizes:
+        # quotas proportional to what each class still has to give
+        quota = _largest_remainder(remaining * (size / remaining.sum()), size)
+        took = []
         for c in range(ds.class_count):
-            idx = np.flatnonzero(ds.labels == c)
-            pools.append(idx[rng.permutation(idx.shape[0])])
-        remaining = np.array([p.shape[0] for p in pools])
-        cursors = np.zeros(ds.class_count, dtype=int)
-        parts = []
-        for size in sizes:
-            # quotas proportional to what each class still has to give
-            quota = _largest_remainder(remaining * (size / remaining.sum()), size)
-            took = []
-            for c in range(ds.class_count):
-                want = quota[c]
-                if want > remaining[c]:
-                    raise DataError(
-                        f"class {c} has only {remaining[c]} samples left, cannot allocate {want}"
-                    )
-                took.append(pools[c][cursors[c] : cursors[c] + want])
-                cursors[c] += want
-                remaining[c] -= want
-            parts.append(np.concatenate(took) if took else np.zeros(0, dtype=int))
+            want = quota[c]
+            if want > remaining[c]:
+                raise DataError(
+                    f"class {c} has only {remaining[c]} samples left, cannot allocate {want}"
+                )
+            took.append(pools[c][cursors[c] : cursors[c] + want])
+            cursors[c] += want
+            remaining[c] -= want
+        parts.append(np.concatenate(took) if took else np.zeros(0, dtype=int))
     names = ("/train", "/validation", "/test")
     return tuple(ds.take(np.sort(p), suffix) for p, suffix in zip(parts, names))
 
@@ -219,4 +213,4 @@ def desk_subset(
     if sum(counts) > n:
         raise DataError(f"requested {sum(counts)} samples from a dataset of {n}")
     fractions = tuple(c / n for c in counts)
-    return split(ds, SplitSpec(fractions=fractions, seed=seed, stratified=True))
+    return split(ds, SplitSpec(fractions=fractions, seed=seed))

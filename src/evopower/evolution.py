@@ -10,12 +10,12 @@ Three rules keep runs reproducible:
   stateful meter reads in a fixed order and one trained network is
   alive at a time;
 * each run appends one line per finished generation to
-  ``checkpoints/journal.jsonl`` (version 4): the records and genotypes
-  the generation added, the watts of the modules it probed, and the
-  counters.  A carried parent is stored by its eval key and a probed
-  module by its place among the members, so each genotype is journaled
-  once.  A resumed run replays the lines, so it rebuilds the
-  uninterrupted logs, archive and CSV byte for byte.
+  ``checkpoints/journal.jsonl`` (version 5) holding only what a replay
+  cannot recompute: the records of the generation's evaluations and the
+  watts of its probes, plus a digest of the individuals it evaluated.  A
+  resumed run replays the lines through the generation code of a live
+  run, which regenerates the individuals from their streams, so it
+  rebuilds the uninterrupted logs, archive and CSV byte for byte.
 
 ``generations.csv`` grows by appended rows too; a fresh start rewrites
 both files, and a resume rewrites the CSV once from the replayed logs.
@@ -29,6 +29,7 @@ import hashlib
 import json
 import math
 import time
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from typing import get_type_hints
@@ -41,7 +42,6 @@ from .errors import (
     CheckpointError,
     ConfigError,
     DataError,
-    GrammarError,
     InvalidGenotypeError,
     TrainingDivergedError,
 )
@@ -55,7 +55,6 @@ from .genome import (
     init_individual,
     load_typed,
     to_phenotype,
-    validate_individual,
 )
 from .grammar import Grammar
 from .mutation import ModuleArchive, MutationRates, archive_insert, mutate
@@ -69,7 +68,7 @@ from .power import (
     probe_module_power,
 )
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 MODES = ("baseline", "proposed")
 
 # rng stream purposes
@@ -320,51 +319,129 @@ class _RunState:
         self.generation = -1  # last completed generation
 
 
-def _unprobed_modules(state: _RunState, rates: MutationRates) -> list[tuple[int, int, ModuleGene]]:
-    """(slot, module index, module) of the members' modules that no earlier
-    generation probed, in slot then module order, each genotype once; from
-    here on they count as probed.  Probing and replay both walk this list.
+# a generation's (slot, individual) jobs, and its unprobed modules as
+# (slot, module index, module)
+_Jobs = list[tuple[int, Individual]]
+_Probes = list[tuple[int, int, ModuleGene]]
+
+
+def _generation(
+    state: _RunState,
+    cfg: EvolutionConfig,
+    grammar: Grammar,
+    evaluate: Callable[[int, _Jobs], list[EvaluationRecord]],
+    probe: Callable[[int, _Probes], list[float]],
+) -> tuple[_Jobs, list[EvaluationRecord], list[float]]:
+    """Run generation ``state.generation + 1`` of ``state``.
+
+    The jobs come from the keyed streams: the initial individuals, or
+    the parent's mutants.  ``evaluate(g, jobs)`` scores them in slot
+    order, and ``probe(g, probes)`` gives the watts of the members'
+    modules that no earlier generation probed.  A live run trains,
+    meters and probes there; a resumed run answers from its journal, so
+    both take the same steps.  Returns the jobs, their records and the
+    probes' watts.
     """
-    unprobed: list[tuple[int, int, ModuleGene]] = []
+    g = state.generation + 1
+    jobs: _Jobs = []
+    if g == 0:
+        parent = None
+        for slot in range(cfg.population_size):
+            ind = init_individual(
+                grammar,
+                cfg.genome,
+                _stream(cfg.seed, state.run, 0, slot, _MUT),
+                id=state.next_id,
+                train_budget=cfg.default_train_budget,
+            )
+            state.next_id += 1
+            jobs.append((slot, ind))
+    else:
+        parent = select_parent(state.members)
+        # slot 0 carries the parent; a train_longer draw may grant it a
+        # bigger budget, in which case it retrains from scratch and keeps
+        # the new evaluation only if that did not hurt
+        if _stream(cfg.seed, state.run, g, 0, _MUT).random() < cfg.rates.train_longer:
+            candidate = parent.individual.copy()
+            candidate.train_budget = min(
+                parent.individual.train_budget + cfg.train_longer_increment,
+                cfg.max_train_budget,
+            )
+            jobs.append((0, candidate))
+            state.parent_retrains += 1
+        for slot in range(1, cfg.population_size):
+            rng = _stream(cfg.seed, state.run, g, slot, _MUT)
+            child = mutate(
+                parent.individual,
+                cfg.rates,
+                state.archive,
+                grammar,
+                cfg.genome,
+                rng,
+                new_id=state.next_id,
+                train_increment=cfg.train_longer_increment,
+            )
+            state.next_id += 1
+            child.train_budget = min(child.train_budget, cfg.max_train_budget)
+            jobs.append((slot, child))
+
+    records = evaluate(g, jobs)
+    state.evaluations += len(jobs)
+    members = {0: parent}
+    for (slot, ind), record in zip(jobs, records):
+        if slot > 0 or parent is None or record.fitness >= parent.record.fitness:
+            members[slot] = Member(ind, record, (g, slot))
+    state.members = [members[slot] for slot in range(cfg.population_size)]
+    state.generation = g
+
+    probes: _Probes = []
     # the archive only feeds reuse_module, so skip the probing cost when
     # that operator is disabled (baseline mode)
-    if rates.reuse_module <= 0:
-        return unprobed
-    for slot, member in enumerate(state.members):
-        for mi, module in enumerate(member.individual.modules):
-            key = module.genotype_key()
-            if key not in state.probed:
-                state.probed.add(key)
-                unprobed.append((slot, mi, module))
-    return unprobed
-
-
-def _probe_new_modules(
-    state: _RunState,
-    grammar: Grammar,
-    data: TaskData,
-    meter: Meter | None,
-    cfg: EvolutionConfig,
-    generation: int,
-) -> list[float]:
-    """Probe and archive the members' unseen modules; returns their raw
-    watts in probe order."""
-    probe_watts: list[float] = []
-    for slot, mi, module in _unprobed_modules(state, cfg.rates):
-        probe_meter = _meter_for(
-            meter, cfg, (cfg.seed, state.run, generation, slot, _PROBE, mi)
-        )
-        watts = probe_module_power(
-            module,
-            grammar,
-            probe_meter,
-            (data.input_dim, data.class_count),
-            n_measures=cfg.n_measures,
-            seed=cfg.seed,
-        )
+    if cfg.rates.reuse_module > 0:
+        for slot, member in enumerate(state.members):
+            for mi, module in enumerate(member.individual.modules):
+                key = module.genotype_key()
+                if key not in state.probed:
+                    state.probed.add(key)
+                    probes.append((slot, mi, module))
+    probe_watts = probe(g, probes)
+    for (_, _, module), watts in zip(probes, probe_watts):
         archive_insert(state.archive, module, watts)
-        probe_watts.append(watts)
-    return probe_watts
+
+    logged = [m.record for m in state.members]
+    state.logs.append(GenerationLog(g, logged, best_slot(logged)))
+    return jobs, records, probe_watts
+
+
+def _live_sources(
+    run: int, cfg: EvolutionConfig, grammar: Grammar, data: TaskData, meter: Meter | None
+):
+    """The ``evaluate`` and ``probe`` of a live run: each job is trained,
+    scored and metered start to finish, in slot order, then each unseen
+    module is probed."""
+
+    def evaluate(g: int, jobs: _Jobs) -> list[EvaluationRecord]:
+        records = []
+        for slot, ind in jobs:
+            key = (cfg.seed, run, g, slot)
+            m = _meter_for(meter, cfg, (*key, _METER))
+            records.append(evaluate_individual(ind, grammar, data, m, cfg, _stream(*key, _EVAL)))
+        return records
+
+    def probe(g: int, probes: _Probes) -> list[float]:
+        return [
+            probe_module_power(
+                module,
+                grammar,
+                _meter_for(meter, cfg, (cfg.seed, run, g, slot, _PROBE, mi)),
+                (data.input_dim, data.class_count),
+                n_measures=cfg.n_measures,
+                seed=cfg.seed,
+            )
+            for slot, mi, module in probes
+        ]
+
+    return evaluate, probe
 
 
 # generations.csv: the run, the generation, then these record fields; a
@@ -431,28 +508,27 @@ def _append_rows_csv(path: Path, rows: list[dict]) -> None:
 
 @dataclass
 class _JournalLine:
-    """One finished generation, as appended to ``journal.jsonl`` (version 4).
+    """One finished generation, as appended to ``journal.jsonl`` (version 5).
 
-    Slot ``s`` holds ``individuals[s]``, scored by ``records[s]`` at
-    ``eval_keys[s]``.  When ``eval_keys[s]`` names an earlier generation
-    the slot carries the previous line's member of that eval key over,
-    and its individual and record are None.  ``probe_watts`` holds the
-    raw watts of the modules :func:`_unprobed_modules` lists for the
-    members, in that order.
+    ``records`` holds one record per evaluated job, in slot order, and
+    ``probe_watts`` the raw watts of the generation's probes, in probe
+    order: the outcomes a replay cannot recompute.  ``genotypes`` is a
+    digest of the evaluated individuals, which a replay regenerates.
     """
 
     generation: int
-    best_slot: int
-    records: list[EvaluationRecord | None]
-    individuals: list[Individual | None]
-    eval_keys: list[tuple[int, int]]
+    records: list[EvaluationRecord]
     probe_watts: list[float]
-    next_id: int
-    evaluations: int
-    parent_retrains: int
+    genotypes: str
 
 
 _COMPACT = (",", ":")  # json separators of the journal lines
+
+
+def _genotypes_digest(jobs: _Jobs) -> str:
+    """Short sha256 of the JSON form of the jobs' individuals."""
+    blob = json.dumps([asdict(ind) for _, ind in jobs], separators=_COMPACT)
+    return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 def _journal_path(out: Path) -> Path:
@@ -468,29 +544,15 @@ def _start_files(out: Path, fingerprint: str, run: int) -> None:
     write_rows_csv(out / "generations.csv", [])
 
 
-def _finish_generation(state: _RunState, probe_watts: list[float], out: Path | None) -> None:
+def _finish_generation(
+    state: _RunState, out: Path, jobs: _Jobs, records: list[EvaluationRecord],
+    probe_watts: list[float],
+) -> None:
     """Append the generation to the journal, then its rows to the CSV."""
-    if out is None:
-        return
     log = state.logs[-1]
-    # a member scored in an earlier generation is carried: its eval key alone
-    new = [m if m.eval_key[0] == log.generation else None for m in state.members]
-    line = _JournalLine(
-        log.generation,
-        log.best_slot,
-        [m and m.record for m in new],
-        [m and m.individual for m in new],
-        [m.eval_key for m in state.members],
-        probe_watts,
-        state.next_id,
-        state.evaluations,
-        state.parent_retrains,
-    )
-    # vars serializes each dataclass from its own __dict__, which holds
-    # the fields in declaration order: the bytes of json.dumps(asdict(line))
-    # without asdict's deep copy
+    line = _JournalLine(log.generation, records, probe_watts, _genotypes_digest(jobs))
     with open(_journal_path(out), "a") as fh:
-        fh.write(json.dumps(line, default=vars, separators=_COMPACT) + "\n")
+        fh.write(json.dumps(asdict(line), separators=_COMPACT) + "\n")
     _append_rows_csv(out / "generations.csv", _log_rows(state.run, [log]))
 
 
@@ -501,29 +563,39 @@ def _parse_line(path: Path, number: int, raw: bytes):
         raise CheckpointError(f"unreadable checkpoint {path} line {number}: {exc}")
 
 
-def _replay_member(
-    line: _JournalLine, slot: int, previous: dict[tuple[int, int], Member],
-    grammar: Grammar, genome: GenomeConfig,
-) -> Member:
-    """Slot ``slot`` of a journal line: the member of ``previous`` (the
-    last population, by eval key) that it carries over, or a new member
-    that decodes within the genome's layer bounds.  Raises
-    :class:`InvalidGenotypeError` or :class:`GrammarError`."""
-    ind, rec, key = line.individuals[slot], line.records[slot], line.eval_keys[slot]
-    if ind is None and rec is None:
-        if key not in previous:
-            raise InvalidGenotypeError(
-                f"carries eval key {list(key)}, which no member of the previous line has"
+def _replay_sources(line: _JournalLine, where: str):
+    """The ``evaluate`` and ``probe`` of a replayed generation: the
+    line's records and watts, once the regenerated jobs match its digest
+    and count and the probes its watts.  ``where`` names the line."""
+
+    def evaluate(g: int, jobs: _Jobs) -> list[EvaluationRecord]:
+        digest = _genotypes_digest(jobs)
+        if digest != line.genotypes:
+            raise CheckpointError(
+                f"{where}: in genotypes: {line.genotypes!r:.60} is not the digest {digest} "
+                "of the individuals the current grammar and configuration generate"
             )
-        return previous[key]
-    if ind is None or rec is None:
-        raise InvalidGenotypeError("individual and record must both be null or both be set")
-    if key != (line.generation, slot):
-        raise InvalidGenotypeError(
-            f"new member with eval key {list(key)}, expected {[line.generation, slot]}"
-        )
-    validate_individual(ind, grammar, genome)
-    return Member(ind, rec, key)
+        if len(line.records) != len(jobs):
+            raise CheckpointError(
+                f"{where}: in records: {len(line.records)} records for {len(jobs)} evaluations"
+            )
+        return line.records
+
+    def probe(g: int, probes: _Probes) -> list[float]:
+        if len(line.probe_watts) != len(probes):
+            raise CheckpointError(
+                f"{where}: in probe_watts: {len(line.probe_watts)} values "
+                f"for {len(probes)} unprobed modules"
+            )
+        for i, ((slot, mi, _), watts) in enumerate(zip(probes, line.probe_watts)):
+            if not 0 <= watts < math.inf:
+                raise CheckpointError(
+                    f"{where}: in probe_watts[{i}] (member {slot}, module {mi}): "
+                    f"power must be finite and >= 0, got {watts}"
+                )
+        return line.probe_watts
+
+    return evaluate, probe
 
 
 def _load_journal(
@@ -532,10 +604,9 @@ def _load_journal(
     """Replay a run's journal; None when it holds no finished generation.
 
     An unterminated last line is an append cut short, so it is dropped
-    and the file truncated to the lines before it.  Every new member must
-    decode against ``grammar`` within the genome's layer bounds, every
-    carried one must name a member of the line before, and every probed
-    module needs finite watts >= 0.
+    and the file truncated to the lines before it.  Each line is replayed
+    through :func:`_generation`, the code of a live run, with the line's
+    records and watts standing in for training and probing.
     """
     try:
         data = path.read_bytes()
@@ -565,48 +636,14 @@ def _load_journal(
         )
     state = _RunState(run, cfg)
     for number, raw in enumerate(lines[1:], 2):
+        where = f"malformed checkpoint {path} line {number}"
         try:
             line = load_typed(_JournalLine, _parse_line(path, number, raw))
         except InvalidGenotypeError as exc:
-            raise CheckpointError(f"malformed checkpoint {path} line {number}: {exc}")
-        size = cfg.population_size
-        if (
-            line.generation != state.generation + 1
-            or not len(line.records) == len(line.individuals) == len(line.eval_keys) == size
-            or not 0 <= line.best_slot < size
-        ):
-            raise CheckpointError(
-                f"malformed checkpoint {path} line {number}: not generation "
-                f"{state.generation + 1} of a population of {size}"
-            )
-        previous = {m.eval_key: m for m in state.members}
-        members = []
-        try:
-            for slot in range(size):
-                where = f"in member {slot}"
-                members.append(_replay_member(line, slot, previous, grammar, cfg.genome))
-            state.members = members
-            # the probed modules are members' modules, validated above
-            unprobed = _unprobed_modules(state, cfg.rates)
-            where = "in probe_watts"
-            if len(line.probe_watts) != len(unprobed):
-                raise InvalidGenotypeError(
-                    f"{len(line.probe_watts)} values for {len(unprobed)} unprobed modules"
-                )
-            for i, ((slot, mi, module), watts) in enumerate(zip(unprobed, line.probe_watts)):
-                where = f"in probe_watts[{i}] (member {slot}, module {mi})"
-                if not 0 <= watts < math.inf:
-                    raise InvalidGenotypeError(f"power must be finite and >= 0, got {watts}")
-                archive_insert(state.archive, module, watts)
-        except (InvalidGenotypeError, GrammarError) as exc:
-            raise CheckpointError(f"malformed checkpoint {path} line {number}: {where}: {exc}")
-        state.logs.append(
-            GenerationLog(line.generation, [m.record for m in members], line.best_slot)
-        )
-        state.next_id = line.next_id
-        state.evaluations = line.evaluations
-        state.parent_retrains = line.parent_retrains
-        state.generation = line.generation
+            raise CheckpointError(f"{where}: {exc}")
+        if line.generation != state.generation + 1:
+            raise CheckpointError(f"{where}: not generation {state.generation + 1}")
+        _generation(state, cfg, grammar, *_replay_sources(line, where))
     return state if state.logs else None
 
 
@@ -620,106 +657,6 @@ class RunResult:
     evaluations: int
     parent_retrains: int
     archive: ModuleArchive
-
-
-def _evaluate_jobs(
-    state: _RunState, g: int, jobs: list[tuple[int, Individual]],
-    cfg: EvolutionConfig, grammar: Grammar, data: TaskData, meter: Meter | None,
-) -> list[Member]:
-    """Evaluate every (slot, individual) job start to finish, in slot
-    order; each job counts as one evaluation."""
-    members = []
-    for slot, ind in jobs:
-        key = (cfg.seed, state.run, g, slot)
-        m = _meter_for(meter, cfg, (*key, _METER))
-        record = evaluate_individual(ind, grammar, data, m, cfg, _stream(*key, _EVAL))
-        members.append(Member(ind, record, (g, slot)))
-        state.evaluations += 1
-    return members
-
-
-def _close_generation(
-    state: _RunState, g: int, members: list[Member],
-    cfg: EvolutionConfig, grammar: Grammar, data: TaskData, meter: Meter | None,
-) -> list[float]:
-    """Install generation ``g``'s population, probe its unseen modules
-    and log it; returns the probes' watts."""
-    state.members = members
-    state.generation = g
-    probe_watts = _probe_new_modules(state, grammar, data, meter, cfg, g)
-    records = [m.record for m in members]
-    state.logs.append(GenerationLog(g, records, best_slot(records)))
-    return probe_watts
-
-
-def _initial_generation(
-    state: _RunState,
-    cfg: EvolutionConfig,
-    grammar: Grammar,
-    data: TaskData,
-    meter: Meter | None,
-) -> list[float]:
-    jobs = []
-    for slot in range(cfg.population_size):
-        ind = init_individual(
-            grammar,
-            cfg.genome,
-            _stream(cfg.seed, state.run, 0, slot, _MUT),
-            id=state.next_id,
-            train_budget=cfg.default_train_budget,
-        )
-        state.next_id += 1
-        jobs.append((slot, ind))
-    members = _evaluate_jobs(state, 0, jobs, cfg, grammar, data, meter)
-    return _close_generation(state, 0, members, cfg, grammar, data, meter)
-
-
-def _next_generation(
-    state: _RunState,
-    g: int,
-    cfg: EvolutionConfig,
-    grammar: Grammar,
-    data: TaskData,
-    meter: Meter | None,
-) -> list[float]:
-    parent = select_parent(state.members)
-
-    # slot 0 carries the parent; a train_longer draw may grant it a
-    # bigger budget, in which case it retrains from scratch and keeps
-    # the new evaluation only if that did not hurt
-    gate = _stream(cfg.seed, state.run, g, 0, _MUT)
-    jobs: list[tuple[int, Individual]] = []
-    if gate.random() < cfg.rates.train_longer:
-        candidate = parent.individual.copy()
-        candidate.train_budget = min(
-            parent.individual.train_budget + cfg.train_longer_increment,
-            cfg.max_train_budget,
-        )
-        jobs.append((0, candidate))
-    for slot in range(1, cfg.population_size):
-        rng = _stream(cfg.seed, state.run, g, slot, _MUT)
-        child = mutate(
-            parent.individual,
-            cfg.rates,
-            state.archive,
-            grammar,
-            cfg.genome,
-            rng,
-            new_id=state.next_id,
-            train_increment=cfg.train_longer_increment,
-        )
-        state.next_id += 1
-        child.train_budget = min(child.train_budget, cfg.max_train_budget)
-        jobs.append((slot, child))
-
-    new_members = {0: parent}
-    for member in _evaluate_jobs(state, g, jobs, cfg, grammar, data, meter):
-        slot = member.eval_key[1]
-        state.parent_retrains += slot == 0
-        if slot > 0 or member.record.fitness >= parent.record.fitness:
-            new_members[slot] = member
-    members = [new_members[slot] for slot in range(cfg.population_size)]
-    return _close_generation(state, g, members, cfg, grammar, data, meter)
 
 
 @one_blas_thread()
@@ -753,11 +690,11 @@ def run_es(
         if out is not None:
             _start_files(out, fingerprint, run_index)
         state = _RunState(run_index, cfg)
-        probe_watts = _initial_generation(state, cfg, grammar, data, meter)
-        _finish_generation(state, probe_watts, out)
-    for g in range(state.generation + 1, cfg.generations + 1):
-        probe_watts = _next_generation(state, g, cfg, grammar, data, meter)
-        _finish_generation(state, probe_watts, out)
+    evaluate, probe = _live_sources(run_index, cfg, grammar, data, meter)
+    while state.generation < cfg.generations:
+        outcome = _generation(state, cfg, grammar, evaluate, probe)
+        if out is not None:
+            _finish_generation(state, out, *outcome)
 
     best = select_parent(state.members)
     result = RunResult(

@@ -128,8 +128,8 @@ def load_typed(cls, value, where: str = ""):
     """Rebuild dataclass ``cls`` from the JSON form of ``dataclasses.asdict``.
 
     Field types come from ``typing.get_type_hints``; dataclasses, lists,
-    fixed-length tuples, str-keyed dicts, ``X | Y`` unions (``X | None``
-    included) and scalars nest freely.
+    fixed-length tuples, str-keyed dicts, ``X | Y`` unions and scalars
+    nest freely.
     A missing, unknown or wrongly typed field raises
     :class:`InvalidGenotypeError` naming its path.
     """
@@ -158,7 +158,7 @@ def load_typed(cls, value, where: str = ""):
             except InvalidGenotypeError:
                 pass
     # type(), not isinstance: a bool is never a valid int or float here
-    elif cls in (int, str, bool, type(None)) and type(value) is cls:
+    elif cls in (int, str, bool) and type(value) is cls:
         return value
     elif cls is float and (
         type(value) is float or type(value) is int and abs(value) <= sys.float_info.max

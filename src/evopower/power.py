@@ -12,11 +12,11 @@ needs the workload running inside each window, so the loop runs it once
 per window and also returns its last output.  A meter that models power
 from the network it observed sets ``runs_workload = False``; the loop
 then takes the same windows without running the workload.  Real
-telemetry stays behind the contract; this package ships two
-implementations:
+telemetry stays behind the contract, whose call order :class:`Meter`
+enforces; this package ships two implementations:
 
-* :class:`ScriptedMeter` replays a fixed list of readings and enforces
-  the protocol strictly (useful in tests);
+* :class:`ScriptedMeter` replays a fixed list of readings (useful in
+  tests);
 * :class:`AnalyticMeter` models a device whose draw grows with the
   per-sample multiply-accumulate count of the measured network,
   ``P = clamp(p_min + k * log1p(macs), p_min, p_max)`` plus optional
@@ -51,23 +51,39 @@ WINDOW_S = 0.001
 
 
 class Meter:
-    """Measurement contract; subclasses implement the three-call protocol.
+    """Measurement contract: a strict ``start() / stop() / read()`` cycle.
 
-    ``runs_workload`` says whether a window's reading depends on the
-    workload running inside it (true for real telemetry).  Meters that
-    compute the draw from what :meth:`observe` told them set it false.
+    Subclasses supply the reading of a finished window in
+    :meth:`_window`; the base class refuses calls out of order and counts
+    the windows started.  ``runs_workload`` says whether a window's
+    reading depends on the workload running inside it (true for real
+    telemetry).  Meters that compute the draw from what :meth:`observe`
+    told them set it false.
     """
 
     runs_workload = True
+    _state = "idle"  # idle -> running -> ready
+    start_count = 0
 
     def start(self) -> None:
-        raise NotImplementedError
+        if self._state == "running":
+            raise MeasurementError("start() while already measuring")
+        self._state = "running"
+        self.start_count += 1
 
     def stop(self) -> None:
-        raise NotImplementedError
+        if self._state != "running":
+            raise MeasurementError("stop() without start()")
+        self._state = "ready"
 
     def read(self) -> tuple[float, float]:
         """(energy in millijoules, duration in seconds) for the last window."""
+        if self._state != "ready":
+            raise MeasurementError("read() before a start/stop pair completed")
+        self._state = "idle"
+        return self._window()
+
+    def _window(self) -> tuple[float, float]:
         raise NotImplementedError
 
     def observe(self, subject) -> None:
@@ -108,7 +124,7 @@ def measure_mean(meter: Meter, work, n_measures: int = DEFAULT_N_MEASURES) -> Me
 
 
 class ScriptedMeter(Meter):
-    """Replays canned (millijoules, seconds) readings; strict protocol.
+    """Replays canned (millijoules, seconds) readings.
 
     With ``cycle=True`` the script repeats instead of exhausting, which
     keeps long smoke runs simple.
@@ -120,30 +136,14 @@ class ScriptedMeter(Meter):
         self.readings = list(readings)
         self.cycle = cycle
         self._cursor = 0
-        self._state = "idle"  # idle -> running -> ready
-        self.start_count = 0
 
-    def start(self) -> None:
-        if self._state == "running":
-            raise MeasurementError("start() while already measuring")
-        self._state = "running"
-        self.start_count += 1
-
-    def stop(self) -> None:
-        if self._state != "running":
-            raise MeasurementError("stop() without start()")
-        self._state = "ready"
-
-    def read(self) -> tuple[float, float]:
-        if self._state != "ready":
-            raise MeasurementError("read() before a start/stop pair completed")
+    def _window(self) -> tuple[float, float]:
         if self._cursor >= len(self.readings):
             if not self.cycle:
                 raise MeasurementError(f"scripted meter exhausted after {len(self.readings)} readings")
             self._cursor = 0
         value = self.readings[self._cursor]
         self._cursor += 1
-        self._state = "idle"
         return value
 
 
@@ -222,25 +222,11 @@ class AnalyticMeter(Meter):
             rng = np.random.default_rng(self.cfg.seed)
         self._rng = rng  # None only when noise is off and reads never draw
         self._base = _noiseless_power(0, self.cfg)
-        self._state = "idle"
 
     def observe(self, subject) -> None:
         self._base = _noiseless_power(_subject_macs(subject), self.cfg)
 
-    def start(self) -> None:
-        if self._state == "running":
-            raise MeasurementError("start() while already measuring")
-        self._state = "running"
-
-    def stop(self) -> None:
-        if self._state != "running":
-            raise MeasurementError("stop() without start()")
-        self._state = "ready"
-
-    def read(self) -> tuple[float, float]:
-        if self._state != "ready":
-            raise MeasurementError("read() before a start/stop pair completed")
-        self._state = "idle"
+    def _window(self) -> tuple[float, float]:
         return _add_noise(self._base, self.cfg, self._rng), WINDOW_S
 
 

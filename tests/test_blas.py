@@ -28,18 +28,18 @@ def test_one_blas_thread_sets_one_and_restores_the_count():
 @needs_openblas
 def test_run_es_trains_on_one_blas_thread(monkeypatch):
     seen = []
-    initial = evolution._initial_generation
+    generation = evolution._generation
 
     def spy(*args, **kwargs):
         seen.append(blas_threads())
-        return initial(*args, **kwargs)
+        return generation(*args, **kwargs)
 
-    monkeypatch.setattr(evolution, "_initial_generation", spy)
+    monkeypatch.setattr(evolution, "_generation", spy)
     ds = synthetic_dataset(classes=3, samples_per_class=20, dimensions=4, separation=3.0, seed=1)
     before = blas_threads()
     run_es(EvolutionConfig(runs=1, generations=1, population_size=2),
            load_packaged_grammar("dense_only"), TaskData(*split(ds, SplitSpec((0.6, 0.2, 0.2), seed=0))))
-    assert seen == [1]
+    assert seen == [1, 1]  # generations 0 and 1
     assert blas_threads() == before
 
 

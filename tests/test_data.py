@@ -189,7 +189,7 @@ def test_split_sizes_and_disjointness():
 
 def test_split_stratification_balance():
     ds = synthetic_dataset(classes=10, samples_per_class=100, dimensions=3, separation=2.0, seed=12)
-    tr, va, te = split(ds, SplitSpec(fractions=(0.8, 0.1, 0.1), seed=3, stratified=True))
+    tr, va, te = split(ds, SplitSpec(fractions=(0.8, 0.1, 0.1), seed=3))
     for part, per_class in ((tr, 80), (va, 10), (te, 10)):
         counts = np.bincount(part.labels, minlength=10)
         assert np.all(np.abs(counts - per_class) <= 1)
@@ -208,12 +208,6 @@ def test_split_determinism_and_validation():
         split(ds, SplitSpec(fractions=(0.8, -0.1, 0.1), seed=0))
     with pytest.raises(DataError):
         split(ds, SplitSpec(fractions=(0.8, 0.1), seed=0))  # type: ignore[arg-type]
-
-
-def test_unstratified_split_partitions():
-    ds = synthetic_dataset(classes=2, samples_per_class=100, dimensions=2, separation=1.0, seed=14)
-    tr, va, te = split(ds, SplitSpec(fractions=(0.7, 0.2, 0.1), seed=5, stratified=False))
-    assert (len(tr), len(va), len(te)) == (140, 40, 20)
 
 
 def test_desk_subset_exact_counts():

@@ -25,7 +25,7 @@ from evopower.evolution import (
     select_parent,
 )
 from evopower.fitness import WORST_FITNESS, FitnessConfig, evaluate_fitness
-from evopower.genome import GenomeConfig, init_individual
+from evopower.genome import GenomeConfig, init_individual, load_typed
 from evopower.grammar import load_packaged_grammar
 from evopower.mutation import MutationRates
 from evopower.network import Network, load_weights
@@ -121,16 +121,6 @@ def journal_lines(run_dir):
     return [json.loads(line) for line in text.splitlines()]
 
 
-def journaled_individual(lines, generation, slot):
-    """The individual in a slot of a journal, following carried slots to
-    the line that wrote it."""
-    line = lines[1 + generation]
-    while line["individuals"][slot] is None:
-        generation, slot = line["eval_keys"][slot]
-        line = lines[1 + generation]
-    return line["individuals"][slot]
-
-
 def test_evaluate_individual_deterministic_and_consistent():
     cfg = tiny_config()
     ind = init_individual(GRAMMAR, cfg.genome, np.random.default_rng(3), id=0,
@@ -209,22 +199,25 @@ def test_scripted_meter_measurement_accounting():
     assert meter.start_count == 2 * cfg.n_measures * result.evaluations
 
 
-def test_zero_rates_keep_population_constant(tmp_path):
+def test_zero_rates_keep_population_constant(tmp_path, monkeypatch):
+    import evopower.evolution as evo
+
+    evaluated = []
+    plain = evo.evaluate_individual
+    monkeypatch.setattr(evo, "evaluate_individual",
+                        lambda ind, *args: evaluated.append(ind) or plain(ind, *args))
     cfg = tiny_config(runs=1, generations=3, rates=zero_rates())
     result = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r0")
     assert result.parent_retrains == 0
     for prev, cur in zip(result.logs, result.logs[1:]):
         assert cur.records[0] == prev.best_record  # parent carried forward
         assert cur.best_record.fitness >= prev.best_record.fitness
+    # every offspring is a copy of the first parent, and only offspring are scored
+    assert len(evaluated) == cfg.population_size + cfg.offspring * cfg.generations
+    later = {ind.genotype_key() for ind in evaluated[cfg.population_size:]}
+    assert later == {result.best.genotype_key()}
     lines = journal_lines(tmp_path / "r0")
-    assert lines[-1]["generation"] == cfg.generations
-    assert lines[-1]["individuals"][0] is None  # the carried parent
-    genotypes = {
-        json.dumps({k: v for k, v in ind.items() if k != "id"}, sort_keys=True)
-        for ind in (journaled_individual(lines, cfg.generations, s)
-                    for s in range(cfg.population_size))
-    }
-    assert len(genotypes) == 1
+    assert [len(line["records"]) for line in lines[2:]] == [cfg.offspring] * cfg.generations
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -406,33 +399,43 @@ def test_checkpoint_corruption_and_mismatches(tmp_path):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r", run_index=1)
 
 
-def test_journal_member_that_does_not_decode_is_a_checkpoint_error(tmp_path):
+def test_journal_of_another_grammar_is_a_checkpoint_error(tmp_path):
+    # the fingerprint does not cover the grammar; the genotype digest of the
+    # first line does, since another grammar draws other initial individuals
     cfg = tiny_config(runs=1, generations=2, seed=5)
     run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
-    journal = tmp_path / "r" / "checkpoints" / "journal.jsonl"
-    lines = journal.read_text().splitlines(keepends=True)
-    last = json.loads(lines[-1])
-    for member in last["individuals"]:
-        if member is not None:  # a carried slot is checked where it was written
-            member["modules"] = []
-    journal.write_text("".join(lines[:-1]) + json.dumps(last) + "\n")
-    longer = dataclasses.replace(cfg, generations=3)
+    other = load_packaged_grammar("default")
     with pytest.raises(CheckpointError,
-                       match=r"journal\.jsonl line 4: in member \d: individual has no modules"):
-        run_es(longer, GRAMMAR, DATA, out_dir=tmp_path / "r")
+                       match=r"journal\.jsonl line 2: in genotypes: '[0-9a-f]{16}' is not the digest"):
+        run_es(cfg, other, DATA, out_dir=tmp_path / "r")
 
 
-def _undecodable(line):
-    line["individuals"][0]["modules"][0]["layer_genes"][0]["choices"]["layer"] = [99]
+def test_resuming_a_finished_run_trains_probes_and_meters_nothing(tmp_path, monkeypatch):
+    import evopower.evolution as evo
 
+    cfg = mode_config(tiny_config(runs=1, generations=3, seed=10,
+                                  meter=AnalyticMeterConfig(noise_sigma=2.0)), "proposed")
+    full = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+    assert full.archive.entries and full.parent_retrains  # probes and retrains replay too
+    csv_bytes = (tmp_path / "generations.csv").read_bytes()
 
-def _too_long(line):
-    line["individuals"][0]["modules"][0]["layer_genes"] *= 5
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a finished run was evaluated again")
+
+    for name in ("train", "probe_module_power", "measure_mean"):
+        monkeypatch.setattr(evo, name, forbidden)
+    for name in ("observe", "start", "stop", "read"):
+        monkeypatch.setattr(AnalyticMeter, name, forbidden)
+    again = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+    assert log_digest(again) == log_digest(full)
+    assert archive_digest(again) == archive_digest(full)
+    assert (again.evaluations, again.parent_retrains) == (full.evaluations, full.parent_retrains)
+    assert (again.best, again.best_record, again.best_eval_key) == (
+        full.best, full.best_record, full.best_eval_key)
+    assert (tmp_path / "generations.csv").read_bytes() == csv_bytes
 
 
 @pytest.mark.parametrize("damage, message", [
-    (_undecodable, "in member 0: expansion index 99 out of range"),
-    (_too_long, r"in member 0: module has \d+ layers, outside \[2, 4\]"),
     (lambda line: line.update(probe_watts=[math.nan, *line["probe_watts"][1:]]),
      r"in probe_watts\[0\] \(member 0, module 0\): power must be finite"),
     (lambda line: line.update(probe_watts=[math.inf, *line["probe_watts"][1:]]),
@@ -441,9 +444,8 @@ def _too_long(line):
      r"in probe_watts\[0\] \(member 0, module 0\): power must be finite"),
 ])
 def test_journal_archive_insert_that_is_unusable_is_a_checkpoint_error(tmp_path, damage, message):
-    # resume rebuilds the archive from the members' modules and the probes'
-    # watts; an archived module is only decoded when reuse_module picks it,
-    # and a NaN power would poison every roulette draw, so resume checks both
+    # resume rebuilds the archive from the regenerated members' modules and
+    # the journaled watts; a NaN power would poison every roulette draw
     cfg = tiny_config(runs=1, generations=2, seed=5)
     run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
     journal = tmp_path / "r" / "checkpoints" / "journal.jsonl"
@@ -456,84 +458,46 @@ def test_journal_archive_insert_that_is_unusable_is_a_checkpoint_error(tmp_path,
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
 
 
-def test_journal_lines_are_the_asdict_serialization(tmp_path, monkeypatch):
-    # the writer serializes through vars instead of asdict's deep copy;
-    # the bytes must stay those of json.dumps(asdict(line))
+def test_journal_lines_are_the_asdict_serialization(tmp_path):
+    # a line holds only outcomes: the records of every evaluation, a
+    # rejected retrain's included, the probes' watts and a genotype digest
     import evopower.evolution as evo
 
-    plain = evo._finish_generation
-    probes, carried = [], []
-
-    def checking(state, probe_watts, out):
-        plain(state, probe_watts, out)
-        log = state.logs[-1]
-        new = [m if m.eval_key[0] == log.generation else None for m in state.members]
-        line = evo._JournalLine(
-            log.generation, log.best_slot,
-            [m and m.record for m in new], [m and m.individual for m in new],
-            [m.eval_key for m in state.members],
-            probe_watts, state.next_id, state.evaluations, state.parent_retrains,
-        )
-        written = (out / "checkpoints" / "journal.jsonl").read_text().splitlines()[-1]
-        assert written == json.dumps(dataclasses.asdict(line), separators=(",", ":"))
-        probes.append(len(probe_watts))
-        carried.append(new.count(None))
-
-    monkeypatch.setattr(evo, "_finish_generation", checking)
-    cfg = mode_config(tiny_config(runs=1, generations=4, seed=5,
+    cfg = mode_config(tiny_config(runs=1, generations=4, seed=10,
                                   meter=AnalyticMeterConfig(noise_sigma=2.0)), "proposed")
-    run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
-    assert len(probes) == cfg.generations + 1 and sum(probes) > 0 and sum(carried) > 0
-
-
-def test_each_genotype_is_journaled_once(tmp_path):
-    # a carried parent is written as its eval key and a probed module as
-    # its watts; only an accepted retrain writes an id again, because it is
-    # a new evaluation of the parent's genes (with a budget that may have grown)
-    cfg = tiny_config(runs=1, generations=6, seed=9)
-    run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
-    lines = journal_lines(tmp_path)[1:]
-    written = {}
-    for line in lines:
-        assert all(isinstance(w, float) for w in line["probe_watts"])
-        for slot, ind in enumerate(line["individuals"]):
-            if ind is None:
-                continue
-            if ind["id"] in written:
-                assert (slot, line["eval_keys"][slot]) == (0, [line["generation"], 0])
-                assert {**written[ind["id"]], "train_budget": 0} == {**ind, "train_budget": 0}
-            written[ind["id"]] = ind
-    assert any(ind is None for line in lines for ind in line["individuals"])
-
-
-def _first_carried_line(lines):
-    return next(n for n, line in enumerate(lines) if n > 1 and line["individuals"][0] is None)
-
-
-def _null_slot_in_generation_0(lines):
-    lines[1]["individuals"][0] = lines[1]["records"][0] = None
-    return r"line 2: in member 0: carries eval key \[0, 0\], which no member of the previous"
-
-
-def _null_individual(lines):
-    lines[1]["individuals"][1] = None
-    return r"line 2: in member 1: individual and record must both be null or both be set"
+    result = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+    written = (tmp_path / "checkpoints" / "journal.jsonl").read_text().splitlines()[1:]
+    lines = [load_typed(evo._JournalLine, json.loads(text)) for text in written]
+    for text, line in zip(written, lines):
+        assert text == json.dumps(dataclasses.asdict(line), separators=(",", ":"))
+    assert [line.generation for line in lines] == list(range(cfg.generations + 1))
+    assert sum(len(line.records) for line in lines) == result.evaluations
+    retrains = sum(len(line.records) > cfg.offspring for line in lines[1:])
+    assert retrains == result.parent_retrains > 0
+    # a rejected retrain is journaled, though the log keeps the parent's record
+    assert any(len(line.records) > cfg.offspring and line.records[0] != log.records[0]
+               for line, log in zip(lines[1:], result.logs[1:]))
+    assert sum(len(line.probe_watts) for line in lines) > 0
 
 
 def _null_record(lines):
     lines[1]["records"][2] = None
-    return r"line 2: in member 2: individual and record must both be null or both be set"
+    return r"line 2: _JournalLine\.records\[2\]: expected an object, got None"
 
 
-def _unknown_carried_key(lines):
-    n = _first_carried_line(lines)
-    lines[n]["eval_keys"][0] = [0, 99]
-    return rf"line {n + 1}: in member 0: carries eval key \[0, 99\], which no member"
+def _extra_record(lines):
+    lines[1]["records"].append(lines[1]["records"][0])
+    return r"line 2: in records: 5 records for 4 evaluations"
 
 
-def _misplaced_new_key(lines):
-    lines[1]["eval_keys"][1] = [0, 2]
-    return r"line 2: in member 1: new member with eval key \[0, 2\], expected \[0, 1\]"
+def _missing_record(lines):
+    lines[2]["records"].pop()
+    return r"line 3: in records: \d records for \d evaluations"
+
+
+def _other_genotypes(lines):
+    lines[2]["genotypes"] = "0" * 16
+    return r"line 3: in genotypes: '0{16}' is not the digest [0-9a-f]{16}"
 
 
 def _extra_probe_watts(lines):
@@ -546,34 +510,27 @@ def _missing_probe_watts(lines):
     return r"line 2: in probe_watts: \d+ values for \d+ unprobed modules"
 
 
-def _padded_member(lines):
-    # same phenotype, but a second genotype key for its module in the archive
-    lines[1]["individuals"][0]["modules"][0]["layer_genes"][0]["choices"]["layer"].append(0)
-    return r"line 2: in member 0: unused choices for 'layer': 2 given, 1 walked"
-
-
 @pytest.fixture(scope="module")
-def version_4_journal(tmp_path_factory):
+def journal(tmp_path_factory):
     cfg = tiny_config(runs=1, generations=3, seed=5)
     out = tmp_path_factory.mktemp("journal")
     run_es(cfg, GRAMMAR, DATA, out_dir=out)
     lines = journal_lines(out)
-    assert lines[0]["version"] == 4 and lines[1]["probe_watts"]
-    _first_carried_line(lines)
+    assert lines[0]["version"] == 5 and lines[1]["probe_watts"]
     return cfg, lines
 
 
 @pytest.mark.parametrize("damage", [
-    _null_slot_in_generation_0, _null_individual, _null_record, _unknown_carried_key,
-    _misplaced_new_key, _extra_probe_watts, _missing_probe_watts, _padded_member,
+    _null_record, _extra_record, _missing_record, _other_genotypes, _extra_probe_watts,
+    _missing_probe_watts,
 ])
-def test_journal_slot_faults_are_checkpoint_errors(tmp_path, version_4_journal, damage):
-    cfg, lines = version_4_journal
+def test_journal_slot_faults_are_checkpoint_errors(tmp_path, journal, damage):
+    cfg, lines = journal
     lines = copy.deepcopy(lines)
     message = damage(lines)
-    journal = tmp_path / "checkpoints" / "journal.jsonl"
-    journal.parent.mkdir()
-    journal.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    path = tmp_path / "checkpoints" / "journal.jsonl"
+    path.parent.mkdir()
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
     with pytest.raises(CheckpointError, match=r"journal\.jsonl " + message):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
 
@@ -588,13 +545,14 @@ def test_journal_header_that_is_not_an_object_is_a_checkpoint_error(tmp_path, he
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
 
 
-def test_version_3_journal_is_refused(tmp_path, version_4_journal):
-    cfg, lines = version_4_journal
-    journal = tmp_path / "checkpoints" / "journal.jsonl"
-    journal.parent.mkdir()
-    journal.write_text(json.dumps({**lines[0], "version": 3}) + "\n")
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 3"):
-        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+def test_version_3_journal_is_refused(tmp_path, journal):
+    cfg, lines = journal
+    path = tmp_path / "checkpoints" / "journal.jsonl"
+    path.parent.mkdir()
+    for version in (3, 4):  # version 4 stored genotypes; a fresh start replaces it
+        path.write_text(json.dumps({**lines[0], "version": version}) + "\n")
+        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
+            run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
 
 
 def test_mode_config_gating():

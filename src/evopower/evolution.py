@@ -10,12 +10,13 @@ Three rules keep runs reproducible:
   stateful meter reads in a fixed order and one trained network is
   alive at a time;
 * each run appends one line per finished generation to
-  ``checkpoints/journal.jsonl`` (version 5) holding only what a replay
-  cannot recompute: the records of the generation's evaluations and the
-  watts of its probes, plus a digest of the individuals it evaluated.  A
-  resumed run replays the lines through the generation code of a live
-  run, which regenerates the individuals from their streams, so it
-  rebuilds the uninterrupted logs, archive and CSV byte for byte.
+  ``checkpoints/journal.jsonl`` (version 6) holding only what a replay
+  cannot recompute: the measured :class:`Outcome` of each of the
+  generation's evaluations and the watts of its probes, plus a digest of
+  the individuals it evaluated.  A resumed run replays the lines through
+  the generation code of a live run, which regenerates the individuals
+  from their streams and their records from the outcomes, so it rebuilds
+  the uninterrupted logs, archive and CSV byte for byte.
 
 ``generations.csv`` grows by appended rows too; a fresh start rewrites
 both files, and a resume rewrites the CSV once from the replayed logs.
@@ -32,7 +33,7 @@ import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import get_type_hints
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -43,6 +44,7 @@ from .errors import (
     ConfigError,
     DataError,
     InvalidGenotypeError,
+    MeasurementError,
     TrainingDivergedError,
 )
 from .fitness import WORST_FITNESS, FitnessConfig, evaluate_fitness
@@ -50,7 +52,8 @@ from .genome import (
     GenomeConfig,
     Individual,
     ModuleGene,
-    PhenotypeSpec,
+    count_hidden_layers,
+    genotype_fields,
     genotype_payload,
     init_individual,
     load_typed,
@@ -68,7 +71,7 @@ from .power import (
     probe_module_power,
 )
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 MODES = ("baseline", "proposed")
 
 # rng stream purposes
@@ -163,8 +166,46 @@ class TaskData:
             raise ConfigError("train and validation class counts differ")
 
 
+class Outcome(NamedTuple):
+    """What one evaluation measured, in the order of a journal row."""
+
+    acc_left: float
+    acc_right: float
+    power_left_w: float
+    power_right_w: float
+    epochs_run: int
+    final_loss: float
+    wall_time_s: float
+    diverged: bool
+
+    def fault(self) -> str | None:
+        """Why no evaluation yields this outcome, as ``field: reason``, or
+        None.  A measured outcome has accuracies in [0, 1] and powers
+        finite and > 0, which the power-led fitnesses divide by; a diverged
+        one is what :func:`evaluate_individual` writes, zeros and a nan
+        loss.  A live evaluation and a journal replay both refuse a fault."""
+        if self.diverged:
+            if self[:5] != (0.0, 0.0, 0.0, 0.0, 0) or not math.isnan(self.final_loss):
+                return f"diverged: a diverged outcome holds zeros and a nan loss, got {self[:6]}"
+        else:
+            for name in ("acc_left", "acc_right"):
+                value = getattr(self, name)
+                if not 0.0 <= value <= 1.0:
+                    return f"{name}: accuracy must be in [0, 1], got {value}"
+            for name in ("power_left_w", "power_right_w"):
+                value = getattr(self, name)
+                if not 0.0 < value < math.inf:
+                    return f"{name}: power must be finite and > 0, got {value}"
+        if not 0.0 <= self.wall_time_s < math.inf:
+            return f"wall_time_s: must be finite and >= 0, got {self.wall_time_s}"
+        return None
+
+
 @dataclass
 class EvaluationRecord:
+    """An evaluation's :class:`Outcome` plus what its individual and the
+    config determine; :func:`evaluation_record` builds it."""
+
     individual: int
     fitness: float
     acc_left: float
@@ -186,6 +227,9 @@ class EvaluationRecord:
         return self.fitness == evaluate_fitness(
             fitness_cfg, self.acc_left, self.acc_right, self.power_left_w
         )
+
+    def outcome(self) -> Outcome:
+        return Outcome(*(getattr(self, name) for name in Outcome._fields))
 
 
 @dataclass
@@ -241,11 +285,11 @@ def _train_network(
     data: TaskData,
     cfg: EvolutionConfig,
     rng: np.random.Generator,
-) -> tuple[PhenotypeSpec, Network, TrainReport | None]:
+) -> tuple[Network, TrainReport | None]:
     """Phenotype, build and train ``ind`` on the training split.
 
-    Returns the phenotype, the network and the training report; the
-    report is None when training diverged.
+    Returns the network and the training report; the report is None
+    when training diverged.
     """
     spec = to_phenotype(ind, grammar)
     net = build(spec, data.input_dim, data.class_count, rng)
@@ -261,8 +305,25 @@ def _train_network(
             rng,
         )
     except TrainingDivergedError:
-        return spec, net, None
-    return spec, net, report
+        return net, None
+    return net, report
+
+
+def evaluation_record(
+    ind: Individual, outcome: Outcome, grammar: Grammar, cfg: EvolutionConfig
+) -> EvaluationRecord:
+    """The record of ``ind``'s evaluation: ``outcome`` plus the id, the
+    dense-layer count, the split point, the epoch budget and the fitness
+    (the worst when training diverged).  A live evaluation and a replayed
+    journal row both build their record here."""
+    fitness = WORST_FITNESS if outcome.diverged else evaluate_fitness(
+        cfg.fitness, outcome.acc_left, outcome.acc_right, outcome.power_left_w
+    )
+    return EvaluationRecord(
+        ind.id, fitness, *outcome[:4],
+        count_hidden_layers(ind, grammar), ind.macro.middle_point,
+        float(min(ind.train_budget, cfg.max_train_budget)), *outcome[4:],
+    )
 
 
 def evaluate_individual(
@@ -275,19 +336,15 @@ def evaluate_individual(
 ) -> EvaluationRecord:
     """Full pipeline: phenotype, train on the joint loss, split, score
     both partitions on the validation set, meter inference power, apply
-    the configured fitness.  Divergence maps to the worst fitness."""
+    the configured fitness.  Divergence maps to the worst fitness; a
+    measurement with an :meth:`Outcome.fault` is a MeasurementError."""
     if meter is None:
         meter = AnalyticMeter(cfg.meter)
     t0 = time.perf_counter()
-    spec, net, report = _train_network(ind, grammar, data, cfg, rng)
-    hidden = sum(layer.kind == "dense" for layer in spec.layers)
-    budget = float(min(ind.train_budget, cfg.max_train_budget))
+    net, report = _train_network(ind, grammar, data, cfg, rng)
     if report is None:
-        return EvaluationRecord(
-            ind.id, WORST_FITNESS, 0.0, 0.0, 0.0, 0.0,
-            hidden, ind.macro.middle_point, budget,
-            0, float("nan"), time.perf_counter() - t0, True,
-        )
+        diverged = Outcome(0.0, 0.0, 0.0, 0.0, 0, float("nan"), time.perf_counter() - t0, True)
+        return evaluation_record(ind, diverged, grammar, cfg)
     left, right = split(net)
     # the partitions answer bit for bit like the heads, so one pass over
     # the validation set scores both
@@ -298,12 +355,14 @@ def evaluate_individual(
     power_left = measure_mean(meter, lambda: left.forward(vx), cfg.n_measures).mean_watts
     meter.observe(right)
     power_right = measure_mean(meter, lambda: right.forward(vx), cfg.n_measures).mean_watts
-    fit = evaluate_fitness(cfg.fitness, acc_left, acc_right, power_left)
-    return EvaluationRecord(
-        ind.id, fit, acc_left, acc_right,
-        power_left, power_right, hidden, ind.macro.middle_point, budget,
+    measured = Outcome(
+        acc_left, acc_right, power_left, power_right,
         report.epochs_run, report.final_loss, time.perf_counter() - t0, False,
     )
+    fault = measured.fault()
+    if fault is not None:
+        raise MeasurementError(f"individual {ind.id}: {fault}")
+    return evaluation_record(ind, measured, grammar, cfg)
 
 
 class _RunState:
@@ -508,16 +567,17 @@ def _append_rows_csv(path: Path, rows: list[dict]) -> None:
 
 @dataclass
 class _JournalLine:
-    """One finished generation, as appended to ``journal.jsonl`` (version 5).
+    """One finished generation, as appended to ``journal.jsonl`` (version 6).
 
-    ``records`` holds one record per evaluated job, in slot order, and
-    ``probe_watts`` the raw watts of the generation's probes, in probe
-    order: the outcomes a replay cannot recompute.  ``genotypes`` is a
-    digest of the evaluated individuals, which a replay regenerates.
+    ``outcomes`` holds one :class:`Outcome` per evaluated job, in slot
+    order, written as a JSON list of its 8 values, and ``probe_watts``
+    the raw watts of the generation's probes, in probe order: what a
+    replay cannot recompute.  ``genotypes`` is a digest of the evaluated
+    individuals, which a replay regenerates.
     """
 
     generation: int
-    records: list[EvaluationRecord]
+    outcomes: list[Outcome]
     probe_watts: list[float]
     genotypes: str
 
@@ -526,8 +586,9 @@ _COMPACT = (",", ":")  # json separators of the journal lines
 
 
 def _genotypes_digest(jobs: _Jobs) -> str:
-    """Short sha256 of the JSON form of the jobs' individuals."""
-    blob = json.dumps([asdict(ind) for _, ind in jobs], separators=_COMPACT)
+    """Short sha256 of the JSON form of the jobs' individuals; JSON tells
+    16 from 16.0 and true from 1."""
+    blob = json.dumps([genotype_fields(ind) for _, ind in jobs], separators=_COMPACT)
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
@@ -550,9 +611,10 @@ def _finish_generation(
 ) -> None:
     """Append the generation to the journal, then its rows to the CSV."""
     log = state.logs[-1]
-    line = _JournalLine(log.generation, records, probe_watts, _genotypes_digest(jobs))
+    outcomes = [record.outcome() for record in records]
+    line = _JournalLine(log.generation, outcomes, probe_watts, _genotypes_digest(jobs))
     with open(_journal_path(out), "a") as fh:
-        fh.write(json.dumps(asdict(line), separators=_COMPACT) + "\n")
+        fh.write(json.dumps(vars(line), separators=_COMPACT) + "\n")
     _append_rows_csv(out / "generations.csv", _log_rows(state.run, [log]))
 
 
@@ -563,10 +625,20 @@ def _parse_line(path: Path, number: int, raw: bytes):
         raise CheckpointError(f"unreadable checkpoint {path} line {number}: {exc}")
 
 
-def _replay_sources(line: _JournalLine, where: str):
-    """The ``evaluate`` and ``probe`` of a replayed generation: the
-    line's records and watts, once the regenerated jobs match its digest
-    and count and the probes its watts.  ``where`` names the line."""
+def _check_outcomes(line: _JournalLine, where: str) -> None:
+    """Refuse a row no evaluation can produce, as a live run would refuse
+    its measurement (:meth:`Outcome.fault`)."""
+    for i, outcome in enumerate(line.outcomes):
+        fault = outcome.fault()
+        if fault is not None:
+            raise CheckpointError(f"{where}: in outcomes[{i}].{fault}")
+
+
+def _replay_sources(line: _JournalLine, where: str, grammar: Grammar, cfg: EvolutionConfig):
+    """The ``evaluate`` and ``probe`` of a replayed generation: records
+    built from the line's outcomes and its watts, once the regenerated
+    jobs match its digest and count and the probes its watts.  ``where``
+    names the line."""
 
     def evaluate(g: int, jobs: _Jobs) -> list[EvaluationRecord]:
         digest = _genotypes_digest(jobs)
@@ -575,11 +647,14 @@ def _replay_sources(line: _JournalLine, where: str):
                 f"{where}: in genotypes: {line.genotypes!r:.60} is not the digest {digest} "
                 "of the individuals the current grammar and configuration generate"
             )
-        if len(line.records) != len(jobs):
+        if len(line.outcomes) != len(jobs):
             raise CheckpointError(
-                f"{where}: in records: {len(line.records)} records for {len(jobs)} evaluations"
+                f"{where}: in outcomes: {len(line.outcomes)} rows for {len(jobs)} evaluations"
             )
-        return line.records
+        return [
+            evaluation_record(ind, outcome, grammar, cfg)
+            for (_, ind), outcome in zip(jobs, line.outcomes)
+        ]
 
     def probe(g: int, probes: _Probes) -> list[float]:
         if len(line.probe_watts) != len(probes):
@@ -606,7 +681,9 @@ def _load_journal(
     An unterminated last line is an append cut short, so it is dropped
     and the file truncated to the lines before it.  Each line is replayed
     through :func:`_generation`, the code of a live run, with the line's
-    records and watts standing in for training and probing.
+    outcomes and watts standing in for training and probing.  Replay
+    stops after generation ``cfg.generations``; later lines stay in the
+    file for a longer run to reuse.
     """
     try:
         data = path.read_bytes()
@@ -636,6 +713,8 @@ def _load_journal(
         )
     state = _RunState(run, cfg)
     for number, raw in enumerate(lines[1:], 2):
+        if state.generation == cfg.generations:
+            break
         where = f"malformed checkpoint {path} line {number}"
         try:
             line = load_typed(_JournalLine, _parse_line(path, number, raw))
@@ -643,7 +722,8 @@ def _load_journal(
             raise CheckpointError(f"{where}: {exc}")
         if line.generation != state.generation + 1:
             raise CheckpointError(f"{where}: not generation {state.generation + 1}")
-        _generation(state, cfg, grammar, *_replay_sources(line, where))
+        _check_outcomes(line, where)
+        _generation(state, cfg, grammar, *_replay_sources(line, where, grammar, cfg))
     return state if state.logs else None
 
 
@@ -799,7 +879,7 @@ def run_experiment(
         run_i, gen, slot = winner.best_eval_key
         # on one BLAS thread, like the evaluation it repeats
         with one_blas_thread():
-            _, net, report = _train_network(
+            net, report = _train_network(
                 winner.best, grammar, data, adjusted,
                 _stream(adjusted.seed, run_i, gen, slot, _EVAL),
             )

@@ -10,7 +10,12 @@ import pytest
 from evopower.analysis import load_experiment_rows
 from evopower.config import AppConfig
 from evopower.data import SplitSpec, split, synthetic_dataset
-from evopower.errors import CheckpointError, ConfigError, TrainingDivergedError
+from evopower.errors import (
+    CheckpointError,
+    ConfigError,
+    MeasurementError,
+    TrainingDivergedError,
+)
 from evopower.evolution import (
     EvaluationRecord,
     EvolutionConfig,
@@ -121,6 +126,12 @@ def journal_lines(run_dir):
     return [json.loads(line) for line in text.splitlines()]
 
 
+def write_journal(run_dir, lines):
+    path = run_dir / "checkpoints" / "journal.jsonl"
+    path.parent.mkdir(exist_ok=True)
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
 def test_evaluate_individual_deterministic_and_consistent():
     cfg = tiny_config()
     ind = init_individual(GRAMMAR, cfg.genome, np.random.default_rng(3), id=0,
@@ -217,7 +228,7 @@ def test_zero_rates_keep_population_constant(tmp_path, monkeypatch):
     later = {ind.genotype_key() for ind in evaluated[cfg.population_size:]}
     assert later == {result.best.genotype_key()}
     lines = journal_lines(tmp_path / "r0")
-    assert [len(line["records"]) for line in lines[2:]] == [cfg.offspring] * cfg.generations
+    assert [len(line["outcomes"]) for line in lines[2:]] == [cfg.offspring] * cfg.generations
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -281,6 +292,65 @@ def test_resume_completes_to_identical_csv(tmp_path):
     # resuming a finished run re-evaluates nothing and reproduces the result
     again = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "resumed")
     assert again.best_record == resumed.best_record
+
+
+def test_resuming_with_fewer_generations_matches_a_fresh_run(tmp_path):
+    # replay stops after the configured generation and leaves the later
+    # lines for a longer run
+    longer = tiny_config(runs=1, generations=4, seed=9)
+    shorter = dataclasses.replace(longer, generations=2)
+    run_experiment(longer, "proposed", GRAMMAR, DATA, tmp_path / "resumed")
+    journal = tmp_path / "resumed" / "run_0" / "checkpoints" / "journal.jsonl"
+    kept = journal.read_bytes()
+    resumed = run_experiment(shorter, "proposed", GRAMMAR, DATA, tmp_path / "resumed")
+    fresh = run_experiment(shorter, "proposed", GRAMMAR, DATA, tmp_path / "fresh")
+
+    assert journal.read_bytes() == kept
+    for name in ("run_0/generations.csv", "aggregate.csv"):
+        assert ((tmp_path / "resumed" / name).read_bytes()
+                == (tmp_path / "fresh" / name).read_bytes())
+    assert len(resumed.runs[0].logs) == shorter.generations + 1
+
+    def genotype_file(out):
+        payload = json.loads((out / "best_genotype.json").read_text())
+        payload["record"].pop("wall_time_s")
+        return payload
+
+    assert genotype_file(tmp_path / "resumed") == genotype_file(tmp_path / "fresh")
+    assert strip_wall(resumed.best_record) == strip_wall(fresh.best_record)
+    again = run_experiment(longer, "proposed", GRAMMAR, DATA, tmp_path / "resumed")
+    assert journal.read_bytes() == kept
+    assert len(again.runs[0].logs) == longer.generations + 1
+
+
+def test_genotype_digest_tells_every_field_and_type_apart():
+    import evopower.evolution as evo
+
+    ind = init_individual(GRAMMAR, tiny_config().genome, np.random.default_rng(4), id=3,
+                          train_budget=2.0)
+    ind.macro.middle_point = 1
+
+    def float_units(i):
+        group = i.modules[0].layer_genes[0].values["units"][0]
+        group[0] = float(group[0])
+
+    digests = {evo._genotypes_digest([(0, ind)])}
+    changes = [
+        lambda i: setattr(i, "id", 4),
+        lambda i: setattr(i, "train_budget", 3.0),
+        lambda i: setattr(i.macro, "middle_point", 0),
+        lambda i: i.modules[0].layer_genes[0].choices["activation"].append(0),
+        lambda i: i.macro.genes["learning"].values["batch"][0].append(32),
+        lambda i: i.modules.append(i.modules[0].copy()),
+        # equal values of another type
+        lambda i: setattr(i.macro, "middle_point", True),
+        float_units,
+    ]
+    for change in changes:
+        variant = ind.copy()
+        change(variant)
+        digests.add(evo._genotypes_digest([(0, variant)]))
+    assert len(digests) == 1 + len(changes)
 
 
 def log_digest(result):
@@ -459,7 +529,7 @@ def test_journal_archive_insert_that_is_unusable_is_a_checkpoint_error(tmp_path,
 
 
 def test_journal_lines_are_the_asdict_serialization(tmp_path):
-    # a line holds only outcomes: the records of every evaluation, a
+    # a line holds only outcomes: one 8-value row per evaluation, a
     # rejected retrain's included, the probes' watts and a genotype digest
     import evopower.evolution as evo
 
@@ -467,32 +537,39 @@ def test_journal_lines_are_the_asdict_serialization(tmp_path):
                                   meter=AnalyticMeterConfig(noise_sigma=2.0)), "proposed")
     result = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
     written = (tmp_path / "checkpoints" / "journal.jsonl").read_text().splitlines()[1:]
-    lines = [load_typed(evo._JournalLine, json.loads(text)) for text in written]
-    for text, line in zip(written, lines):
-        assert text == json.dumps(dataclasses.asdict(line), separators=(",", ":"))
+    raw = [json.loads(text) for text in written]
+    lines = [load_typed(evo._JournalLine, doc) for doc in raw]
+    for text, doc, line in zip(written, raw, lines):
+        assert list(doc) == ["generation", "outcomes", "probe_watts", "genotypes"]
+        assert all(len(row) == 8 for row in doc["outcomes"])
+        assert text == json.dumps(vars(line), separators=(",", ":"))
     assert [line.generation for line in lines] == list(range(cfg.generations + 1))
-    assert sum(len(line.records) for line in lines) == result.evaluations
-    retrains = sum(len(line.records) > cfg.offspring for line in lines[1:])
+    assert sum(len(line.outcomes) for line in lines) == result.evaluations
+    retrains = sum(len(line.outcomes) > cfg.offspring for line in lines[1:])
     assert retrains == result.parent_retrains > 0
+    # every logged record is the outcome of a journaled row
+    rows = {json.dumps(row) for doc in raw for row in doc["outcomes"]}
+    assert all(json.dumps(rec.outcome()) in rows for log in result.logs for rec in log.records)
     # a rejected retrain is journaled, though the log keeps the parent's record
-    assert any(len(line.records) > cfg.offspring and line.records[0] != log.records[0]
+    assert any(len(line.outcomes) > cfg.offspring
+               and line.outcomes[0] != log.records[0].outcome()
                for line, log in zip(lines[1:], result.logs[1:]))
     assert sum(len(line.probe_watts) for line in lines) > 0
 
 
 def _null_record(lines):
-    lines[1]["records"][2] = None
-    return r"line 2: _JournalLine\.records\[2\]: expected an object, got None"
+    lines[1]["outcomes"][2] = None
+    return r"line 2: _JournalLine\.outcomes\[2\]: expected a list of 8 values, got None"
 
 
 def _extra_record(lines):
-    lines[1]["records"].append(lines[1]["records"][0])
-    return r"line 2: in records: 5 records for 4 evaluations"
+    lines[1]["outcomes"].append(lines[1]["outcomes"][0])
+    return r"line 2: in outcomes: 5 rows for 4 evaluations"
 
 
 def _missing_record(lines):
-    lines[2]["records"].pop()
-    return r"line 3: in records: \d records for \d evaluations"
+    lines[2]["outcomes"].pop()
+    return r"line 3: in outcomes: \d rows for \d evaluations"
 
 
 def _other_genotypes(lines):
@@ -516,7 +593,7 @@ def journal(tmp_path_factory):
     out = tmp_path_factory.mktemp("journal")
     run_es(cfg, GRAMMAR, DATA, out_dir=out)
     lines = journal_lines(out)
-    assert lines[0]["version"] == 5 and lines[1]["probe_watts"]
+    assert lines[0]["version"] == 6 and lines[1]["probe_watts"]
     return cfg, lines
 
 
@@ -528,11 +605,121 @@ def test_journal_slot_faults_are_checkpoint_errors(tmp_path, journal, damage):
     cfg, lines = journal
     lines = copy.deepcopy(lines)
     message = damage(lines)
-    path = tmp_path / "checkpoints" / "journal.jsonl"
-    path.parent.mkdir()
-    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    write_journal(tmp_path, lines)
     with pytest.raises(CheckpointError, match=r"journal\.jsonl " + message):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+
+
+def _set(field, value):
+    def damage(row):
+        row[field] = value
+    return damage
+
+
+def _diverged(*values):
+    # a divergence journals zeros, a nan loss and its wall time; any other
+    # diverged row would be replayed into the logs, the CSV and best.json
+    def damage(row):
+        row[:] = [*values, True]
+    return damage
+
+
+_NOT_A_DIVERGENCE = r"in outcomes\[1\]\.diverged: a diverged outcome holds zeros and a nan loss"
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(lambda row: row.pop(),
+                 r"outcomes\[1\]: expected a list of 8 values", id="short_row"),
+    pytest.param(lambda row: row.append(0.0),
+                 r"outcomes\[1\]: expected a list of 8 values", id="long_row"),
+    pytest.param(_set(0, "0.5"),
+                 r"outcomes\[1\]\.acc_left: expected <class 'float'>", id="acc_as_text"),
+    pytest.param(_set(4, 1.0),
+                 r"outcomes\[1\]\.epochs_run: expected <class 'int'>", id="epochs_as_float"),
+    pytest.param(_set(7, 0),
+                 r"outcomes\[1\]\.diverged: expected <class 'bool'>", id="diverged_as_int"),
+    pytest.param(_set(3, None),
+                 r"outcomes\[1\]\.power_right_w: expected <class 'float'>", id="null_power"),
+    pytest.param(_set(0, 1.5),
+                 r"in outcomes\[1\]\.acc_left: accuracy must be in \[0, 1\], got 1\.5",
+                 id="acc_above_1"),
+    pytest.param(_set(1, -0.25),
+                 r"in outcomes\[1\]\.acc_right: accuracy must be in \[0, 1\]", id="acc_below_0"),
+    pytest.param(_set(1, math.nan),
+                 r"in outcomes\[1\]\.acc_right: accuracy must be in \[0, 1\]", id="acc_nan"),
+    pytest.param(_set(2, 0.0),
+                 r"in outcomes\[1\]\.power_left_w: power must be finite and > 0, got 0\.0",
+                 id="power_zero"),
+    pytest.param(_set(2, -3.0),
+                 r"in outcomes\[1\]\.power_left_w: power must be finite and > 0",
+                 id="power_negative"),
+    pytest.param(_set(3, math.inf),
+                 r"in outcomes\[1\]\.power_right_w: power must be finite and > 0", id="power_inf"),
+    pytest.param(_set(3, math.nan),
+                 r"in outcomes\[1\]\.power_right_w: power must be finite and > 0", id="power_nan"),
+    pytest.param(_set(6, -0.5),
+                 r"in outcomes\[1\]\.wall_time_s: must be finite and >= 0", id="wall_negative"),
+    pytest.param(_diverged(5.0, -1.0, math.inf, math.nan, 99, 0.0, 0.1),
+                 _NOT_A_DIVERGENCE, id="diverged_with_measurements"),
+    pytest.param(_diverged(0.5, 0.0, 0.0, 0.0, 0, math.nan, 0.1),
+                 _NOT_A_DIVERGENCE, id="diverged_with_accuracy"),
+    pytest.param(_diverged(0.0, 0.0, 0.0, 12.0, 0, math.nan, 0.1),
+                 _NOT_A_DIVERGENCE, id="diverged_with_power"),
+    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 3, math.nan, 0.1),
+                 _NOT_A_DIVERGENCE, id="diverged_with_epochs"),
+    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 0, 0.25, 0.1),
+                 _NOT_A_DIVERGENCE, id="diverged_with_loss"),
+    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 0, math.nan, math.inf),
+                 r"in outcomes\[1\]\.wall_time_s: must be finite and >= 0",
+                 id="diverged_wall_inf"),
+])
+def test_journal_rows_no_evaluation_makes_are_checkpoint_errors(tmp_path, journal, damage,
+                                                                  message):
+    # refused before the fitness, which raises ValueError on a power <= 0
+    cfg, lines = journal
+    lines = copy.deepcopy(lines)
+    assert not lines[3]["outcomes"][1][7]
+    damage(lines[3]["outcomes"][1])
+    write_journal(tmp_path, lines)
+    with pytest.raises(CheckpointError, match=r"journal\.jsonl line 4: .*" + message):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+
+
+def test_a_diverged_row_is_replayed_at_the_worst_fitness(tmp_path, journal):
+    # a diverged row scores the worst; the last slot of the last line, so
+    # that no later line depends on it
+    cfg, lines = journal
+    write_journal(tmp_path, lines)
+    intact = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path).logs[-1].records[-1]
+    lines = copy.deepcopy(lines)
+    lines[-1]["outcomes"][-1] = [0.0, 0.0, 0.0, 0.0, 0, math.nan, 0.1, True]
+    write_journal(tmp_path, lines)
+    record = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path).logs[-1].records[-1]
+    assert record.diverged and record.fitness == WORST_FITNESS
+    assert record.outcome()[:5] == (0.0, 0.0, 0.0, 0.0, 0)
+    for name in ("individual", "hidden_layers", "middle_point", "train_budget_epochs"):
+        assert getattr(record, name) == getattr(intact, name)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "proposed"])
+def test_a_zero_watt_measurement_is_refused_live_as_on_replay(tmp_path, mode):
+    # replay refuses a 0 W row, so a live run must not journal one, even
+    # where the fitness ignores power (baseline mode)
+    cfg = mode_config(tiny_config(runs=1, generations=1), mode)
+    dead = ScriptedMeter([(0.0, 1.0)], cycle=True)
+    with pytest.raises(MeasurementError, match=r"power_left_w: power must be finite and > 0"):
+        run_es(cfg, GRAMMAR, DATA, meter=dead, out_dir=tmp_path)
+    assert len(journal_lines(tmp_path)) == 1  # the header alone
+    # the resume finds no finished generation and runs afresh
+    meter = ScriptedMeter([(5000.0, 0.5)], cycle=True)
+    resumed = run_es(cfg, GRAMMAR, DATA, meter=meter, out_dir=tmp_path)
+    assert len(resumed.logs) == cfg.generations + 1
+    fresh = run_es(cfg, GRAMMAR, DATA, meter=ScriptedMeter([(5000.0, 0.5)], cycle=True),
+                   out_dir=tmp_path / "fresh")
+    assert [strip_wall(r) for log in resumed.logs for r in log.records] == [
+        strip_wall(r) for log in fresh.logs for r in log.records
+    ]
+    assert run_es(cfg, GRAMMAR, DATA, meter=dead, out_dir=tmp_path).best == resumed.best
 
 
 @pytest.mark.parametrize("header", [4, [4], None, "x"])
@@ -553,6 +740,20 @@ def test_version_3_journal_is_refused(tmp_path, journal):
         path.write_text(json.dumps({**lines[0], "version": version}) + "\n")
         with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
             run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+
+
+def test_version_5_journal_is_refused(tmp_path, journal):
+    # version 5 stored a 13-key record per evaluation; a fresh start replaces it
+    cfg, lines = journal
+    record = dataclasses.asdict(rec())
+    v5_line = {"generation": 0, "records": [record] * cfg.population_size,
+               "probe_watts": lines[1]["probe_watts"], "genotypes": lines[1]["genotypes"]}
+    write_journal(tmp_path, [{**lines[0], "version": 5}, v5_line])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 5"):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+    fresh = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path, resume=False)
+    assert journal_lines(tmp_path)[0]["version"] == 6
+    assert len(fresh.logs) == cfg.generations + 1
 
 
 def test_mode_config_gating():

@@ -13,6 +13,7 @@ from evopower.genome import (
     ModuleGene,
     clamp_middle_point,
     count_hidden_layers,
+    genotype_fields,
     genotype_payload,
     init_individual,
     load_genotype,
@@ -239,6 +240,17 @@ def test_serialization_round_trip():
     assert back == ind
     validate_individual(back, GRAMMAR, GenomeConfig())
     assert load_typed(Individual, json.loads(json.dumps(dataclasses.asdict(ind)))) == ind
+
+
+def test_genotype_fields_are_the_asdict_form():
+    # the journal digests this form, so it must cover every field, in
+    # asdict's JSON bytes, which tell 16 from 16.0
+    rng = np.random.default_rng(8)
+    for i in range(20):
+        ind = init_individual(GRAMMAR, GenomeConfig(modules=2), rng, id=i, train_budget=2.5)
+        assert json.dumps(genotype_fields(ind)) == json.dumps(dataclasses.asdict(ind))
+    ind = make_individual([dense_gene(16.0), dropout_gene()], middle_point=True)
+    assert json.dumps(genotype_fields(ind)) == json.dumps(dataclasses.asdict(ind))
 
 
 def test_serialization_rejects_unknown_version():

@@ -41,9 +41,9 @@ for units in (16, 64, 256):
     res = measure_mean(meter, work=lambda: None, n_measures=5)
     print("units %3d -> %6d MACs -> %.2f W" % (units, count_macs(net), res.mean_watts))
 
-# with noise enabled the readings scatter around the analytic value but
-# stay inside [p_min, p_max]; the draw order is the meter's own stream
-noisy = AnalyticMeter(AnalyticMeterConfig(noise_sigma=2.0, seed=11))
+# with noise enabled the readings scatter around the analytic value; the
+# noise comes from the generator the caller passes, which a noisy meter needs
+noisy = AnalyticMeter(AnalyticMeterConfig(noise_sigma=2.0), rng=np.random.default_rng(11))
 noisy.observe(net)
 res = measure_mean(noisy, work=lambda: None, n_measures=8)
 print("noisy samples:", ["%.1f" % w for w in res.samples])

@@ -17,10 +17,10 @@ import numpy as np
 from .analysis import analyze_experiments
 from .config import AppConfig, format_config, load_config, load_grammar_spec
 from .errors import ConfigError, DataError, EvopowerError, GrammarError, InvalidGenotypeError
-from .evolution import MODES, run_experiment
+from .evolution import _PROBE, MODES, _meter_for, run_experiment
 from .genome import Individual, load_genotype
 from .network import count_macs
-from .power import DEFAULT_N_MEASURES, AnalyticMeter, build_probe_network, probe_module_power
+from .power import DEFAULT_N_MEASURES, build_probe_network, probe_module_power
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -53,6 +53,7 @@ def _cmd_evolve(args) -> int:
     app = load_config(args.config)
     if args.seed is not None:
         app.evolution.seed = args.seed
+        app.evolution.validate()
     grammar = load_grammar_spec(app.grammar)
     data = app.data.load()
     out = _resolve_out(args.out)
@@ -81,7 +82,8 @@ def _cmd_probe(args) -> int:
             raise ConfigError(f"module index {mi} out of range, genotype has {len(ind.modules)}")
         module = ind.modules[mi]
         try:
-            meter = AnalyticMeter(app.evolution.meter)
+            # keyed like the engine's probes, so noise needs no seed of its own
+            meter = _meter_for(None, app.evolution, (app.evolution.seed, _PROBE, mi))
             watts = probe_module_power(
                 module, grammar, meter, (input_dim, class_count),
                 n_measures=n_measures, seed=app.evolution.seed,

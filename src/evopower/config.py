@@ -103,6 +103,9 @@ class DataConfig:
                 raise ConfigError("data.kind = idx requires data.train_images")
             if not self.train_labels:
                 raise ConfigError("data.kind = idx requires data.train_labels")
+        for name in ("seed", "split_seed"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"data.{name} must be >= 0, got {getattr(self, name)}")
 
     def io_shape(self) -> tuple[int, int]:
         if self.kind == "synthetic":
@@ -151,8 +154,7 @@ class AppConfig:
             if key in values:
                 setattr(holder, name, values[key])
         app.evolution.validate()
-        if app.data.kind not in DATA_KINDS:
-            raise ConfigError(f"data.kind must be one of {DATA_KINDS}, got {app.data.kind!r}")
+        app.data.validate()
         return app
 
     def to_flat(self) -> dict[str, str]:

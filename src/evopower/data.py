@@ -139,6 +139,9 @@ def synthetic_dataset(
         block += center
         start += n
     lo, hi = samples.min(), samples.max()
+    # the centers are >= 0, so an overflow shows in the largest value
+    if not np.isfinite(hi):
+        raise DataError(f"separation {separation} puts the class centers beyond float range")
     if hi > lo:
         samples -= lo
         samples /= hi - lo

@@ -10,7 +10,7 @@ Three rules keep runs reproducible:
   stateful meter reads in a fixed order and one trained network is
   alive at a time;
 * each run appends one line per finished generation to
-  ``checkpoints/journal.jsonl`` (version 6) holding only what a replay
+  ``checkpoints/journal.jsonl`` (version 7) holding only what a replay
   cannot recompute: the measured :class:`Outcome` of each of the
   generation's evaluations and the watts of its probes, plus a digest of
   the individuals it evaluated.  A resumed run replays the lines through
@@ -29,7 +29,6 @@ import csv
 import hashlib
 import json
 import math
-import time
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -71,7 +70,7 @@ from .power import (
     probe_module_power,
 )
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 MODES = ("baseline", "proposed")
 
 # rng stream purposes
@@ -127,6 +126,8 @@ class EvolutionConfig:
             raise ConfigError(f"n_measures must be >= 1, got {self.n_measures}")
         if self.archive_capacity < 1:
             raise ConfigError(f"archive_capacity must be >= 1, got {self.archive_capacity}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.rates.validate()
         self.fitness.validate()
         self.meter.validate()
@@ -175,7 +176,6 @@ class Outcome(NamedTuple):
     power_right_w: float
     epochs_run: int
     final_loss: float
-    wall_time_s: float
     diverged: bool
 
     def fault(self) -> str | None:
@@ -196,8 +196,6 @@ class Outcome(NamedTuple):
                 value = getattr(self, name)
                 if not 0.0 < value < math.inf:
                     return f"{name}: power must be finite and > 0, got {value}"
-        if not 0.0 <= self.wall_time_s < math.inf:
-            return f"wall_time_s: must be finite and >= 0, got {self.wall_time_s}"
         return None
 
 
@@ -217,7 +215,6 @@ class EvaluationRecord:
     train_budget_epochs: float
     epochs_run: int = 0
     final_loss: float = float("nan")
-    wall_time_s: float = 0.0
     diverged: bool = False
 
     def fitness_consistent(self, fitness_cfg: FitnessConfig) -> bool:
@@ -330,7 +327,7 @@ def evaluate_individual(
     ind: Individual,
     grammar: Grammar,
     data: TaskData,
-    meter: Meter | None,
+    meter: Meter,
     cfg: EvolutionConfig,
     rng: np.random.Generator,
 ) -> EvaluationRecord:
@@ -338,12 +335,9 @@ def evaluate_individual(
     both partitions on the validation set, meter inference power, apply
     the configured fitness.  Divergence maps to the worst fitness; a
     measurement with an :meth:`Outcome.fault` is a MeasurementError."""
-    if meter is None:
-        meter = AnalyticMeter(cfg.meter)
-    t0 = time.perf_counter()
     net, report = _train_network(ind, grammar, data, cfg, rng)
     if report is None:
-        diverged = Outcome(0.0, 0.0, 0.0, 0.0, 0, float("nan"), time.perf_counter() - t0, True)
+        diverged = Outcome(0.0, 0.0, 0.0, 0.0, 0, float("nan"), True)
         return evaluation_record(ind, diverged, grammar, cfg)
     left, right = split(net)
     # the partitions answer bit for bit like the heads, so one pass over
@@ -356,8 +350,7 @@ def evaluate_individual(
     meter.observe(right)
     power_right = measure_mean(meter, lambda: right.forward(vx), cfg.n_measures).mean_watts
     measured = Outcome(
-        acc_left, acc_right, power_left, power_right,
-        report.epochs_run, report.final_loss, time.perf_counter() - t0, False,
+        acc_left, acc_right, power_left, power_right, report.epochs_run, report.final_loss, False
     )
     fault = measured.fault()
     if fault is not None:
@@ -567,10 +560,10 @@ def _append_rows_csv(path: Path, rows: list[dict]) -> None:
 
 @dataclass
 class _JournalLine:
-    """One finished generation, as appended to ``journal.jsonl`` (version 6).
+    """One finished generation, as appended to ``journal.jsonl`` (version 7).
 
     ``outcomes`` holds one :class:`Outcome` per evaluated job, in slot
-    order, written as a JSON list of its 8 values, and ``probe_watts``
+    order, written as a JSON list of its 7 values, and ``probe_watts``
     the raw watts of the generation's probes, in probe order: what a
     replay cannot recompute.  ``genotypes`` is a digest of the evaluated
     individuals, which a replay regenerates.

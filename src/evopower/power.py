@@ -153,13 +153,12 @@ class AnalyticMeterConfig:
     p_max: float = DEFAULT_P_MAX_W
     k: float = DEFAULT_K
     noise_sigma: float = 0.0
-    seed: int = 0
 
     def validate(self) -> None:
         if not 0 <= self.p_min < self.p_max:
             raise ConfigError(f"need 0 <= p_min < p_max, got [{self.p_min}, {self.p_max}]")
-        if not self.k > 0:
-            raise ConfigError(f"k must be positive, got {self.k}")
+        if not 0 < self.k < np.inf:
+            raise ConfigError(f"k must be finite and positive, got {self.k}")
         if not self.noise_sigma >= 0:
             raise ConfigError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
 
@@ -178,15 +177,16 @@ def analytic_power(subject, cfg: AnalyticMeterConfig, rng: np.random.Generator |
     """Modeled draw for a network or raw MAC count.
 
     Deterministic when ``noise_sigma`` is 0; otherwise adds Gaussian noise
-    truncated at six sigmas and floor-clamped at ``p_min``, so the result
-    always lies in ``[p_min, p_max + 6 * sigma]``.
+    from ``rng`` (required), truncated at six sigmas and floor-clamped at
+    ``p_min``, so the result always lies in ``[p_min, p_max + 6 * sigma]``.
     """
     cfg.validate()
     return _add_noise(_noiseless_power(_subject_macs(subject), cfg), cfg, rng)
 
 
 def _noiseless_power(macs: int, cfg: AnalyticMeterConfig) -> float:
-    return min(max(cfg.p_min + cfg.k * np.log1p(macs), cfg.p_min), cfg.p_max)
+    # Python floats: a huge k overflows to inf without a numpy warning, same bits
+    return min(max(cfg.p_min + cfg.k * float(np.log1p(macs)), cfg.p_min), cfg.p_max)
 
 
 def _add_noise(base: float, cfg: AnalyticMeterConfig, rng: np.random.Generator | None) -> float:
@@ -194,14 +194,14 @@ def _add_noise(base: float, cfg: AnalyticMeterConfig, rng: np.random.Generator |
     if cfg.noise_sigma == 0.0:
         return float(base)
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        raise ConfigError(f"noise_sigma {cfg.noise_sigma} needs a generator to draw from")
     cap = NOISE_TRUNCATION_SIGMAS * cfg.noise_sigma
     noise = float(np.clip(rng.normal(0.0, cfg.noise_sigma), -cap, cap))
     return float(max(cfg.p_min, base + noise))
 
 
 class AnalyticMeter(Meter):
-    """Deterministic (or seeded-noise) stand-in for device telemetry.
+    """Deterministic (or noisy) stand-in for device telemetry.
 
     Reports a synthetic one-millisecond window whose energy in
     millijoules is the modeled draw of the last observed network in
@@ -209,8 +209,8 @@ class AnalyticMeter(Meter):
     returns that draw bit for bit, with or without noise.  The reading
     never depends on the workload, so :func:`measure_mean` does not run
     it.  Each read equals :func:`analytic_power` of the observed network
-    with this meter's generator; the noiseless part is computed once per
-    :meth:`observe`.
+    with this meter's generator, so a noisy read without one is a
+    ConfigError; the noiseless part is computed once per :meth:`observe`.
     """
 
     runs_workload = False
@@ -218,9 +218,7 @@ class AnalyticMeter(Meter):
     def __init__(self, cfg: AnalyticMeterConfig | None = None, rng: np.random.Generator | None = None):
         self.cfg = cfg or AnalyticMeterConfig()
         self.cfg.validate()
-        if rng is None and self.cfg.noise_sigma > 0:
-            rng = np.random.default_rng(self.cfg.seed)
-        self._rng = rng  # None only when noise is off and reads never draw
+        self._rng = rng  # reads draw from it only when noise is on
         self._base = _noiseless_power(0, self.cfg)
 
     def observe(self, subject) -> None:

@@ -373,15 +373,18 @@ def test_criterion_10_reproducibility(desk_pair, tmp_path):
     identical = []
     for mode in ("baseline", "proposed"):
         run_experiment(app.evolution, mode, grammar, data, tmp_path / mode)
-        names = ["aggregate.csv"] + [
-            f"run_{r}/generations.csv" for r in range(app.evolution.runs)
-        ]
+        # every file either execution wrote: CSVs, journals, best files, weights
+        names = sorted({
+            str(path.relative_to(root / mode))
+            for root in (first_out, tmp_path)
+            for path in (root / mode).rglob("*")
+            if path.is_file()
+        })
         for name in names:
-            a = (first_out / mode / name).read_bytes()
-            b = (tmp_path / mode / name).read_bytes()
-            identical.append(a == b)
+            a, b = (first_out / mode / name), (tmp_path / mode / name)
+            identical.append(a.is_file() and b.is_file() and a.read_bytes() == b.read_bytes())
     _gate(
         10,
         all(identical),
-        "%d CSV files byte-identical across two executions" % len(identical),
+        "%d output files byte-identical across two executions" % len(identical),
     )

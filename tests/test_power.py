@@ -129,7 +129,7 @@ def test_analytic_power_accepts_networks():
 
 
 def test_analytic_noise_bounds_and_determinism():
-    cfg = AnalyticMeterConfig(noise_sigma=5.0, seed=11)
+    cfg = AnalyticMeterConfig(noise_sigma=5.0)
     rng = np.random.default_rng(11)
     lo, hi = 30.0, 100.0 + 6 * 5.0
     values = [analytic_power(134_400, cfg, rng) for _ in range(5000)]
@@ -139,6 +139,17 @@ def test_analytic_noise_bounds_and_determinism():
     a = [analytic_power(134_400, cfg, np.random.default_rng(3)) for _ in range(5)]
     b = [analytic_power(134_400, cfg, np.random.default_rng(3)) for _ in range(5)]
     assert a == b
+
+
+def test_noise_without_a_generator_is_a_config_error():
+    # a fallback generator would draw the same "noise" on every call
+    noisy = AnalyticMeterConfig(noise_sigma=2.0)
+    with pytest.raises(ConfigError, match="needs a generator"):
+        analytic_power(1000, noisy)
+    meter = AnalyticMeter(noisy)
+    meter.observe(1000)
+    with pytest.raises(ConfigError, match="needs a generator"):
+        measure_mean(meter, lambda: None, n_measures=1)
 
 
 def test_analytic_meter_round_trip_is_exact():
@@ -166,16 +177,16 @@ def test_analytic_meter_reads_equal_analytic_power(sigma):
     # must still carry the bits of analytic_power with the same generator
     from evopower.genome import LayerSpec, PhenotypeSpec
 
-    cfg = AnalyticMeterConfig(noise_sigma=sigma, seed=4)
+    cfg = AnalyticMeterConfig(noise_sigma=sigma)
     spec = PhenotypeSpec(
         (LayerSpec("dense", units=32, activation="sigmoid"),
          LayerSpec("dense", units=16, activation="relu")),
         aux_index=0, learning_rate=0.01, batch_size=32,
     )
     net = build(spec, input_dim=8, class_count=4, rng=np.random.default_rng(1))
-    for rng_seed in (None, 9):
-        meter = AnalyticMeter(cfg, None if rng_seed is None else np.random.default_rng(rng_seed))
-        reference = np.random.default_rng(cfg.seed if rng_seed is None else rng_seed)
+    for rng_seed in (4, 9):
+        meter = AnalyticMeter(cfg, np.random.default_rng(rng_seed))
+        reference = np.random.default_rng(rng_seed)
         for subject in (None, 0, 1, 1000, net, 134_400, 10**9, 10**15, 7):
             if subject is not None:
                 meter.observe(subject)
@@ -192,9 +203,9 @@ def test_analytic_meter_reads_equal_analytic_power(sigma):
 def test_measure_mean_returns_the_modeled_draw_bit_for_bit(sigma):
     # a 1-second window of watts * 1000 mJ lost an ulp in the * 1000 / 1000
     # round trip for 395 of these MAC counts even without noise
-    cfg = AnalyticMeterConfig(noise_sigma=sigma, seed=4)
-    meter = AnalyticMeter(cfg)
-    reference = np.random.default_rng(cfg.seed)
+    cfg = AnalyticMeterConfig(noise_sigma=sigma)
+    meter = AnalyticMeter(cfg, np.random.default_rng(4))
+    reference = np.random.default_rng(4)
     for macs in range(0, 200_000, 7):
         meter.observe(macs)
         result = measure_mean(meter, lambda: None, n_measures=1)
@@ -202,20 +213,20 @@ def test_measure_mean_returns_the_modeled_draw_bit_for_bit(sigma):
 
 
 def test_analytic_meter_skips_the_workload_but_keeps_every_window():
-    cfg = AnalyticMeterConfig(noise_sigma=2.0, seed=4)
+    cfg = AnalyticMeterConfig(noise_sigma=2.0)
     calls = []
 
     def work():
         calls.append(1)
         return "out"
 
-    meter = AnalyticMeter(cfg)
+    meter = AnalyticMeter(cfg, np.random.default_rng(4))
     meter.observe(1000)
     skipped = measure_mean(meter, work, n_measures=9)
     assert calls == [] and skipped.output is None
     assert len(skipped.samples) == 9
 
-    forced = AnalyticMeter(cfg)
+    forced = AnalyticMeter(cfg, np.random.default_rng(4))
     forced.runs_workload = True
     forced.observe(1000)
     ran = measure_mean(forced, work, n_measures=9)

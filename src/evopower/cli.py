@@ -76,6 +76,10 @@ def _cmd_probe(args) -> int:
     input_dim = args.input_dim if args.input_dim is not None else app.data.io_shape()[0]
     class_count = args.classes if args.classes is not None else app.data.io_shape()[1]
     n_measures = args.n_measures if args.n_measures is not None else app.evolution.n_measures
+    for flag, value in (("--input-dim", input_dim), ("--classes", class_count),
+                        ("--n-measures", n_measures)):
+        if value < 1:
+            raise ConfigError(f"{flag} must be >= 1, got {value}")
     indices = range(len(ind.modules)) if args.module is None else [args.module]
     for mi in indices:
         if not 0 <= mi < len(ind.modules):
@@ -109,7 +113,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_dataset_check(args) -> int:
     app = load_config(args.config)
     raw = app.data.load_raw()
-    data = app.data.load()
+    data = app.data.split_task(raw)
     print(f"kind: {app.data.kind}")
     print(f"source: {raw.source}")
     print(f"examples: {len(raw)}")

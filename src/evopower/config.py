@@ -24,6 +24,7 @@ from .data import Dataset, SplitSpec, desk_subset, load_idx, split, synthetic_da
 from .errors import ConfigError
 from .evolution import EvolutionConfig, TaskData
 from .grammar import Grammar, load_packaged_grammar, parse_grammar
+from .network import DTYPE
 
 PACKAGED_GRAMMARS = ("default", "dense_only")
 
@@ -126,7 +127,16 @@ class DataConfig:
         return load_idx(self.train_images, self.train_labels)
 
     def load(self) -> TaskData:
+        """The task splits in the network dtype.  The raw samples are cast
+        before the split gathers rows, so the float64 array is freed
+        first; casting and then gathering gives the bits of gathering and
+        then casting."""
         ds = self.load_raw()
+        ds.samples = ds.samples.astype(DTYPE)
+        return self.split_task(ds)
+
+    def split_task(self, ds: Dataset) -> TaskData:
+        """The configured train/validation/test splits of ``ds``."""
         if self.kind == "synthetic":
             fractions = (self.fraction_train, self.fraction_validation, self.fraction_test)
             train, validation, test = split(ds, SplitSpec(fractions, self.split_seed))

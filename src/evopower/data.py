@@ -36,7 +36,7 @@ GZIP_SIGNATURE = b"\x1f\x8b"
 
 @dataclass
 class Dataset:
-    samples: np.ndarray  # (N, D) float64 in [0, 1]
+    samples: np.ndarray  # (N, D) in [0, 1]; float64 from the loaders, network.DTYPE in a TaskData
     labels: np.ndarray  # (N,) int64
     class_count: int
     source: str
@@ -146,7 +146,28 @@ def synthetic_dataset(
         samples -= lo
         samples /= hi - lo
     order = rng.permutation(samples.shape[0])
-    return Dataset(samples[order], labels[order], classes, source=f"synthetic(seed={seed})")
+    _permute_rows(samples, order)
+    return Dataset(samples, labels[order], classes, source=f"synthetic(seed={seed})")
+
+
+def _permute_rows(a: np.ndarray, order: np.ndarray) -> None:
+    """``a[:] = a[order]`` in place: each cycle of the permutation moves
+    its rows up one place through a one-row temporary, so no second copy
+    of ``a`` is made.  A row that is in place becomes a fixed point."""
+    order = order.tolist()
+    row = np.empty(a.shape[1:], a.dtype)
+    for start in range(len(order)):
+        if order[start] == start:
+            continue
+        row[...] = a[start]
+        i = start
+        while order[i] != start:
+            j = order[i]
+            a[i] = a[j]
+            order[i] = i
+            i = j
+        a[i] = row
+        order[i] = i
 
 
 @dataclass

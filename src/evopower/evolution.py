@@ -30,7 +30,7 @@ import hashlib
 import json
 import math
 from collections.abc import Callable
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import NamedTuple, get_type_hints
 
@@ -60,7 +60,7 @@ from .genome import (
 )
 from .grammar import Grammar
 from .mutation import ModuleArchive, MutationRates, archive_insert, mutate
-from .network import Network, TrainReport, build, evaluate_accuracy, save_weights, split, train
+from .network import DTYPE, Network, TrainReport, build, evaluate_accuracy, save_weights, split, train
 from .power import (
     DEFAULT_N_MEASURES,
     AnalyticMeter,
@@ -146,9 +146,18 @@ class EvolutionConfig:
 
 @dataclass
 class TaskData:
+    """The splits an evaluation reads, held in the network dtype."""
+
     train: Dataset
     validation: Dataset
     test: Dataset | None = None
+
+    def __post_init__(self):
+        # a no-op on DataConfig.load's splits, which are cast already
+        for name in ("train", "validation", "test"):
+            part = getattr(self, name)
+            if part is not None:
+                setattr(self, name, replace(part, samples=part.samples.astype(DTYPE, copy=False)))
 
     @property
     def input_dim(self) -> int:
@@ -342,9 +351,8 @@ def evaluate_individual(
     left, right = split(net)
     # the partitions answer bit for bit like the heads, so one pass over
     # the validation set scores both
-    acc_left, acc_right = evaluate_accuracy(net, data.validation.samples, data.validation.labels)
-    # the metered inference runs in the partitions' dtype, cast once here
-    vx = data.validation.samples.astype(left.dtype, copy=False)
+    vx = data.validation.samples
+    acc_left, acc_right = evaluate_accuracy(net, vx, data.validation.labels)
     meter.observe(left)
     power_left = measure_mean(meter, lambda: left.forward(vx), cfg.n_measures).mean_watts
     meter.observe(right)

@@ -253,7 +253,9 @@ def probe_module_power(
     input_dim, class_count = io_shape
     rng = np.random.default_rng(seed)
     net = build_probe_network(module, grammar, input_dim, class_count, rng)
-    batch = rng.random((batch_size, input_dim)).astype(net.dtype)
+    # the batch is drawn after the weights, so a meter that never runs the
+    # workload can skip it without moving any other draw
+    batch = rng.random((batch_size, input_dim)).astype(net.dtype) if meter.runs_workload else None
     meter.observe(net)
     result = measure_mean(meter, lambda: net.forward(batch), n_measures)
     return result.mean_watts

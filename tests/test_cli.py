@@ -294,6 +294,23 @@ def test_probe_reads_legacy_genotype_files(tmp_path, capsys):
     assert "unsupported individual record version 1" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("args, message", [
+    (["--n-measures", "0"], "--n-measures must be >= 1, got 0"),
+    (["--input-dim", "-1"], "--input-dim must be >= 1, got -1"),
+    (["--classes", "-2"], "--classes must be >= 1, got -2"),
+    (["--input-dim", "0"], "--input-dim must be >= 1, got 0"),
+    (["--classes", "0"], "--classes must be >= 1, got 0"),
+])
+def test_probe_rejects_empty_shapes_and_no_windows(tmp_path, capsys, args, message):
+    # each once ended in a numpy or measure_mean traceback, or printed watts
+    # for a network with no inputs or no classes
+    path = tmp_path / "best_genotype.json"
+    path.write_text(json.dumps({"individual": json.loads(LEGACY_GENOTYPE)}))
+    assert entry(["probe", str(path), "--config", write_cfg(tmp_path), *args]) == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+
+
 def test_analyze_cli(tmp_path, capsys):
     cfg = write_cfg(tmp_path, extra=["evolution.runs = 2"])
     base_cfg = load_config(cfg)

@@ -1,14 +1,19 @@
 import re
+import struct
 import time
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evopower.config import KEY_TYPES, AppConfig, load_config, parse_config
+from evopower.config import KEY_TYPES, AppConfig, DataConfig, load_config, parse_config
+from evopower.data import SplitSpec, desk_subset, split
 from evopower.errors import ConfigError, DataError
 from evopower.evolution import mode_config
+from evopower.network import DTYPE
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -93,3 +98,57 @@ def test_huge_module_count_builds_nothing():
     assert app.evolution.genome.modules == 10**8
     assert time.perf_counter() - start < 1.0
     assert AppConfig.from_flat(app.to_flat()).to_flat() == app.to_flat()
+
+
+# the idx-baseline benchmark task: 10 classes x 100 samples of 784 values
+IDX_SHAPED = dict(classes=10, samples_per_class=100, dimensions=784, seed=1)
+
+
+def idx_data_config(tmp_path):
+    """A DataConfig over 36 random 4x4 images of 3 classes."""
+    rng = np.random.default_rng(0)
+    (tmp_path / "images.idx").write_bytes(
+        struct.pack(">IIII", 0x803, 36, 4, 4) + rng.integers(0, 256, 36 * 16, np.uint8).tobytes())
+    (tmp_path / "labels.idx").write_bytes(
+        struct.pack(">II", 0x801, 36) + bytes(i % 3 for i in range(36)))
+    return DataConfig(kind="idx", train_images=str(tmp_path / "images.idx"),
+                      train_labels=str(tmp_path / "labels.idx"),
+                      subset_train=20, subset_validation=8, subset_test=6)
+
+
+@pytest.mark.parametrize("kind", ["idx-shaped", "clusters", "idx"])
+def test_load_is_the_float64_split_cast_afterwards(tmp_path, kind):
+    data = {
+        "idx-shaped": lambda: DataConfig(**IDX_SHAPED),
+        "clusters": lambda: DataConfig(classes=4, samples_per_class=30, dimensions=8,
+                                       clusters_per_class=2, seed=3, split_seed=2),
+        "idx": lambda: idx_data_config(tmp_path),
+    }[kind]()
+    raw = data.load_raw()
+    assert raw.samples.dtype == np.float64
+    if data.kind == "synthetic":
+        fractions = (data.fraction_train, data.fraction_validation, data.fraction_test)
+        want = split(raw, SplitSpec(fractions, data.split_seed))
+    else:
+        counts = (data.subset_train, data.subset_validation, data.subset_test)
+        want = desk_subset(raw, counts, seed=data.split_seed)
+    task = data.load()
+    for held, part in zip((task.train, task.validation, task.test), want, strict=True):
+        assert held.samples.dtype == DTYPE
+        assert held.samples.tobytes() == part.samples.astype(DTYPE).tobytes()
+        assert np.array_equal(held.labels, part.labels)
+        assert held.source == part.source
+
+
+def test_idx_shaped_load_keeps_one_float64_copy_at_a_time():
+    data = DataConfig(**IDX_SHAPED)
+    tracemalloc.start()
+    try:
+        task = data.load()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 6.27 MB float64 dataset plus its float32 cast; a second float64
+    # copy (a shuffle by fancy indexing) or a float64 split would pass 12 MB
+    assert task.train.samples.dtype == DTYPE
+    assert peak <= 10.5e6, f"peak {peak / 1e6:.2f} MB"

@@ -2,6 +2,7 @@ import copy
 import dataclasses
 import json
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -30,10 +31,10 @@ from evopower.evolution import (
     select_parent,
 )
 from evopower.fitness import WORST_FITNESS, FitnessConfig, evaluate_fitness
-from evopower.genome import GenomeConfig, init_individual, load_typed
+from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, init_individual, load_typed
 from evopower.grammar import load_packaged_grammar
 from evopower.mutation import MutationRates
-from evopower.network import Network, load_weights
+from evopower.network import DTYPE, Network, build, load_weights, train
 from evopower.power import AnalyticMeter, AnalyticMeterConfig, ScriptedMeter
 
 GRAMMAR = load_packaged_grammar("dense_only")
@@ -152,6 +153,38 @@ def test_power_metered_on_validation_inference_only():
     assert record.power_right_w == 10.0
     assert record.fitness == evaluate_fitness(cfg.fitness, record.acc_left,
                                               record.acc_right, 10.0)
+
+
+def test_task_data_holds_its_splits_in_the_network_dtype():
+    ds = synthetic_dataset(classes=3, samples_per_class=10, dimensions=4, separation=3.0)
+    parts = split(ds, SplitSpec((0.6, 0.2, 0.2), seed=0))
+    assert all(part.samples.dtype == np.float64 for part in parts)
+    data = TaskData(*parts)
+    for part, held in zip(parts, (data.train, data.validation, data.test)):
+        assert held.samples.dtype == DTYPE
+        assert held.samples.tobytes() == part.samples.astype(DTYPE).tobytes()
+        assert part.samples.dtype == np.float64  # the caller's datasets are left as they were
+    # float32 splits are kept, not copied
+    again = TaskData(data.train, data.validation, data.test)
+    assert again.train.samples is data.train.samples
+
+
+def test_train_on_task_data_allocates_no_copy_of_the_training_split():
+    ds = synthetic_dataset(classes=10, samples_per_class=60, dimensions=784, separation=3.0)
+    data = TaskData(*split(ds, SplitSpec((0.6, 0.2, 0.2), seed=0)))
+    x = data.train.samples
+    assert x.dtype == DTYPE and x.nbytes > 1_000_000
+    spec = PhenotypeSpec((LayerSpec("dense", units=16, activation="relu"),), 0, 0.05, 32)
+    net = build(spec, 784, 10, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        train(net, x, data.train.labels, 1, 0.05, 32, np.random.default_rng(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # batches, activations and steps are a few hundred kB; a cast of the
+    # split would be all of it
+    assert peak < x.nbytes / 2
 
 
 def test_divergence_maps_to_worst_fitness(monkeypatch):

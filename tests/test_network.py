@@ -526,6 +526,28 @@ def test_float32_dropout_mask_is_the_float64_mask_rounded():
     assert same_bits(out, want)
 
 
+@pytest.mark.parametrize("shape, rate", [
+    ((199, 784), 0.3),  # several chunks, the last one partial
+    ((3, 5000), 0.25),
+    ((2, network.DROPOUT_CHUNK + 5), 0.1),  # a row larger than a chunk
+    ((1, 1), 0.5),
+    ((40, 7), 0.0),
+])
+@pytest.mark.parametrize("chunk", [network.DROPOUT_CHUNK, 7], ids=["chunk", "tiny-chunk"])
+def test_chunked_dropout_mask_equals_the_one_draw_mask(monkeypatch, shape, rate, chunk):
+    monkeypatch.setattr(network, "DROPOUT_CHUNK", chunk)
+    layer = _Dropout(rate)
+    x = np.random.default_rng(2).random(shape).astype(np.float32)
+    out = layer.forward(x, True, np.random.default_rng(5))
+    if rate == 0.0:
+        assert out is x and layer._mask is None
+        return
+    want = (np.random.default_rng(5).random(shape) >= rate) * np.float32(1.0 / (1.0 - rate))
+    assert want.dtype == np.float32
+    assert same_bits(layer._mask, want)
+    assert same_bits(out, x * want)
+
+
 def test_float32_training_leaks_no_float64(monkeypatch):
     spec = PhenotypeSpec(
         (

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -291,3 +293,39 @@ def test_probe_feeds_archive():
     archive_insert(archive, module, watts)
     assert len(archive) == 1
     assert archive.entries[0].power_watts == watts
+
+
+class InputRecordingMeter(ScriptedMeter):
+    """A scripted meter that runs the workload and keeps the input of
+    every forward pass of the network it observes."""
+
+    def __init__(self, readings):
+        super().__init__(readings, cycle=True)
+        self.inputs = []
+
+    def observe(self, net):
+        forward = net.forward
+
+        def recorded(x, *args, **kwargs):
+            self.inputs.append(x)
+            return forward(x, *args, **kwargs)
+
+        net.forward = recorded
+
+
+def test_probe_draws_its_batch_only_for_a_meter_that_runs_the_workload():
+    module = dense_module(24)
+    scripted = InputRecordingMeter([(60000.0, 1.0)])
+    assert probe_module_power(module, GRAMMAR, scripted, (20, 5), n_measures=3, seed=9) == 60.0
+    # the batch the probe has always drawn after the weights, each window
+    assert len(scripted.inputs) == 3 and all(x is scripted.inputs[0] for x in scripted.inputs)
+    batch = scripted.inputs[0]
+    assert batch.dtype == np.float32 and batch.shape == (128, 20)
+    assert hashlib.sha256(batch.tobytes()).hexdigest()[:16] == "11140d9b79e4c05c"
+    # the analytic meter never runs the workload, and reads what it did
+    # when the probe drew a batch for it too
+    analytic = probe_module_power(module, GRAMMAR, AnalyticMeter(), (20, 5), n_measures=3, seed=9)
+    assert analytic == 48.96543538596236
+    idx_shaped = probe_module_power(module, GRAMMAR, AnalyticMeter(), (784, 10), n_measures=3,
+                                    seed=9)
+    assert idx_shaped == 59.2107824697685

@@ -103,7 +103,8 @@ def measure_mean(meter: Meter, work, n_measures: int = DEFAULT_N_MEASURES) -> Me
 
     Returns the last output of ``work`` (None when the meter skips it) and
     the per-window watt samples with their mean.  Zero or negative
-    durations and negative energies are meter faults.
+    durations, negative energies and a mean that is not finite are meter
+    faults.
     """
     if n_measures < 1:
         raise ValueError(f"n_measures must be >= 1, got {n_measures}")
@@ -120,7 +121,12 @@ def measure_mean(meter: Meter, work, n_measures: int = DEFAULT_N_MEASURES) -> Me
         if millijoules < 0:
             raise MeasurementError(f"meter reported negative energy {millijoules}")
         samples.append(millijoules / (1000.0 * seconds))
-    return MeasureResult(output, samples, float(np.mean(samples)))
+    # finite windows near the float limit can sum past it
+    with np.errstate(over="ignore"):
+        mean = float(np.mean(samples))
+    if not np.isfinite(mean):
+        raise MeasurementError(f"meter windows average to {mean} W, not a finite draw")
+    return MeasureResult(output, samples, mean)
 
 
 class ScriptedMeter(Meter):

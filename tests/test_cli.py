@@ -6,7 +6,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import evopower
@@ -204,6 +204,13 @@ def flat_configs(draw):
 
 @settings(max_examples=50, deadline=None)
 @given(flat_configs(), st.sampled_from(["baseline", "proposed"]))
+# noise this wide gives finite windows whose mean overflows
+@example({**{key: "1" for key in SMALL}, "evolution.population_size": "2",
+          "evolution.n_measures": "2", "evolution.default_train_budget": "1.0",
+          "evolution.max_train_budget": "1.5", "evolution.train_longer_increment": "0.5",
+          "data.samples_per_class": "5", "genome.max_layers": "2",
+          "genome.init_layers_min": "2", "genome.init_layers_max": "2",
+          "meter.noise_sigma": "1e308"}, "baseline")
 def test_evolve_accepts_a_config_or_fails_with_a_typed_error(flat, mode):
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "drawn.cfg"

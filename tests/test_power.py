@@ -63,6 +63,17 @@ def test_measure_mean_rejects_bad_inputs():
         measure_mean(ScriptedMeter([(-5.0, 1.0)]), lambda: None, n_measures=1)
 
 
+@pytest.mark.parametrize("readings", [
+    [(1e308, 0.001)],  # each window is finite, their sum is not
+    [(float("inf"), 1.0)],
+    [(float("nan"), 1.0)],
+])
+def test_measure_mean_refuses_a_mean_that_is_not_finite(readings):
+    # the overflow is a meter fault, not a numpy RuntimeWarning
+    with pytest.raises(MeasurementError, match="not a finite draw"):
+        measure_mean(ScriptedMeter(readings, cycle=True), lambda: None, n_measures=2)
+
+
 def test_scripted_meter_protocol():
     meter = ScriptedMeter([(1000.0, 1.0)] * 2)
     with pytest.raises(MeasurementError):

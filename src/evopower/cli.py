@@ -12,15 +12,12 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .analysis import analyze_experiments
-from .config import AppConfig, format_config, load_config, load_grammar_spec
+from .config import format_config, load_config, load_grammar_spec
 from .errors import ConfigError, DataError, EvopowerError, GrammarError, InvalidGenotypeError
 from .evolution import _PROBE, MODES, _meter_for, run_experiment
 from .genome import Individual, load_genotype
-from .network import count_macs
-from .power import DEFAULT_N_MEASURES, build_probe_network, probe_module_power
+from .power import DEFAULT_N_MEASURES, probe_module_power
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -88,17 +85,13 @@ def _cmd_probe(args) -> int:
         try:
             # keyed like the engine's probes, so noise needs no seed of its own
             meter = _meter_for(None, app.evolution, (app.evolution.seed, _PROBE, mi))
-            watts = probe_module_power(
+            watts, macs = probe_module_power(
                 module, grammar, meter, (input_dim, class_count),
                 n_measures=n_measures, seed=app.evolution.seed,
             )
-            net = build_probe_network(
-                module, grammar, input_dim, class_count,
-                np.random.default_rng(app.evolution.seed),
-            )
         except InvalidGenotypeError as exc:
             raise ConfigError(f"genotype module {mi} does not decode: {exc}")
-        print(f"module {mi}: {watts!r} W, {count_macs(net)} MACs")
+        print(f"module {mi}: {watts!r} W, {macs} MACs")
     return EXIT_OK
 
 

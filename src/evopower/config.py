@@ -20,8 +20,8 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import get_type_hints
 
-from .data import Dataset, SplitSpec, desk_subset, load_idx, split, synthetic_dataset
-from .errors import ConfigError
+from .data import Dataset, SplitSpec, load_idx, split, synthetic_dataset
+from .errors import ConfigError, DataError
 from .evolution import EvolutionConfig, TaskData
 from .grammar import Grammar, load_packaged_grammar, parse_grammar
 from .network import DTYPE
@@ -139,11 +139,13 @@ class DataConfig:
         """The configured train/validation/test splits of ``ds``."""
         if self.kind == "synthetic":
             fractions = (self.fraction_train, self.fraction_validation, self.fraction_test)
-            train, validation, test = split(ds, SplitSpec(fractions, self.split_seed))
         else:
+            # idx takes fixed counts, which split reads as fractions of the rows
             counts = (self.subset_train, self.subset_validation, self.subset_test)
-            train, validation, test = desk_subset(ds, counts, seed=self.split_seed)
-        return TaskData(train, validation, test)
+            if not len(ds) or sum(counts) > len(ds):
+                raise DataError(f"requested {sum(counts)} samples from a dataset of {len(ds)}")
+            fractions = tuple(c / len(ds) for c in counts)
+        return TaskData(*split(ds, SplitSpec(fractions, self.split_seed)))
 
 
 @dataclass

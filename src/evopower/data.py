@@ -210,31 +210,21 @@ def split(ds: Dataset, spec: SplitSpec) -> tuple[Dataset, Dataset, Dataset]:
     cursors = np.zeros(ds.class_count, dtype=int)
     parts = []
     for size in sizes:
-        # quotas proportional to what each class still has to give
-        quota = _largest_remainder(remaining * (size / remaining.sum()), size)
         took = []
-        for c in range(ds.class_count):
-            want = quota[c]
-            if want > remaining[c]:
-                raise DataError(
-                    f"class {c} has only {remaining[c]} samples left, cannot allocate {want}"
-                )
-            took.append(pools[c][cursors[c] : cursors[c] + want])
-            cursors[c] += want
-            remaining[c] -= want
+        # an empty part takes no rows, even after the others took them all
+        if size:
+            # quotas proportional to what each class still has to give
+            quota = _largest_remainder(remaining * (size / remaining.sum()), size)
+            for c in range(ds.class_count):
+                want = quota[c]
+                if want > remaining[c]:
+                    raise DataError(
+                        f"class {c} has only {remaining[c]} samples left, cannot allocate {want}"
+                    )
+                took.append(pools[c][cursors[c] : cursors[c] + want])
+                cursors[c] += want
+                remaining[c] -= want
         parts.append(np.concatenate(took) if took else np.zeros(0, dtype=int))
     names = ("/train", "/validation", "/test")
     return tuple(ds.take(np.sort(p), suffix) for p, suffix in zip(parts, names))
 
-
-def desk_subset(
-    ds: Dataset,
-    counts: tuple[int, int, int] = (2000, 500, 500),
-    seed: int = 0,
-) -> tuple[Dataset, Dataset, Dataset]:
-    """Stratified fixed-size subsets, the desk-scale experiment default."""
-    n = len(ds)
-    if sum(counts) > n:
-        raise DataError(f"requested {sum(counts)} samples from a dataset of {n}")
-    fractions = tuple(c / n for c in counts)
-    return split(ds, SplitSpec(fractions=fractions, seed=seed))

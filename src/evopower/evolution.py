@@ -497,7 +497,7 @@ def _live_sources(
                 (data.input_dim, data.class_count),
                 n_measures=cfg.n_measures,
                 seed=cfg.seed,
-            )
+            )[0]
             for slot, mi, module in probes
         ]
 

@@ -128,8 +128,8 @@ def load_typed(cls, value, where: str = ""):
     """Rebuild dataclass ``cls`` from the JSON form of ``dataclasses.asdict``.
 
     Field types come from ``typing.get_type_hints``; dataclasses, lists,
-    fixed-length tuples, named tuples (read from JSON lists), str-keyed
-    dicts, ``X | Y`` unions and scalars nest freely.
+    named tuples (read from JSON lists), str-keyed dicts, ``X | Y`` unions
+    and scalars nest freely.
     A missing, unknown or wrongly typed field raises
     :class:`InvalidGenotypeError` naming its path.
     """
@@ -154,8 +154,6 @@ def load_typed(cls, value, where: str = ""):
     origin, args = get_origin(cls), get_args(cls)
     if origin is list and isinstance(value, list):
         return [load_typed(args[0], v, f"{where}[{i}]") for i, v in enumerate(value)]
-    if origin is tuple and isinstance(value, list) and len(value) == len(args):
-        return tuple(load_typed(t, v, f"{where}[{i}]") for i, (t, v) in enumerate(zip(args, value)))
     if origin is dict and isinstance(value, dict):
         return {k: load_typed(args[1], v, f"{where}[{k!r}]") for k, v in value.items()}
     if origin is UnionType:

@@ -377,12 +377,15 @@ def train(
     batch = max(1, min(int(batch_size), n))
     x = x.astype(net.dtype, copy=False)
     dense = net.dense_layers()
+    dropouts = [layer for layer in net.layers if isinstance(layer, _Dropout)]
     history = []
     try:
         for _ in range(int(budget_epochs)):
             order = rng.permutation(n)
             total = 0.0
             for start in range(0, n, batch):
+                # the previous batch's arrays go before this one's are built
+                _release(dense, dropouts)
                 idx = order[start : start + batch]
                 loss = _train_batch(net, dense, x[idx], y[idx], learning_rate, rng)
                 if not np.isfinite(loss):
@@ -390,14 +393,17 @@ def train(
                 total += loss * idx.shape[0]
             history.append(total / n)
     finally:
-        # the last batch's inputs, activations, masks and steps are dead
-        # weight once training stops
-        for layer in dense:
-            layer._x = layer._a = layer.dw = layer.db = None
-        for layer in net.layers:
-            if isinstance(layer, _Dropout):
-                layer._mask = None
+        # and the last batch's are dead weight once training stops
+        _release(dense, dropouts)
     return TrainReport(len(history), history[-1], history)
+
+
+def _release(dense: list[_Dense], dropouts: list[_Dropout]) -> None:
+    """Drop the cached inputs, activations, steps and dropout masks."""
+    for layer in dense:
+        layer._x = layer._a = layer.dw = layer.db = None
+    for layer in dropouts:
+        layer._mask = None
 
 
 def split(net: Network) -> tuple[Network, Network]:

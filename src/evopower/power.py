@@ -234,17 +234,6 @@ class AnalyticMeter(Meter):
         return _add_noise(self._base, self.cfg, self._rng), WINDOW_S
 
 
-def build_probe_network(
-    module: ModuleGene,
-    grammar: Grammar,
-    input_dim: int,
-    class_count: int,
-    rng: np.random.Generator,
-) -> Network:
-    """Input layer, the module's layers, and a softmax output head."""
-    return build_stack(module_layer_specs(module, grammar), input_dim, class_count, rng)
-
-
 def probe_module_power(
     module: ModuleGene,
     grammar: Grammar,
@@ -253,15 +242,16 @@ def probe_module_power(
     n_measures: int = DEFAULT_N_MEASURES,
     batch_size: int = 128,
     seed: int = 0,
-) -> float:
-    """Measure a module in isolation on random inputs; the temporary
-    network is discarded afterwards."""
+) -> tuple[float, int]:
+    """Measure a module in isolation on random inputs: the watts and the
+    per-sample MAC count of its probe network, which is the input layer,
+    the module's layers and a softmax head, discarded afterwards."""
     input_dim, class_count = io_shape
     rng = np.random.default_rng(seed)
-    net = build_probe_network(module, grammar, input_dim, class_count, rng)
+    net = build_stack(module_layer_specs(module, grammar), input_dim, class_count, rng)
     # the batch is drawn after the weights, so a meter that never runs the
     # workload can skip it without moving any other draw
     batch = rng.random((batch_size, input_dim)).astype(net.dtype) if meter.runs_workload else None
     meter.observe(net)
     result = measure_mean(meter, lambda: net.forward(batch), n_measures)
-    return result.mean_watts
+    return result.mean_watts, count_macs(net)

@@ -301,6 +301,29 @@ def test_probe_reads_legacy_genotype_files(tmp_path, capsys):
     assert "unsupported individual record version 1" in capsys.readouterr().err
 
 
+def test_probe_builds_each_module_once_and_prints_its_macs(tmp_path, capsys, monkeypatch):
+    import evopower.network
+    import evopower.power
+
+    built = []
+
+    def counting_build_stack(*args, **kwargs):
+        built.append(args[1:3])
+        return evopower.network.build_stack(*args, **kwargs)
+
+    monkeypatch.setattr(evopower.power, "build_stack", counting_build_stack)
+    legacy = json.loads(LEGACY_GENOTYPE)
+    two_modules = {**legacy, "modules": legacy["modules"] * 2}
+    path = tmp_path / "best_genotype.json"
+    path.write_text(json.dumps({"individual": two_modules}))
+    assert entry(["probe", str(path), "--config", write_cfg(tmp_path), "--input-dim", "784"]) == 0
+    assert built == [(784, 3), (784, 3)]
+    macs = 784 * 169 + 169 * 81 + 81 * 25 + 25 * 3
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split(": ")[0] for line in lines] == ["module 0", "module 1"]
+    assert all(line.endswith(f" W, {macs} MACs") for line in lines)
+
+
 @pytest.mark.parametrize("args, message", [
     (["--n-measures", "0"], "--n-measures must be >= 1, got 0"),
     (["--input-dim", "-1"], "--input-dim must be >= 1, got -1"),

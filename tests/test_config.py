@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evopower.config import KEY_TYPES, AppConfig, DataConfig, load_config, parse_config
-from evopower.data import SplitSpec, desk_subset, split
+from evopower.data import SplitSpec, split, synthetic_dataset
 from evopower.errors import ConfigError, DataError
 from evopower.evolution import mode_config
 from evopower.network import DTYPE
@@ -128,16 +128,35 @@ def test_load_is_the_float64_split_cast_afterwards(tmp_path, kind):
     assert raw.samples.dtype == np.float64
     if data.kind == "synthetic":
         fractions = (data.fraction_train, data.fraction_validation, data.fraction_test)
-        want = split(raw, SplitSpec(fractions, data.split_seed))
     else:
         counts = (data.subset_train, data.subset_validation, data.subset_test)
-        want = desk_subset(raw, counts, seed=data.split_seed)
+        fractions = tuple(c / len(raw) for c in counts)
+    want = split(raw, SplitSpec(fractions, data.split_seed))
     task = data.load()
     for held, part in zip((task.train, task.validation, task.test), want, strict=True):
         assert held.samples.dtype == DTYPE
         assert held.samples.tobytes() == part.samples.astype(DTYPE).tobytes()
         assert np.array_equal(held.labels, part.labels)
         assert held.source == part.source
+
+
+def test_idx_split_task_takes_exact_counts():
+    ds = synthetic_dataset(classes=10, samples_per_class=60, dimensions=4, separation=2.0, seed=15)
+    data = DataConfig(kind="idx", train_images="images.idx", train_labels="labels.idx",
+                      subset_train=200, subset_validation=50, subset_test=50, split_seed=6)
+    task = data.split_task(ds)
+    tr, va, te = task.train, task.validation, task.test
+    assert (len(tr), len(va), len(te)) == (200, 50, 50)
+    assert np.bincount(tr.labels, minlength=10).tolist() == [20] * 10
+    assert np.bincount(va.labels, minlength=10).tolist() == [5] * 10
+    assert np.bincount(te.labels, minlength=10).tolist() == [5] * 10
+    data.subset_train = 600
+    with pytest.raises(DataError, match="requested 700 samples from a dataset of 600"):
+        data.split_task(ds)
+    # an empty IDX file once divided the counts by its 0 rows
+    data.subset_train = data.subset_validation = data.subset_test = 0
+    with pytest.raises(DataError, match="requested 0 samples from a dataset of 0"):
+        data.split_task(ds.take(np.zeros(0, dtype=int)))
 
 
 def test_idx_shaped_load_keeps_one_float64_copy_at_a_time():

@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from evopower.data import Dataset, SplitSpec, desk_subset, load_idx, split, synthetic_dataset
+from evopower.data import Dataset, SplitSpec, load_idx, split, synthetic_dataset
 from evopower.errors import DataError
 
 
@@ -224,12 +224,14 @@ def test_split_determinism_and_validation():
         split(ds, SplitSpec(fractions=(0.8, 0.1), seed=0))  # type: ignore[arg-type]
 
 
-def test_desk_subset_exact_counts():
-    ds = synthetic_dataset(classes=10, samples_per_class=600, dimensions=4, separation=2.0, seed=15)
-    tr, va, te = desk_subset(ds, counts=(2000, 500, 500), seed=6)
-    assert (len(tr), len(va), len(te)) == (2000, 500, 500)
-    assert np.bincount(tr.labels, minlength=10).tolist() == [200] * 10
-    assert np.bincount(va.labels, minlength=10).tolist() == [50] * 10
-    assert np.bincount(te.labels, minlength=10).tolist() == [50] * 10
-    with pytest.raises(DataError):
-        desk_subset(ds, counts=(6000, 500, 500))
+def test_split_gives_an_empty_part_no_rows_after_the_others_took_all():
+    # 4 + 4 + 0 of 8 rows: the test part once divided 0 by the 0 rows left
+    ds = synthetic_dataset(classes=2, samples_per_class=4, dimensions=3, separation=3.0)
+    train, validation, test = split(ds, SplitSpec((0.5, 0.499999999999, 0.000000000001)))
+    assert (len(train), len(validation), len(test)) == (4, 4, 0)
+    assert np.bincount(train.labels).tolist() == np.bincount(validation.labels).tolist() == [2, 2]
+    assert test.samples.shape == (0, 3) and test.labels.shape == (0,)
+    # an empty part before the others leaves their rows as they were
+    leading = split(ds, SplitSpec((0.000000000001, 0.5, 0.499999999999)))
+    for a, b in zip((test, train, validation), leading, strict=True):
+        assert np.array_equal(a.labels, b.labels) and np.array_equal(a.samples, b.samples)

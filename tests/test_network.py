@@ -1,3 +1,4 @@
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -609,6 +610,35 @@ def test_train_leaves_weights_only(diverge):
         for name in ("_x", "_a", "dw", "db"):
             assert getattr(layer, name) is None, name
     assert net.layers[1]._mask is None
+
+
+def test_train_frees_each_batch_before_the_next_is_built():
+    # two dropout layers on 784 inputs at batch 199: a batch holds its
+    # gathered rows, two masks and two dropout outputs, 0.62 MB each
+    spec = PhenotypeSpec(
+        (
+            LayerSpec("dropout", rate=0.2),
+            LayerSpec("dropout", rate=0.2),
+            LayerSpec("dense", units=64, activation="relu"),
+        ),
+        aux_index=0,
+        learning_rate=0.05,
+        batch_size=199,
+    )
+    net = build(spec, input_dim=784, class_count=10, rng=np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x = rng.random((625, 784)).astype(network.DTYPE)
+    y = rng.integers(0, 10, 625)
+    tracemalloc.start()
+    try:
+        train(net, x, y, budget_epochs=1, learning_rate=0.05, batch_size=199,
+              rng=np.random.default_rng(2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one batch's arrays and the dropout draw buffer; the previous batch's
+    # masks and cached input on top would take it past 4 MB
+    assert peak <= 3.5e6
 
 
 def criterion_5_networks():

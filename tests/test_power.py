@@ -14,7 +14,6 @@ from evopower.power import (
     Meter,
     ScriptedMeter,
     analytic_power,
-    build_probe_network,
     measure_mean,
     probe_module_power,
 )
@@ -281,26 +280,43 @@ def test_probe_is_deterministic():
     module = dense_module(48)
     a = probe_module_power(module, GRAMMAR, AnalyticMeter(), (20, 5), n_measures=5)
     b = probe_module_power(module, GRAMMAR, AnalyticMeter(), (20, 5), n_measures=5)
-    assert a == b
+    assert a == b and a[1] == 20 * 48 + 48 * 5
 
 
 def test_probe_orders_by_module_size():
-    small = probe_module_power(dense_module(16), GRAMMAR, AnalyticMeter(), (20, 5), n_measures=3)
-    big = probe_module_power(dense_module(256), GRAMMAR, AnalyticMeter(), (20, 5), n_measures=3)
-    assert big >= small
+    small, small_macs = probe_module_power(dense_module(16), GRAMMAR, AnalyticMeter(), (20, 5),
+                                           n_measures=3)
+    big, big_macs = probe_module_power(dense_module(256), GRAMMAR, AnalyticMeter(), (20, 5),
+                                       n_measures=3)
+    assert big >= small and big_macs > small_macs
 
 
-def test_probe_network_shape():
-    net = build_probe_network(dense_module(24), GRAMMAR, 10, 3, np.random.default_rng(0))
+class ObservingMeter(AnalyticMeter):
+    """An analytic meter that keeps every network it observes."""
+
+    def __init__(self):
+        super().__init__()
+        self.observed = []
+
+    def observe(self, subject):
+        self.observed.append(subject)
+        super().observe(subject)
+
+
+def test_probe_reports_the_macs_of_its_network():
+    meter = ObservingMeter()
+    watts, macs = probe_module_power(dense_module(24), GRAMMAR, meter, (10, 3), n_measures=2)
+    (net,) = meter.observed
     assert net.aux_head is None
     assert [l.fan_out for l in net.dense_layers()] == [24, 3]
-    assert count_macs(net) == 10 * 24 + 24 * 3
+    assert macs == count_macs(net) == 10 * 24 + 24 * 3
+    assert watts == analytic_power(macs, AnalyticMeterConfig())
 
 
 def test_probe_feeds_archive():
     archive = ModuleArchive()
     module = dense_module(32)
-    watts = probe_module_power(module, GRAMMAR, AnalyticMeter(), (12, 4), n_measures=3)
+    watts, _ = probe_module_power(module, GRAMMAR, AnalyticMeter(), (12, 4), n_measures=3)
     archive_insert(archive, module, watts)
     assert len(archive) == 1
     assert archive.entries[0].power_watts == watts
@@ -327,7 +343,8 @@ class InputRecordingMeter(ScriptedMeter):
 def test_probe_draws_its_batch_only_for_a_meter_that_runs_the_workload():
     module = dense_module(24)
     scripted = InputRecordingMeter([(60000.0, 1.0)])
-    assert probe_module_power(module, GRAMMAR, scripted, (20, 5), n_measures=3, seed=9) == 60.0
+    assert probe_module_power(module, GRAMMAR, scripted, (20, 5), n_measures=3, seed=9) == (
+        60.0, 20 * 24 + 24 * 5)
     # the batch the probe has always drawn after the weights, each window
     assert len(scripted.inputs) == 3 and all(x is scripted.inputs[0] for x in scripted.inputs)
     batch = scripted.inputs[0]
@@ -336,7 +353,7 @@ def test_probe_draws_its_batch_only_for_a_meter_that_runs_the_workload():
     # the analytic meter never runs the workload, and reads what it did
     # when the probe drew a batch for it too
     analytic = probe_module_power(module, GRAMMAR, AnalyticMeter(), (20, 5), n_measures=3, seed=9)
-    assert analytic == 48.96543538596236
+    assert analytic == (48.96543538596236, 20 * 24 + 24 * 5)
     idx_shaped = probe_module_power(module, GRAMMAR, AnalyticMeter(), (784, 10), n_measures=3,
                                     seed=9)
-    assert idx_shaped == 59.2107824697685
+    assert idx_shaped == (59.2107824697685, 784 * 24 + 24 * 10)

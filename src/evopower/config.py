@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .data import Dataset, SplitSpec, load_idx, split, synthetic_dataset
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, GrammarError
 from .evolution import EvolutionConfig, TaskData
 from .grammar import Grammar, load_packaged_grammar, parse_grammar
 from .network import DTYPE
@@ -205,8 +205,8 @@ def format_config(app: AppConfig) -> str:
 def load_config(path) -> AppConfig:
     path = Path(path)
     try:
-        text = path.read_text()
-    except OSError as exc:
+        text = path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
     return AppConfig.from_flat(parse_config(text))
 
@@ -217,7 +217,11 @@ def load_grammar_spec(name_or_path: str) -> Grammar:
         return load_packaged_grammar(name_or_path)
     path = Path(name_or_path)
     if path.is_file():
-        return parse_grammar(path.read_text())
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise GrammarError(f"cannot read grammar file {path}: {exc}")
+        return parse_grammar(text)
     raise ConfigError(
         f"genome.grammar: {name_or_path!r} is neither a packaged grammar "
         f"{PACKAGED_GRAMMARS} nor a readable file"

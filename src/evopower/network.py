@@ -29,26 +29,27 @@ lies within one ulp of 1.0 of the exact sigmoid (2**-23 in float32,
 descent step itself and ``_Dense.step`` only subtracts it.
 
 Networks compute in float32 (``DTYPE``): weights, biases, activations,
-dropout masks, gradients and steps.  The code is dtype-generic, so a
-layer computes in the dtype of its weights.  The engine's task data is
-held in ``DTYPE`` already; ``train`` and ``evaluate_accuracy`` cast any
-other input to the network's dtype once per call.  The random draws
-stay float64 and are rounded: weights initialize from a float64 uniform
-draw in ``[-s, s]`` with ``s = sqrt(6 / (fan_in + fan_out))``, biases
-are zero, and dropout keeps float64 uniform draws, drawn in chunks of
-``DROPOUT_CHUNK`` values, so a float32 network is the float64 network
-of the same stream rounded.  Losses are averaged in float64.
+dropout masks, gradients and steps.  The engine's task data is held in
+``DTYPE`` already; ``train`` and ``evaluate_accuracy`` cast any other
+input to it once per call.  The random draws stay float64 and are
+rounded: weights initialize from a float64 uniform draw in ``[-s, s]``
+with ``s = sqrt(6 / (fan_in + fan_out))``, biases are zero, and dropout
+keeps float64 uniform draws, drawn in chunks of ``DROPOUT_CHUNK``
+values, so a float32 network is the float64 network of the same stream
+rounded.  Losses are averaged in float64.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 from collections.abc import Iterable
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
-from .errors import EvaluationError, TrainingDivergedError
+from .errors import DataError, EvaluationError, TrainingDivergedError
 from .genome import LayerSpec, PhenotypeSpec
 
 PROB_FLOOR = 1e-12
@@ -132,10 +133,8 @@ class _Dense:
         self.w -= self.dw
         self.b -= self.db
 
-    def copy(self, dtype=None) -> "_Dense":
-        """A copy computing in ``dtype`` (default: the weights' dtype)."""
-        dtype = self.w.dtype if dtype is None else dtype
-        return _Dense(self.w.astype(dtype), self.b.astype(dtype), self.activation)
+    def copy(self) -> "_Dense":
+        return _Dense(self.w.copy(), self.b.copy(), self.activation)
 
 
 class _Dropout:
@@ -146,9 +145,7 @@ class _Dropout:
         self._mask = None
 
     def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
-        # rng None with train=True means "cache but keep dropout inactive",
-        # which the gradient check relies on
-        if not train or self.rate == 0.0 or rng is None:
+        if not train or self.rate == 0.0:
             self._mask = None
             return x
         # float64 uniform draws, DROPOUT_CHUNK at a time: Generator.random
@@ -171,7 +168,7 @@ class _Dropout:
             g *= self._mask
         return g
 
-    def copy(self, dtype=None) -> "_Dropout":
+    def copy(self) -> "_Dropout":
         return _Dropout(self.rate)
 
 
@@ -223,22 +220,6 @@ class Network:
                 raise EvaluationError("aux head present but no tap layer recorded")
             aux = self.aux_head.forward(tap, cache=train)
         return main, aux
-
-    @property
-    def dtype(self) -> np.dtype:
-        """The dtype every layer computes in."""
-        return self.main_head.w.dtype
-
-    def astype(self, dtype) -> "Network":
-        """A copy of the network computing in ``dtype``."""
-        return Network(
-            [l.copy(dtype) for l in self.layers],
-            self.main_head.copy(dtype),
-            None if self.aux_head is None else self.aux_head.copy(dtype),
-            self.aux_tap,
-            self.input_dim,
-            self.class_count,
-        )
 
     def dense_layers(self) -> list[_Dense]:
         stack = [l for l in self.layers if isinstance(l, _Dense)]
@@ -292,15 +273,6 @@ def cross_entropy(probs: np.ndarray, labels: np.ndarray) -> float:
     # the per-sample log-probabilities keep the network's dtype; their
     # mean is taken in float64
     return float(-(p.sum(dtype=np.float64) / n))
-
-
-def joint_loss(net: Network, x: np.ndarray, y: np.ndarray) -> float:
-    """CE(main) + CE(aux); plain CE(main) for split partitions."""
-    main, aux = net.forward(x)
-    loss = cross_entropy(main, y)
-    if aux is not None:
-        loss += cross_entropy(aux, y)
-    return loss
 
 
 @dataclass
@@ -375,7 +347,7 @@ def train(
     if n == 0:
         raise EvaluationError("empty training set")
     batch = max(1, min(int(batch_size), n))
-    x = x.astype(net.dtype, copy=False)
+    x = x.astype(DTYPE, copy=False)
     dense = net.dense_layers()
     dropouts = [layer for layer in net.layers if isinstance(layer, _Dropout)]
     history = []
@@ -440,7 +412,7 @@ def evaluate_accuracy(net: Network, x: np.ndarray, y: np.ndarray) -> tuple[float
     partitions' accuracies."""
     if x.shape[0] == 0:
         raise EvaluationError("cannot evaluate accuracy on empty data")
-    main, aux = net.forward(x.astype(net.dtype, copy=False))
+    main, aux = net.forward(x.astype(DTYPE, copy=False))
     acc_aux = None if aux is None else float(np.mean(aux.argmax(axis=1) == y))
     return float(np.mean(main.argmax(axis=1) == y)), acc_aux
 
@@ -455,46 +427,6 @@ def _params(net: Network) -> list[np.ndarray]:
     for layer in net.dense_layers():
         out.extend((layer.w, layer.b))
     return out
-
-
-def finite_difference_check(
-    net: Network, x: np.ndarray, y: np.ndarray, epsilon: float = 1e-5
-) -> float:
-    """Max relative error between analytic and central-difference gradients.
-
-    The check runs on a float64 copy of the network and of ``x``, so
-    ``epsilon`` and the error are float64 quantities whatever dtype the
-    network trains in; the copy runs the same dtype-generic layers.
-    Dropout is inactive during the check, so repeated calls agree exactly.
-    The relative error uses ``|ga - gn| / max(1, |ga|, |gn|)`` to stay
-    finite around zero gradients.
-    """
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
-    net = net.astype(np.float64)
-    x = np.asarray(x, dtype=np.float64)
-    main, aux = net.forward(x, train=True, rng=None)
-    _backward(net, main, aux, y, 1.0)
-
-    grads = []
-    for layer in net.dense_layers():
-        grads.extend((layer.dw, layer.db))
-
-    worst = 0.0
-    for param, grad in zip(_params(net), grads):
-        flat = param.reshape(-1)
-        gflat = grad.reshape(-1)
-        for j in range(flat.shape[0]):
-            keep = flat[j]
-            flat[j] = keep + epsilon
-            up = joint_loss(net, x, y)
-            flat[j] = keep - epsilon
-            down = joint_loss(net, x, y)
-            flat[j] = keep
-            numeric = (up - down) / (2.0 * epsilon)
-            err = abs(gflat[j] - numeric) / max(1.0, abs(gflat[j]), abs(numeric))
-            worst = max(worst, err)
-    return worst
 
 
 def save_weights(net: Network, path) -> None:
@@ -515,25 +447,30 @@ def save_weights(net: Network, path) -> None:
 
 
 def load_weights(path) -> list[np.ndarray]:
-    """Read a weight dump back as a list of float32 arrays."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
+    """Read a weight dump back as a list of float32 arrays.  A file that
+    cannot be read, ends inside an array, or holds bytes after the last
+    one raises :class:`DataError`."""
+    try:
+        blob = memoryview(Path(path).read_bytes())
+    except OSError as exc:
+        raise DataError(f"cannot read weight file {path}: {exc}")
     off = 0
 
-    def take(fmt):
+    def take(nbytes: int) -> memoryview:
+        # every length is checked before it is read or allocated
         nonlocal off
-        size = struct.calcsize(fmt)
-        vals = struct.unpack_from(fmt, blob, off)
-        off += size
-        return vals
+        if nbytes > len(blob) - off:
+            raise DataError(f"weight file {path} ends inside its data")
+        off += nbytes
+        return blob[off - nbytes : off]
 
-    (count,) = take("<I")
+    (count,) = struct.unpack("<I", take(4))
     arrays = []
     for _ in range(count):
-        (ndim,) = take("<I")
-        shape = take(f"<{ndim}I")
-        n = int(np.prod(shape))
-        arr = np.frombuffer(blob, dtype="<f4", count=n, offset=off).reshape(shape)
-        off += 4 * n
-        arrays.append(arr.copy())
+        (ndim,) = struct.unpack("<I", take(4))
+        shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
+        values = take(4 * math.prod(shape))
+        arrays.append(np.frombuffer(values, dtype="<f4").reshape(shape).copy())
+    if off != len(blob):
+        raise DataError(f"weight file {path} holds {len(blob) - off} bytes after its last array")
     return arrays

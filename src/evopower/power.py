@@ -38,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, MeasurementError
 from .genome import ModuleGene, module_layer_specs
 from .grammar import Grammar
-from .network import Network, build_stack, count_macs
+from .network import DTYPE, Network, build_stack, count_macs
 
 DEFAULT_N_MEASURES = 30
 DEFAULT_P_MIN_W = 30.0
@@ -251,7 +251,7 @@ def probe_module_power(
     net = build_stack(module_layer_specs(module, grammar), input_dim, class_count, rng)
     # the batch is drawn after the weights, so a meter that never runs the
     # workload can skip it without moving any other draw
-    batch = rng.random((batch_size, input_dim)).astype(net.dtype) if meter.runs_workload else None
+    batch = rng.random((batch_size, input_dim)).astype(DTYPE) if meter.runs_workload else None
     meter.observe(net)
     result = measure_mean(meter, lambda: net.forward(batch), n_measures)
     return result.mean_watts, count_macs(net)

@@ -39,8 +39,10 @@ from evopower.mutation import (
     select_archive_module,
     selection_probabilities,
 )
-from evopower.network import build, finite_difference_check, split
+from evopower.network import build, split
 from evopower.power import ScriptedMeter, measure_mean
+
+from gradcheck import finite_difference_check
 
 CONFIG_PATH = Path(__file__).resolve().parent.parent / "configs" / "desk.cfg"
 

@@ -95,6 +95,19 @@ def test_load_grammar_spec(tmp_path):
         load_grammar_spec("no_such_grammar")
 
 
+def test_undecodable_config_and_grammar_files_exit_with_config_errors(tmp_path, capsys):
+    cfg = Path(write_cfg(tmp_path))
+    cfg.write_bytes(cfg.read_bytes() + b"# \xff\n")
+    assert entry(["dataset-check", "--config", str(cfg)]) == 2
+    assert entry(["evolve", "--config", str(cfg), "--out", str(tmp_path / "a")]) == 2
+    assert "cannot read config file" in capsys.readouterr().err
+    grammar = tmp_path / "bad.grammar"
+    grammar.write_bytes(b"<layer> ::= layer:dense [units,int,1,4,8] act:relu # \xff\n")
+    cfg = write_cfg(tmp_path, [f"genome.grammar = {grammar}"])
+    assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
+    assert "cannot read grammar file" in capsys.readouterr().err
+
+
 def test_evolve_reruns_byte_identical(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0

@@ -768,37 +768,30 @@ def test_journal_header_that_is_not_an_object_is_a_checkpoint_error(tmp_path, he
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
 
 
-def test_version_3_journal_is_refused(tmp_path, journal):
-    cfg, lines = journal
-    path = tmp_path / "checkpoints" / "journal.jsonl"
-    path.parent.mkdir()
-    for version in (3, 4):  # version 4 stored genotypes; a fresh start replaces it
-        path.write_text(json.dumps({**lines[0], "version": version}) + "\n")
-        with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
-            run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+def earlier_journal_body(version, cfg, lines):
+    """The generation lines of a version-``version`` journal."""
+    if version == 5:
+        # version 5 stored a 13-key record per evaluation
+        record = dataclasses.asdict(rec())
+        return [{"generation": 0, "records": [record] * cfg.population_size,
+                 "probe_watts": lines[1]["probe_watts"], "genotypes": lines[1]["genotypes"]}]
+    if version == 6:
+        # version 6 rows held 8 values, the evaluation's wall time before diverged
+        return [{**lines[1], "outcomes": [[*row[:6], 0.25, row[6]] for row in lines[1]["outcomes"]]}]
+    return []  # versions 3 and 4 (which stored genotypes) are refused on the header alone
 
 
-def test_version_5_journal_is_refused(tmp_path, journal):
-    # version 5 stored a 13-key record per evaluation; a fresh start replaces it
+@pytest.mark.parametrize("version", [3, 4, 5, 6])
+def test_earlier_version_journal_is_refused(tmp_path, journal, version):
     cfg, lines = journal
-    record = dataclasses.asdict(rec())
-    v5_line = {"generation": 0, "records": [record] * cfg.population_size,
-               "probe_watts": lines[1]["probe_watts"], "genotypes": lines[1]["genotypes"]}
-    write_journal(tmp_path, [{**lines[0], "version": 5}, v5_line])
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 5"):
+    write_journal(tmp_path, [{**lines[0], "version": version},
+                             *earlier_journal_body(version, cfg, lines)])
+    with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+    # a fresh start replaces it
     fresh = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path, resume=False)
     assert journal_lines(tmp_path)[0]["version"] == 7
     assert len(fresh.logs) == cfg.generations + 1
-
-
-def test_version_6_journal_is_refused(tmp_path, journal):
-    # version 6 rows held 8 values, the evaluation's wall time before diverged
-    cfg, lines = journal
-    v6_line = {**lines[1], "outcomes": [[*row[:6], 0.25, row[6]] for row in lines[1]["outcomes"]]}
-    write_journal(tmp_path, [{**lines[0], "version": 6}, v6_line])
-    with pytest.raises(CheckpointError, match="unsupported checkpoint version 6"):
-        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
 
 
 def test_mode_config_gating():

@@ -1,6 +1,11 @@
 """Property tests: the checkpoint journal, genotype file, generations
 CSV, IDX and grammar loaders fail only with their own typed errors on
-truncated or mutated input."""
+truncated or mutated input.
+
+The config file, grammar file and weight dump loaders are checked the
+same way, on damaged bytes of ``configs/desk.cfg``, ``default.grammar``
+and a ``save_weights`` dump.
+"""
 
 import copy
 import gzip
@@ -12,10 +17,12 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from evopower.cli import _read_genotype
+from evopower.config import AppConfig, load_config, load_grammar_spec
 from evopower.data import SplitSpec, load_idx, split, synthetic_dataset
 from evopower.errors import CheckpointError, ConfigError, DataError, GrammarError
 from evopower.evolution import (
@@ -27,8 +34,9 @@ from evopower.evolution import (
     run_experiment,
     write_rows_csv,
 )
-from evopower.genome import GenomeConfig, validate_module
-from evopower.grammar import load_packaged_grammar, parse_grammar
+from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, validate_module
+from evopower.grammar import Grammar, load_packaged_grammar, parse_grammar
+from evopower.network import build, load_weights, save_weights
 
 GRAMMAR = load_packaged_grammar("dense_only")
 CFG = EvolutionConfig(
@@ -285,3 +293,78 @@ def test_parse_grammar_raises_only_grammar_error(text):
     except GrammarError:
         return
     assert grammar.rules
+
+
+DESK_CFG = (Path(__file__).resolve().parent.parent / "configs" / "desk.cfg").read_bytes()
+GRAMMAR_FILE = (resources.files("evopower") / "grammars" / "default.grammar").read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged(DESK_CFG, lines=False, json_docs=False))
+@example(DESK_CFG + b"# \xff\n")  # not UTF-8
+def test_load_config_raises_only_config_error(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "desk.cfg"
+        path.write_bytes(payload)
+        try:
+            app = load_config(path)
+        except ConfigError:
+            return
+    assert isinstance(app, AppConfig)
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged(GRAMMAR_FILE, lines=False, json_docs=False))
+@example(GRAMMAR_FILE + b"# \xff\n")  # not UTF-8
+def test_grammar_file_loader_raises_only_grammar_error(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "custom.grammar"
+        path.write_bytes(payload)
+        try:
+            grammar = load_grammar_spec(str(path))
+        except GrammarError:
+            return
+    assert isinstance(grammar, Grammar) and grammar.rules
+
+
+def weight_dump() -> tuple[bytes, list]:
+    """A two-output network's ``save_weights`` bytes and its arrays."""
+    spec = PhenotypeSpec(
+        (LayerSpec("dense", units=3, activation="relu"), LayerSpec("dropout", rate=0.5),
+         LayerSpec("dense", units=2, activation="sigmoid")),
+        aux_index=0,
+        learning_rate=0.1,
+        batch_size=4,
+    )
+    net = build(spec, input_dim=4, class_count=3, rng=np.random.default_rng(0))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights.bin"
+        save_weights(net, path)
+        dump = path.read_bytes()
+    return dump, [p for layer in net.dense_layers() for p in (layer.w, layer.b)]
+
+
+WEIGHTS, WEIGHT_ARRAYS = weight_dump()
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged(WEIGHTS, lines=False, json_docs=False))
+@example(b"")
+@example(WEIGHTS[:6])  # the count and half an ndim
+@example(WEIGHTS[:-1])  # cut inside the last array
+@example(WEIGHTS + b"\x00")  # a trailing byte
+@example(struct.pack("<II", 1, 2**32 - 1))  # more dimensions than bytes
+@example(WEIGHTS)
+def test_load_weights_raises_only_data_error(payload):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "weights.bin"
+        path.write_bytes(payload)
+        try:
+            arrays = load_weights(path)
+        except DataError:
+            assert payload != WEIGHTS
+            return
+    assert all(a.dtype == np.float32 for a in arrays)
+    if payload == WEIGHTS:
+        assert [a.tobytes() for a in arrays] == [a.tobytes() for a in WEIGHT_ARRAYS]
+        assert [a.shape for a in arrays] == [a.shape for a in WEIGHT_ARRAYS]

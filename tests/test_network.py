@@ -19,13 +19,13 @@ from evopower.network import (
     count_macs,
     cross_entropy,
     evaluate_accuracy,
-    finite_difference_check,
-    joint_loss,
     load_weights,
     save_weights,
     split,
     train,
 )
+
+from gradcheck import finite_difference_check, float64_copy, joint_loss
 
 GRAMMAR = load_packaged_grammar("default")
 
@@ -677,7 +677,7 @@ def test_float32_gradients_match_the_float64_copy():
     worst = 0.0
     for net, x, y in criterion_5_networks():
         x32 = x.astype(np.float32)
-        exact = net.astype(np.float64)  # the same weights; float32 values are exact in float64
+        exact = float64_copy(net)  # the same weights; float32 values are exact in float64
         for n, inputs in ((net, x32), (exact, x32.astype(np.float64))):
             main, aux = n.forward(inputs, train=True)
             _backward(n, main, aux, y, 1.0)

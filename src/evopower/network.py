@@ -15,18 +15,21 @@ weights are exact copies, so partition outputs match the full model's
 heads bit for bit, and ``evaluate_accuracy`` on the unsplit model scores
 both partitions from one forward pass.
 
-Layers compute their activations in the buffer of the affine map, and
-gradient steps update the weights in place, with the operations in the
-same order as the out-of-place expressions they replace.  Backpropagation
-stops at the first dense layer: the gradient with respect to the input
-is never needed.  ``_Dense.backward`` and ``_Dropout.backward`` overwrite
-the incoming gradient ``g``.
+Layers hold only their parameters.  A training forward pass records
+what backpropagation reads on a tape, a list the caller owns, so a
+batch's arrays live on its tape and die with it.  Layers compute their
+activations in the buffer of the affine map, and gradient steps update
+the weights in place, with the operations in the same order as the
+out-of-place expressions they replace.  Backpropagation stops at the
+first dense layer: the gradient with respect to the input is never
+needed.
 
 The sigmoid is ``0.5 * tanh(0.5 * z) + 0.5``: it cannot overflow, and it
 lies within one ulp of 1.0 of the exact sigmoid (2**-23 in float32,
 2**-52 in float64).  Training scales the heads' dL/dz by
-``learning_rate / n`` in one multiply, so every stored dW and db is the
-descent step itself and ``_Dense.step`` only subtracts it.
+``learning_rate / n`` in one multiply, so every dW and db that
+``_gradients`` yields is the descent step itself, and each step is
+applied as it is yielded.
 
 Networks compute in float32 (``DTYPE``): weights, biases, activations,
 dropout masks, gradients and steps.  The engine's task data is held in
@@ -84,10 +87,6 @@ class _Dense:
         self.w = w
         self.b = b
         self.activation = activation
-        self._x = None
-        self._a = None
-        self.dw = None
-        self.db = None
 
     @property
     def fan_in(self) -> int:
@@ -97,7 +96,7 @@ class _Dense:
     def fan_out(self) -> int:
         return self.w.shape[1]
 
-    def forward(self, x: np.ndarray, cache: bool = False) -> np.ndarray:
+    def forward(self, x: np.ndarray) -> np.ndarray:
         a = x @ self.w
         a += self.b
         if self.activation == "relu":
@@ -106,32 +105,7 @@ class _Dense:
             _sigmoid(a, out=a)
         else:
             _softmax(a)
-        if cache:
-            self._x, self._a = x, a
         return a
-
-    def backward(self, g: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Gradient through activation and affine map; g is dL/d(output)
-        and is overwritten with dL/dz.  Returns dL/d(input), or None
-        without ``input_grad``."""
-        if self.activation == "relu":
-            np.multiply(g, self._a > 0, out=g)
-        elif self.activation == "sigmoid":
-            g *= self._a
-            g *= 1.0 - self._a
-        else:
-            raise ValueError("softmax layers receive dz directly")
-        return self.backward_from_dz(g, input_grad)
-
-    def backward_from_dz(self, dz: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        self.dw = self._x.T @ dz
-        self.db = dz.sum(axis=0)
-        return dz @ self.w.T if input_grad else None
-
-    def step(self) -> None:
-        """Descend by the stored gradients, which already carry the learning rate."""
-        self.w -= self.dw
-        self.b -= self.db
 
     def copy(self) -> "_Dense":
         return _Dense(self.w.copy(), self.b.copy(), self.activation)
@@ -142,17 +116,16 @@ class _Dropout:
         if not 0.0 <= rate < 1.0:
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
-        self._mask = None
 
-    def forward(self, x: np.ndarray, train: bool, rng: np.random.Generator | None) -> np.ndarray:
-        if not train or self.rate == 0.0:
-            self._mask = None
-            return x
+    def mask(self, x: np.ndarray, rng: np.random.Generator) -> np.ndarray | None:
+        """The scaled keep mask for ``x``, or None at rate 0 (no draws)."""
+        if self.rate == 0.0:
+            return None
         # float64 uniform draws, DROPOUT_CHUNK at a time: Generator.random
         # fills in C order, so the chunks continue one stream.  Each
         # u >= rate lands in the mask as 1 or 0, and the kept entries scale
         # by 1 / (1 - rate), rounded once to the dtype of x
-        self._mask = mask = np.empty(x.shape, x.dtype)
+        mask = np.empty(x.shape, x.dtype)
         flat = mask.reshape(-1)
         u = np.empty(min(DROPOUT_CHUNK, flat.shape[0]))
         for start in range(0, flat.shape[0], DROPOUT_CHUNK):
@@ -160,13 +133,7 @@ class _Dropout:
             draws = rng.random(out=u[: chunk.shape[0]])
             np.greater_equal(draws, self.rate, out=chunk, casting="unsafe")
         mask *= x.dtype.type(1.0 / (1.0 - self.rate))
-        return x * mask
-
-    def backward(self, g: np.ndarray) -> np.ndarray:
-        """dL/d(input) from g = dL/d(output), computed in g."""
-        if self._mask is not None:
-            g *= self._mask
-        return g
+        return mask
 
     def copy(self) -> "_Dropout":
         return _Dropout(self.rate)
@@ -200,25 +167,37 @@ class Network:
     def forward(
         self,
         x: np.ndarray,
-        train: bool = False,
         rng: np.random.Generator | None = None,
+        tape: list | None = None,
     ) -> tuple[np.ndarray, np.ndarray | None]:
-        """Both heads' probabilities; aux slot is None after a split."""
+        """Both heads' probabilities; aux slot is None after a split.
+
+        Dropout is on only with ``rng``.  A ``tape`` gets one entry per
+        layer, ``(input, output)`` for a dense layer and the mask (None
+        when off) for a dropout, then the main head's input.
+        """
         out = x
         tap = None
         for i, layer in enumerate(self.layers):
-            if isinstance(layer, _Dropout):
-                out = layer.forward(out, train, rng)
+            if isinstance(layer, _Dense):
+                record = (out, layer.forward(out))
+                out = record[1]
             else:
-                out = layer.forward(out, cache=train)
+                record = None if rng is None else layer.mask(out, rng)
+                if record is not None:
+                    out = out * record
+            if tape is not None:
+                tape.append(record)
             if i == self.aux_tap:
                 tap = out
-        main = self.main_head.forward(out, cache=train)
+        if tape is not None:
+            tape.append(out)
+        main = self.main_head.forward(out)
         aux = None
         if self.aux_head is not None:
             if tap is None:
                 raise EvaluationError("aux head present but no tap layer recorded")
-            aux = self.aux_head.forward(tap, cache=train)
+            aux = self.aux_head.forward(tap)
         return main, aux
 
     def dense_layers(self) -> list[_Dense]:
@@ -282,43 +261,56 @@ class TrainReport:
     history: list[float]
 
 
-def _backward(net: Network, main: np.ndarray, aux: np.ndarray, y: np.ndarray, scale: float) -> None:
-    """Store ``scale`` times dL/dW and dL/db of the joint loss on every
-    dense layer, from the heads' cached forward pass; with the learning
-    rate as ``scale`` they are the descent steps.  ``main`` and ``aux``
-    are overwritten with the heads' scaled dL/dz."""
+def _gradients(net: Network, tape: list, main: np.ndarray, aux: np.ndarray, y: np.ndarray, scale: float):
+    """Yield ``(layer, dW, db)``, ``scale`` times the joint loss's
+    gradients, for the main head, the aux head, then the hidden dense
+    layers from last to first; with the learning rate as ``scale`` they
+    are the descent steps.  ``tape`` is the forward pass's record.  Each
+    layer is yielded after its input gradient is taken, so the caller
+    may step it at once.  ``main`` and ``aux`` are overwritten with the
+    heads' scaled dL/dz."""
     n = y.shape[0]
     rows = np.arange(n)
-    for probs in (main, aux):
+    grads = []
+    for head, x, dz in ((net.main_head, tape[-1], main), (net.aux_head, tape[net.aux_tap][1], aux)):
         # (probs - onehot) * scale / n: subtracting the one-hot zeros is exact
-        probs[rows, y] -= 1.0
-        probs *= scale / n
-    g = net.main_head.backward_from_dz(main)
-    d_tap = net.aux_head.backward_from_dz(aux)
+        dz[rows, y] -= 1.0
+        dz *= scale / n
+        dw, db = x.T @ dz, dz.sum(axis=0)
+        grads.append(dz @ head.w.T)
+        yield head, dw, db
+    g, d_tap = grads
     first = next(i for i, layer in enumerate(net.layers) if isinstance(layer, _Dense))
     for i in range(len(net.layers) - 1, first - 1, -1):
         if i == net.aux_tap:
             g += d_tap
-        if i == first:
-            net.layers[i].backward(g, input_grad=False)
+        layer, record = net.layers[i], tape[i]
+        if isinstance(layer, _Dropout):
+            if record is not None:
+                g *= record
+            continue
+        x, a = record
+        if layer.activation == "relu":
+            np.multiply(g, a > 0, out=g)
+        elif layer.activation == "sigmoid":
+            g *= a
+            g *= 1.0 - a
         else:
-            g = net.layers[i].backward(g)
+            raise ValueError("softmax layers receive dz directly")
+        dw, db = x.T @ g, g.sum(axis=0)
+        if i > first:
+            g = g @ layer.w.T
+        yield layer, dw, db
 
 
-def _train_batch(
-    net: Network,
-    dense: list[_Dense],
-    x: np.ndarray,
-    y: np.ndarray,
-    lr: float,
-    rng: np.random.Generator,
-) -> float:
-    """One descent step on a batch; ``dense`` is ``net.dense_layers()``."""
-    main, aux = net.forward(x, train=True, rng=rng)
+def _train_batch(net: Network, x: np.ndarray, y: np.ndarray, lr: float, rng: np.random.Generator) -> float:
+    """One descent step on a batch."""
+    tape = []
+    main, aux = net.forward(x, rng=rng, tape=tape)
     loss = cross_entropy(main, y) + cross_entropy(aux, y)
-    _backward(net, main, aux, y, lr)
-    for layer in dense:
-        layer.step()
+    for layer, dw, db in _gradients(net, tape, main, aux, y, lr):
+        layer.w -= dw
+        layer.b -= db
     return loss
 
 
@@ -335,9 +327,7 @@ def train(
 
     The per-epoch history records the exact sample-weighted mean of the
     batch losses.  A non-finite loss aborts with
-    :class:`TrainingDivergedError`.  Either way the network is left
-    holding its weights only: no cached batch, activation, dropout mask
-    or gradient step.
+    :class:`TrainingDivergedError`.
     """
     if budget_epochs < 1:
         raise ValueError(f"budget_epochs must be >= 1, got {budget_epochs}")
@@ -348,34 +338,18 @@ def train(
         raise EvaluationError("empty training set")
     batch = max(1, min(int(batch_size), n))
     x = x.astype(DTYPE, copy=False)
-    dense = net.dense_layers()
-    dropouts = [layer for layer in net.layers if isinstance(layer, _Dropout)]
     history = []
-    try:
-        for _ in range(int(budget_epochs)):
-            order = rng.permutation(n)
-            total = 0.0
-            for start in range(0, n, batch):
-                # the previous batch's arrays go before this one's are built
-                _release(dense, dropouts)
-                idx = order[start : start + batch]
-                loss = _train_batch(net, dense, x[idx], y[idx], learning_rate, rng)
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(f"non-finite loss {loss} during training")
-                total += loss * idx.shape[0]
-            history.append(total / n)
-    finally:
-        # and the last batch's are dead weight once training stops
-        _release(dense, dropouts)
+    for _ in range(int(budget_epochs)):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch):
+            idx = order[start : start + batch]
+            loss = _train_batch(net, x[idx], y[idx], learning_rate, rng)
+            if not np.isfinite(loss):
+                raise TrainingDivergedError(f"non-finite loss {loss} during training")
+            total += loss * idx.shape[0]
+        history.append(total / n)
     return TrainReport(len(history), history[-1], history)
-
-
-def _release(dense: list[_Dense], dropouts: list[_Dropout]) -> None:
-    """Drop the cached inputs, activations, steps and dropout masks."""
-    for layer in dense:
-        layer._x = layer._a = layer.dw = layer.db = None
-    for layer in dropouts:
-        layer._mask = None
 
 
 def split(net: Network) -> tuple[Network, Network]:

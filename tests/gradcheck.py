@@ -7,15 +7,16 @@ error are float64 quantities.
 
 import numpy as np
 
-from evopower.network import Network, _backward, _Dense, _Dropout, cross_entropy
+from evopower.network import Network, _Dense, _Dropout, _gradients, cross_entropy
 
 
 def float64_copy(net: Network) -> Network:
-    """The same network computing in float64, with every dropout off."""
+    """The same network computing in float64; it shares the dropout layers,
+    which hold only their rates."""
 
     def copy(layer):
         if isinstance(layer, _Dropout):
-            return _Dropout(0.0)
+            return layer
         return _Dense(layer.w.astype(np.float64), layer.b.astype(np.float64), layer.activation)
 
     return Network(
@@ -43,20 +44,22 @@ def finite_difference_check(
     """Max relative error between analytic and central-difference gradients
     of the joint loss, on a float64 copy of the network and of ``x``.
 
-    Dropout is off in the copy, so repeated calls agree exactly.  The
-    relative error uses ``|ga - gn| / max(1, |ga|, |gn|)`` to stay finite
-    around zero gradients.
+    The forward passes get no generator, so dropout is off and repeated
+    calls agree exactly.  The relative error uses
+    ``|ga - gn| / max(1, |ga|, |gn|)`` to stay finite around zero
+    gradients.
     """
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     net = float64_copy(net)
     x = np.asarray(x, dtype=np.float64)
-    main, aux = net.forward(x, train=True)
-    _backward(net, main, aux, y, 1.0)
+    tape = []
+    main, aux = net.forward(x, tape=tape)
+    steps = list(_gradients(net, tape, main, aux, y, 1.0))
 
     worst = 0.0
-    for layer in net.dense_layers():
-        for param, grad in ((layer.w, layer.dw), (layer.b, layer.db)):
+    for layer, dw, db in steps:
+        for param, grad in ((layer.w, dw), (layer.b, db)):
             flat = param.reshape(-1)
             gflat = grad.reshape(-1)
             for j in range(flat.shape[0]):

@@ -298,7 +298,7 @@ def test_skipping_analytic_workload_keeps_results_identical(tmp_path, monkeypatc
     plain_forward = Network.forward
 
     def counting_forward(self, *args, **kwargs):
-        forwards.append(kwargs.get("train", False))
+        forwards.append(kwargs.get("tape") is not None)
         return plain_forward(self, *args, **kwargs)
 
     monkeypatch.setattr(Network, "forward", counting_forward)

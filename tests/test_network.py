@@ -9,9 +9,10 @@ from evopower.errors import EvaluationError, TrainingDivergedError
 from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, init_individual, to_phenotype
 from evopower.grammar import load_packaged_grammar
 from evopower.network import (
-    _backward,
+    Network,
     _Dense,
     _Dropout,
+    _gradients,
     _init_dense,
     _sigmoid,
     _train_batch,
@@ -367,25 +368,43 @@ def test_sigmoid_is_within_one_ulp_of_one_of_the_exact_sigmoid(dtype, bound):
         assert np.isnan(_sigmoid(np.array([np.nan, -np.nan], dtype=dtype))).all()
 
 
+def head_dz(probs, y, scale):
+    onehot = np.zeros_like(probs)
+    onehot[np.arange(y.shape[0]), y] = 1.0
+    return (probs - onehot) * (scale / y.shape[0])
+
+
 @pytest.mark.parametrize("activation", ["relu", "sigmoid"])
 def test_backward_from_cached_activation_matches_recompute(activation):
+    # ``layer`` reads a recorded input; its input gradient dx reaches the
+    # relu layer in front of it, whose step then carries dx's bits
     rng = np.random.default_rng(41)
+    front = _init_dense(16, 16, "relu", rng)
     layer = _init_dense(16, 32, activation, rng)
+    net = Network([front, layer], _init_dense(32, 3, "softmax", rng),
+                  _init_dense(16, 3, "softmax", rng), 0, 16, 3)
     x = rng.normal(0.0, 3.0, size=(64, 16))
-    layer.forward(x, cache=True)
-    layer.forward(rng.normal(size=(5, 16)))  # inference leaves the cache alone
-    g = rng.normal(size=(64, 32))
-    dx = layer.backward(g.copy())  # backward overwrites g
+    y = rng.integers(0, 3, size=64)
+    tape = []
+    main, aux = net.forward(x, tape=tape)
+    net.forward(rng.normal(size=(5, 16)))  # inference leaves the tape alone
+    g = head_dz(main, y, 0.5) @ net.main_head.w.T
+    d_tap = head_dz(aux, y, 0.5) @ net.aux_head.w.T
+    steps = {id(l): (dw, db) for l, dw, db in _gradients(net, tape, main, aux, y, 0.5)}
 
-    z = x @ layer.w + layer.b
+    h = tape[0][1]
+    z = h @ layer.w + layer.b
     if activation == "relu":
         dz = g * (z > 0)
     else:
         a = reference_sigmoid(z)
         dz = g * a * (1.0 - a)
-    assert same_bits(dx, dz @ layer.w.T)
-    assert same_bits(layer.dw, x.T @ dz)
-    assert same_bits(layer.db, dz.sum(axis=0))
+    dx = dz @ layer.w.T
+    dw, db = steps[id(layer)]
+    assert same_bits(dw, h.T @ dz)
+    assert same_bits(db, dz.sum(axis=0))
+    front_dz = (dx + d_tap) * (h > 0)
+    assert same_bits(steps[id(front)][0], x.T @ front_dz)
 
 
 # --- the training step written out of place, kept as the reference:
@@ -463,6 +482,10 @@ def check_training_against_reference(input_dim, units, classes, batch, activatio
         layers = [DROPOUT, *dense]
     elif dropout == "after_tap":
         layers = [dense[0], DROPOUT, *dense[1:]]
+    elif dropout == "two_after_tap":
+        layers = [dense[0], DROPOUT, DROPOUT, *dense[1:]]
+    elif dropout == "last_layer":  # the main head reads a dropout output
+        layers = [*dense, DROPOUT]
     else:
         layers = dense
     spec = PhenotypeSpec(tuple(layers), aux_index=0, learning_rate=0.05, batch_size=batch)
@@ -473,7 +496,7 @@ def check_training_against_reference(input_dim, units, classes, batch, activatio
     for _ in range(6):
         x = data.random((batch, input_dim)).astype(dtype)
         y = data.integers(0, classes, size=batch)
-        loss = _train_batch(net, net.dense_layers(), x, y, 0.05, train_rng)
+        loss = _train_batch(net, x, y, 0.05, train_rng)
         assert loss == reference_train_batch(reference, x, y, 0.05, reference_rng)
     assert net_bits(net) == net_bits(reference)
     assert train_rng.random() == reference_rng.random()  # the same draws were consumed
@@ -482,7 +505,8 @@ def check_training_against_reference(input_dim, units, classes, batch, activatio
 TRAINING_CASES = pytest.mark.parametrize("input_dim, units, classes, batch",
                                          [(8, (16, 64), 3, 32), (784, (128, 64), 10, 50)])
 ACTIVATIONS = pytest.mark.parametrize("activation", ["relu", "sigmoid"])
-DROPOUTS = pytest.mark.parametrize("dropout", ["none", "first_layer", "after_tap"])
+DROPOUTS = pytest.mark.parametrize("dropout", ["none", "first_layer", "after_tap", "two_after_tap",
+                                              "last_layer"])
 
 
 @TRAINING_CASES
@@ -519,12 +543,21 @@ def test_float32_weights_are_the_float64_draws_rounded():
         assert same_bits(layer.b, np.zeros(layer.fan_out, np.float32))
 
 
+def dropout_output(rate, x, rng):
+    """A lone dropout layer's output, read off a training tape: the main
+    head's input."""
+    head = _init_dense(x.shape[1], 2, "softmax", np.random.default_rng(0))
+    tape = []
+    Network([_Dropout(rate)], head, None, None, x.shape[1], 2).forward(x, rng=rng, tape=tape)
+    return tape[-1]
+
+
 def test_float32_dropout_mask_is_the_float64_mask_rounded():
-    layer = _Dropout(0.3)
-    out = layer.forward(np.ones((40, 7), np.float32), True, np.random.default_rng(3))
+    x = np.ones((40, 7), np.float32)
+    mask = _Dropout(0.3).mask(x, np.random.default_rng(3))
     want = ((np.random.default_rng(3).random((40, 7)) >= 0.3) / (1.0 - 0.3)).astype(np.float32)
-    assert same_bits(layer._mask, want)
-    assert same_bits(out, want)
+    assert same_bits(mask, want)
+    assert same_bits(dropout_output(0.3, x, np.random.default_rng(3)), want)
 
 
 @pytest.mark.parametrize("shape, rate", [
@@ -537,15 +570,15 @@ def test_float32_dropout_mask_is_the_float64_mask_rounded():
 @pytest.mark.parametrize("chunk", [network.DROPOUT_CHUNK, 7], ids=["chunk", "tiny-chunk"])
 def test_chunked_dropout_mask_equals_the_one_draw_mask(monkeypatch, shape, rate, chunk):
     monkeypatch.setattr(network, "DROPOUT_CHUNK", chunk)
-    layer = _Dropout(rate)
     x = np.random.default_rng(2).random(shape).astype(np.float32)
-    out = layer.forward(x, True, np.random.default_rng(5))
+    mask = _Dropout(rate).mask(x, np.random.default_rng(5))
+    out = dropout_output(rate, x, np.random.default_rng(5))
     if rate == 0.0:
-        assert out is x and layer._mask is None
+        assert out is x and mask is None
         return
     want = (np.random.default_rng(5).random(shape) >= rate) * np.float32(1.0 / (1.0 - rate))
     assert want.dtype == np.float32
-    assert same_bits(layer._mask, want)
+    assert same_bits(mask, want)
     assert same_bits(out, x * want)
 
 
@@ -563,25 +596,29 @@ def test_float32_training_leaks_no_float64(monkeypatch):
     net = build(spec, input_dim=2, class_count=2, rng=np.random.default_rng(43))
     x, y = two_blobs()
     batches = []
+    gradients = network._gradients
 
-    def checked_batch(net, dense, xb, yb, lr, rng):
+    def checked_gradients(net, tape, main, aux, yb, scale):
         # train has cast the float64 samples once, so the batch is float32
+        (xb, a), mask, (h, out), head_input = tape
         assert xb.dtype == np.float32
-        loss = _train_batch(net, dense, xb, yb, lr, rng)
-        # train clears the caches when it returns, so check them here
-        dropout = net.layers[1]
-        assert dropout._mask is not None and dropout._mask.dtype == np.float32
-        for layer in net.dense_layers():
-            for name in ("w", "b", "dw", "db", "_x", "_a"):
-                assert getattr(layer, name).dtype == np.float32, name
-        batches.append(loss)
-        return loss
+        assert mask is not None and mask.dtype == np.float32
+        for array in (a, h, out, head_input, main, aux):
+            assert array.dtype == np.float32
+        steps = 0
+        for layer, dw, db in gradients(net, tape, main, aux, yb, scale):
+            for array in (layer.w, layer.b, dw, db):
+                assert array.dtype == np.float32
+            steps += 1
+            yield layer, dw, db
+        assert steps == 4  # two hidden layers and two heads
+        batches.append(xb.shape[0])
 
-    monkeypatch.setattr(network, "_train_batch", checked_batch)
-    # one batch of float64 samples: train casts them once, then one _train_batch
+    monkeypatch.setattr(network, "_gradients", checked_gradients)
+    # one batch of float64 samples: train casts them once, then one step
     report = train(net, x[:30], y[:30], budget_epochs=1, learning_rate=0.1, batch_size=30,
                    rng=np.random.default_rng(44))
-    assert len(batches) == 1
+    assert batches == [30]
     assert isinstance(report.final_loss, float) and np.isfinite(report.final_loss)
     for layer in net.dense_layers():
         assert layer.w.dtype == layer.b.dtype == np.float32
@@ -606,10 +643,10 @@ def test_train_leaves_weights_only(diverge):
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError) if diverge else nullcontext():
         train(net, x, y, budget_epochs=2, learning_rate=0.1, batch_size=16,
               rng=np.random.default_rng(46))
+    # no batch, activation, dropout mask or gradient step outlives train
     for layer in net.dense_layers():
-        for name in ("_x", "_a", "dw", "db"):
-            assert getattr(layer, name) is None, name
-    assert net.layers[1]._mask is None
+        assert vars(layer).keys() == {"w", "b", "activation"}
+    assert vars(net.layers[1]) == {"rate": 0.4}
 
 
 def test_train_frees_each_batch_before_the_next_is_built():
@@ -636,8 +673,8 @@ def test_train_frees_each_batch_before_the_next_is_built():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # one batch's arrays and the dropout draw buffer; the previous batch's
-    # masks and cached input on top would take it past 4 MB
+    # one batch's tape and the dropout draw buffer; the previous batch's
+    # masks and input on top would take it past 4 MB
     assert peak <= 3.5e6
 
 
@@ -678,11 +715,13 @@ def test_float32_gradients_match_the_float64_copy():
     for net, x, y in criterion_5_networks():
         x32 = x.astype(np.float32)
         exact = float64_copy(net)  # the same weights; float32 values are exact in float64
+        steps = []
         for n, inputs in ((net, x32), (exact, x32.astype(np.float64))):
-            main, aux = n.forward(inputs, train=True)
-            _backward(n, main, aux, y, 1.0)
-        for got, want in zip(net.dense_layers(), exact.dense_layers()):
-            for g32, g64 in ((got.dw, want.dw), (got.db, want.db)):
+            tape = []
+            main, aux = n.forward(inputs, tape=tape)
+            steps.append(list(_gradients(n, tape, main, aux, y, 1.0)))
+        for (_, *got), (_, *want) in zip(*steps, strict=True):
+            for g32, g64 in zip(got, want):
                 assert g32.dtype == np.float32 and g64.dtype == np.float64
                 worst = max(worst, float((np.abs(g32 - g64) / np.maximum(1.0, np.abs(g64))).max()))
     assert worst < FLOAT32_GRADIENT_BOUND

@@ -10,7 +10,7 @@ Three rules keep runs reproducible:
   stateful meter reads in a fixed order and one trained network is
   alive at a time;
 * each run appends one line per finished generation to
-  ``checkpoints/journal.jsonl`` (version 7) holding only what a replay
+  ``checkpoints/journal.jsonl`` (version 8) holding only what a replay
   cannot recompute: the measured :class:`Outcome` of each of the
   generation's evaluations and the watts of its probes, plus a digest of
   the individuals it evaluated.  A resumed run replays the lines through
@@ -70,7 +70,7 @@ from .power import (
     probe_module_power,
 )
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 MODES = ("baseline", "proposed")
 
 # rng stream purposes
@@ -177,41 +177,51 @@ class TaskData:
 
 
 class Outcome(NamedTuple):
-    """What one evaluation measured, in the order of a journal row."""
+    """What one evaluation measured, in the order of a journal row: each
+    head's count of correct validation answers, each partition's power,
+    and the last epoch's training loss, nan when training diverged."""
 
-    acc_left: float
-    acc_right: float
+    correct_left: int
+    correct_right: int
     power_left_w: float
     power_right_w: float
-    epochs_run: int
     final_loss: float
-    diverged: bool
 
-    def fault(self) -> str | None:
-        """Why no evaluation yields this outcome, as ``field: reason``, or
-        None.  A measured outcome has accuracies in [0, 1] and powers
-        finite and > 0, which the power-led fitnesses divide by; a diverged
-        one is what :func:`evaluate_individual` writes, zeros and a nan
-        loss.  A live evaluation and a journal replay both refuse a fault."""
+    @property
+    def diverged(self) -> bool:
+        return math.isnan(self.final_loss)
+
+    def fault(self, validation: int) -> str | None:
+        """Why no evaluation on ``validation`` samples yields this outcome,
+        as ``field: reason``, or None.  A measured outcome has counts in
+        [0, validation], powers finite and > 0, which the power-led
+        fitnesses divide by, and a finite loss; a diverged one is what
+        :func:`measure_individual` writes, zeros and a nan loss.  A live
+        evaluation and a journal replay both refuse a fault."""
         if self.diverged:
-            if self[:5] != (0.0, 0.0, 0.0, 0.0, 0) or not math.isnan(self.final_loss):
-                return f"diverged: a diverged outcome holds zeros and a nan loss, got {self[:6]}"
-        else:
-            for name in ("acc_left", "acc_right"):
-                value = getattr(self, name)
-                if not 0.0 <= value <= 1.0:
-                    return f"{name}: accuracy must be in [0, 1], got {value}"
-            for name in ("power_left_w", "power_right_w"):
-                value = getattr(self, name)
-                if not 0.0 < value < math.inf:
-                    return f"{name}: power must be finite and > 0, got {value}"
+            if self[:4] != (0, 0, 0.0, 0.0):
+                return (f"final_loss: a nan loss marks a divergence, which holds zeros, "
+                        f"got {self[:4]}")
+            return None
+        for name in ("correct_left", "correct_right"):
+            value = getattr(self, name)
+            if not 0 <= value <= validation:
+                return f"{name}: count must be in [0, {validation}], got {value}"
+        for name in ("power_left_w", "power_right_w"):
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                return f"{name}: power must be finite and > 0, got {value}"
+        if not math.isfinite(self.final_loss):
+            return (f"final_loss: loss must be finite, or nan for a divergence, "
+                    f"got {self.final_loss}")
         return None
 
 
 @dataclass
 class EvaluationRecord:
-    """An evaluation's :class:`Outcome` plus what its individual and the
-    config determine; :func:`evaluation_record` builds it."""
+    """An evaluation's :class:`Outcome`, its counts as accuracies, plus
+    what its individual and the config determine; :func:`evaluation_record`
+    builds it."""
 
     individual: int
     fitness: float
@@ -233,9 +243,6 @@ class EvaluationRecord:
         return self.fitness == evaluate_fitness(
             fitness_cfg, self.acc_left, self.acc_right, self.power_left_w
         )
-
-    def outcome(self) -> Outcome:
-        return Outcome(*(getattr(self, name) for name in Outcome._fields))
 
 
 @dataclass
@@ -285,6 +292,11 @@ def _meter_for(base: Meter | None, cfg: EvolutionConfig, key: tuple) -> Meter:
     return AnalyticMeter(meter_cfg, rng=_stream(*key) if meter_cfg.noise_sigma > 0 else None)
 
 
+def _epochs(ind: Individual, cfg: EvolutionConfig) -> int:
+    """The epochs ``ind`` trains for, which a finished training runs in full."""
+    return max(1, int(round(min(ind.train_budget, cfg.max_train_budget))))
+
+
 def _train_network(
     ind: Individual,
     grammar: Grammar,
@@ -299,13 +311,12 @@ def _train_network(
     """
     spec = to_phenotype(ind, grammar)
     net = build(spec, data.input_dim, data.class_count, rng)
-    epochs = max(1, int(round(min(ind.train_budget, cfg.max_train_budget))))
     try:
         report = train(
             net,
             data.train.samples,
             data.train.labels,
-            epochs,
+            _epochs(ind, cfg),
             spec.learning_rate,
             spec.batch_size,
             rng,
@@ -316,54 +327,61 @@ def _train_network(
 
 
 def evaluation_record(
-    ind: Individual, outcome: Outcome, grammar: Grammar, cfg: EvolutionConfig
+    ind: Individual, outcome: Outcome, grammar: Grammar, cfg: EvolutionConfig, validation: int
 ) -> EvaluationRecord:
-    """The record of ``ind``'s evaluation: ``outcome`` plus the id, the
-    dense-layer count, the split point, the epoch budget and the fitness
-    (the worst when training diverged).  A live evaluation and a replayed
-    journal row both build their record here."""
-    fitness = WORST_FITNESS if outcome.diverged else evaluate_fitness(
-        cfg.fitness, outcome.acc_left, outcome.acc_right, outcome.power_left_w
+    """The record of ``ind``'s evaluation on ``validation`` samples:
+    ``outcome``'s powers and loss, each count over ``validation`` as an
+    accuracy, plus the id, the dense-layer count, the split point, the
+    epoch budget, the epochs run (0 when training diverged) and the
+    fitness (then the worst).  A live evaluation and a replayed journal
+    row both build their record here."""
+    diverged = outcome.diverged
+    acc_left = outcome.correct_left / validation
+    acc_right = outcome.correct_right / validation
+    fitness = WORST_FITNESS if diverged else evaluate_fitness(
+        cfg.fitness, acc_left, acc_right, outcome.power_left_w
     )
     return EvaluationRecord(
-        ind.id, fitness, *outcome[:4],
+        ind.id, fitness, acc_left, acc_right, outcome.power_left_w, outcome.power_right_w,
         count_hidden_layers(ind, grammar), ind.macro.middle_point,
-        float(min(ind.train_budget, cfg.max_train_budget)), *outcome[4:],
+        float(min(ind.train_budget, cfg.max_train_budget)),
+        0 if diverged else _epochs(ind, cfg), outcome.final_loss, diverged,
     )
 
 
-def evaluate_individual(
+def measure_individual(
     ind: Individual,
     grammar: Grammar,
     data: TaskData,
     meter: Meter,
     cfg: EvolutionConfig,
     rng: np.random.Generator,
-) -> EvaluationRecord:
-    """Full pipeline: phenotype, train on the joint loss, split, score
-    both partitions on the validation set, meter inference power, apply
-    the configured fitness.  Divergence maps to the worst fitness; a
-    measurement with an :meth:`Outcome.fault` is a MeasurementError."""
+) -> Outcome:
+    """Full measurement: phenotype, train on the joint loss, split, count
+    both partitions' correct validation answers, meter inference power.
+    Divergence is the zero outcome with a nan loss; a measurement with
+    an :meth:`Outcome.fault` is a MeasurementError."""
     net, report = _train_network(ind, grammar, data, cfg, rng)
     if report is None:
-        diverged = Outcome(0.0, 0.0, 0.0, 0.0, 0, float("nan"), True)
-        return evaluation_record(ind, diverged, grammar, cfg)
+        return Outcome(0, 0, 0.0, 0.0, math.nan)
     left, right = split(net)
     # the partitions answer bit for bit like the heads, so one pass over
-    # the validation set scores both
+    # the validation set scores both; each accuracy is exactly k / n,
+    # which times n rounds back to the count k
     vx = data.validation.samples
-    acc_left, acc_right = evaluate_accuracy(net, vx, data.validation.labels)
+    n = len(data.validation)
+    correct_left, correct_right = (
+        round(acc * n) for acc in evaluate_accuracy(net, vx, data.validation.labels)
+    )
     meter.observe(left)
     power_left = measure_mean(meter, lambda: left.forward(vx), cfg.n_measures).mean_watts
     meter.observe(right)
     power_right = measure_mean(meter, lambda: right.forward(vx), cfg.n_measures).mean_watts
-    measured = Outcome(
-        acc_left, acc_right, power_left, power_right, report.epochs_run, report.final_loss, False
-    )
-    fault = measured.fault()
+    measured = Outcome(correct_left, correct_right, power_left, power_right, report.final_loss)
+    fault = measured.fault(n)
     if fault is not None:
         raise MeasurementError(f"individual {ind.id}: {fault}")
-    return evaluation_record(ind, measured, grammar, cfg)
+    return measured
 
 
 class _RunState:
@@ -389,18 +407,18 @@ def _generation(
     state: _RunState,
     cfg: EvolutionConfig,
     grammar: Grammar,
-    evaluate: Callable[[int, _Jobs], list[EvaluationRecord]],
+    evaluate: Callable[[int, _Jobs], tuple[list[Outcome], list[EvaluationRecord]]],
     probe: Callable[[int, _Probes], list[float]],
-) -> tuple[_Jobs, list[EvaluationRecord], list[float]]:
+) -> tuple[_Jobs, list[Outcome], list[float]]:
     """Run generation ``state.generation + 1`` of ``state``.
 
     The jobs come from the keyed streams: the initial individuals, or
     the parent's mutants.  ``evaluate(g, jobs)`` scores them in slot
-    order, and ``probe(g, probes)`` gives the watts of the members'
-    modules that no earlier generation probed.  A live run trains,
-    meters and probes there; a resumed run answers from its journal, so
-    both take the same steps.  Returns the jobs, their records and the
-    probes' watts.
+    order, giving their outcomes and records, and ``probe(g, probes)``
+    gives the watts of the members' modules that no earlier generation
+    probed.  A live run trains, meters and probes there; a resumed run
+    answers from its journal, so both take the same steps.  Returns the
+    jobs, their outcomes and the probes' watts.
     """
     g = state.generation + 1
     jobs: _Jobs = []
@@ -445,7 +463,7 @@ def _generation(
             child.train_budget = min(child.train_budget, cfg.max_train_budget)
             jobs.append((slot, child))
 
-    records = evaluate(g, jobs)
+    outcomes, records = evaluate(g, jobs)
     state.evaluations += len(jobs)
     members = {0: parent}
     for (slot, ind), record in zip(jobs, records):
@@ -470,23 +488,25 @@ def _generation(
 
     logged = [m.record for m in state.members]
     state.logs.append(GenerationLog(g, logged, best_slot(logged)))
-    return jobs, records, probe_watts
+    return jobs, outcomes, probe_watts
 
 
 def _live_sources(
     run: int, cfg: EvolutionConfig, grammar: Grammar, data: TaskData, meter: Meter | None
 ):
     """The ``evaluate`` and ``probe`` of a live run: each job is trained,
-    scored and metered start to finish, in slot order, then each unseen
-    module is probed."""
+    scored, metered and given its fitness start to finish, in slot
+    order, then each unseen module is probed."""
 
-    def evaluate(g: int, jobs: _Jobs) -> list[EvaluationRecord]:
-        records = []
+    def evaluate(g: int, jobs: _Jobs) -> tuple[list[Outcome], list[EvaluationRecord]]:
+        outcomes, records = [], []
         for slot, ind in jobs:
             key = (cfg.seed, run, g, slot)
             m = _meter_for(meter, cfg, (*key, _METER))
-            records.append(evaluate_individual(ind, grammar, data, m, cfg, _stream(*key, _EVAL)))
-        return records
+            outcome = measure_individual(ind, grammar, data, m, cfg, _stream(*key, _EVAL))
+            outcomes.append(outcome)
+            records.append(evaluation_record(ind, outcome, grammar, cfg, len(data.validation)))
+        return outcomes, records
 
     def probe(g: int, probes: _Probes) -> list[float]:
         return [
@@ -566,12 +586,12 @@ def _append_rows_csv(path: Path, rows: list[dict]) -> None:
         _write_rows(fh, rows)
 
 
-@dataclass
-class _JournalLine:
-    """One finished generation, as appended to ``journal.jsonl`` (version 7).
+class _JournalLine(NamedTuple):
+    """One finished generation, as appended to ``journal.jsonl`` (version 8)
+    in the JSON list ``[generation, outcomes, probe_watts, genotypes]``.
 
     ``outcomes`` holds one :class:`Outcome` per evaluated job, in slot
-    order, written as a JSON list of its 7 values, and ``probe_watts``
+    order, written as a JSON list of its 5 values, and ``probe_watts``
     the raw watts of the generation's probes, in probe order: what a
     replay cannot recompute.  ``genotypes`` is a digest of the evaluated
     individuals, which a replay regenerates.
@@ -597,25 +617,24 @@ def _journal_path(out: Path) -> Path:
     return out / "checkpoints" / "journal.jsonl"
 
 
-def _start_files(out: Path, fingerprint: str, run: int) -> None:
+def _start_files(out: Path, fingerprint: str, run: int, validation: int) -> None:
     """Replace the run's journal and CSV with empty ones."""
     journal = _journal_path(out)
     journal.parent.mkdir(parents=True, exist_ok=True)
-    header = {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint, "run": run}
+    header = {"version": CHECKPOINT_VERSION, "fingerprint": fingerprint, "run": run,
+              "validation": validation}
     journal.write_text(json.dumps(header, separators=_COMPACT) + "\n")
     write_rows_csv(out / "generations.csv", [])
 
 
 def _finish_generation(
-    state: _RunState, out: Path, jobs: _Jobs, records: list[EvaluationRecord],
-    probe_watts: list[float],
+    state: _RunState, out: Path, jobs: _Jobs, outcomes: list[Outcome], probe_watts: list[float]
 ) -> None:
     """Append the generation to the journal, then its rows to the CSV."""
     log = state.logs[-1]
-    outcomes = [record.outcome() for record in records]
     line = _JournalLine(log.generation, outcomes, probe_watts, _genotypes_digest(jobs))
     with open(_journal_path(out), "a") as fh:
-        fh.write(json.dumps(vars(line), separators=_COMPACT) + "\n")
+        fh.write(json.dumps(line, separators=_COMPACT) + "\n")
     _append_rows_csv(out / "generations.csv", _log_rows(state.run, [log]))
 
 
@@ -626,22 +645,24 @@ def _parse_line(path: Path, number: int, raw: bytes):
         raise CheckpointError(f"unreadable checkpoint {path} line {number}: {exc}")
 
 
-def _check_outcomes(line: _JournalLine, where: str) -> None:
+def _check_outcomes(line: _JournalLine, where: str, validation: int) -> None:
     """Refuse a row no evaluation can produce, as a live run would refuse
     its measurement (:meth:`Outcome.fault`)."""
     for i, outcome in enumerate(line.outcomes):
-        fault = outcome.fault()
+        fault = outcome.fault(validation)
         if fault is not None:
             raise CheckpointError(f"{where}: in outcomes[{i}].{fault}")
 
 
-def _replay_sources(line: _JournalLine, where: str, grammar: Grammar, cfg: EvolutionConfig):
-    """The ``evaluate`` and ``probe`` of a replayed generation: records
-    built from the line's outcomes and its watts, once the regenerated
-    jobs match its digest and count and the probes its watts.  ``where``
-    names the line."""
+def _replay_sources(
+    line: _JournalLine, where: str, grammar: Grammar, cfg: EvolutionConfig, validation: int
+):
+    """The ``evaluate`` and ``probe`` of a replayed generation: the line's
+    outcomes, the records built from them and its watts, once the
+    regenerated jobs match its digest and count and the probes its
+    watts.  ``where`` names the line."""
 
-    def evaluate(g: int, jobs: _Jobs) -> list[EvaluationRecord]:
+    def evaluate(g: int, jobs: _Jobs) -> tuple[list[Outcome], list[EvaluationRecord]]:
         digest = _genotypes_digest(jobs)
         if digest != line.genotypes:
             raise CheckpointError(
@@ -652,8 +673,8 @@ def _replay_sources(line: _JournalLine, where: str, grammar: Grammar, cfg: Evolu
             raise CheckpointError(
                 f"{where}: in outcomes: {len(line.outcomes)} rows for {len(jobs)} evaluations"
             )
-        return [
-            evaluation_record(ind, outcome, grammar, cfg)
+        return line.outcomes, [
+            evaluation_record(ind, outcome, grammar, cfg, validation)
             for (_, ind), outcome in zip(jobs, line.outcomes)
         ]
 
@@ -675,7 +696,8 @@ def _replay_sources(line: _JournalLine, where: str, grammar: Grammar, cfg: Evolu
 
 
 def _load_journal(
-    path: Path, fingerprint: str, run: int, cfg: EvolutionConfig, grammar: Grammar
+    path: Path, fingerprint: str, run: int, cfg: EvolutionConfig, grammar: Grammar,
+    validation: int,
 ) -> _RunState | None:
     """Replay a run's journal; None when it holds no finished generation.
 
@@ -684,7 +706,9 @@ def _load_journal(
     through :func:`_generation`, the code of a live run, with the line's
     outcomes and watts standing in for training and probing.  Replay
     stops after generation ``cfg.generations``; later lines stay in the
-    file for a longer run to reuse.
+    file for a longer run to reuse.  The header names the validation
+    size its counts are out of, which must be ``validation``, the
+    current data's.
     """
     try:
         data = path.read_bytes()
@@ -712,6 +736,14 @@ def _load_journal(
         raise CheckpointError(
             f"checkpoint {path} belongs to run {header.get('run')!r:.60}, expected {run}"
         )
+    size = header.get("validation")
+    if type(size) is not int or size < 1:
+        raise CheckpointError(f"checkpoint {path} names no validation size: {size!r:.60}")
+    if size != validation:
+        raise CheckpointError(
+            f"checkpoint {path} counts answers out of {size} validation samples, "
+            f"the current data holds {validation}"
+        )
     state = _RunState(run, cfg)
     for number, raw in enumerate(lines[1:], 2):
         if state.generation == cfg.generations:
@@ -723,8 +755,8 @@ def _load_journal(
             raise CheckpointError(f"{where}: {exc}")
         if line.generation != state.generation + 1:
             raise CheckpointError(f"{where}: not generation {state.generation + 1}")
-        _check_outcomes(line, where)
-        _generation(state, cfg, grammar, *_replay_sources(line, where, grammar, cfg))
+        _check_outcomes(line, where, validation)
+        _generation(state, cfg, grammar, *_replay_sources(line, where, grammar, cfg, validation))
     return state if state.logs else None
 
 
@@ -760,22 +792,25 @@ def run_es(
     cfg.validate()
     data.validate()
     fingerprint = cfg.fingerprint()
+    validation = len(data.validation)
     out = Path(out_dir) if out_dir is not None else None
 
     state = None
     if out is not None and resume:
-        state = _load_journal(_journal_path(out), fingerprint, run_index, cfg, grammar)
+        state = _load_journal(
+            _journal_path(out), fingerprint, run_index, cfg, grammar, validation
+        )
     if state is not None:
         write_rows_csv(out / "generations.csv", _log_rows(run_index, state.logs))
     else:
         if out is not None:
-            _start_files(out, fingerprint, run_index)
+            _start_files(out, fingerprint, run_index, validation)
         state = _RunState(run_index, cfg)
     evaluate, probe = _live_sources(run_index, cfg, grammar, data, meter)
     while state.generation < cfg.generations:
-        outcome = _generation(state, cfg, grammar, evaluate, probe)
+        finished = _generation(state, cfg, grammar, evaluate, probe)
         if out is not None:
-            _finish_generation(state, out, *outcome)
+            _finish_generation(state, out, *finished)
 
     best = select_parent(state.members)
     result = RunResult(

@@ -24,6 +24,11 @@ alternative produced it, and block values are recorded under the block
 name.  A strict walk rejects any gene it cannot use; a resample walk
 draws such genes afresh, which both derives new sentences and repairs
 edited ones.
+
+The ``act`` attribute names a hidden layer's activation, so a grammar
+that can fill it with anything but a name in :data:`HIDDEN_ACTIVATIONS`
+is refused when it is parsed: an ``act:`` literal or a bare terminal of
+a rule ``<act>`` naming another activation, or a block ``[act,...]``.
 """
 
 from __future__ import annotations
@@ -37,6 +42,8 @@ from .errors import DerivationError, GrammarError, InvalidGenotypeError
 
 DYNAMIC_BOUND_TOKEN = "x"
 DEFAULT_DEPTH_CAP = 50
+# the activations a hidden dense layer of evopower.network computes
+HIDDEN_ACTIVATIONS = ("relu", "sigmoid")
 
 
 @dataclass(frozen=True)
@@ -216,8 +223,9 @@ def parse_grammar(text: str) -> Grammar:
 
     Raises :class:`GrammarError` (with a line number where possible) on
     syntax errors, duplicate rule names, references to undefined
-    nonterminals, conflicting redefinitions of a block name, or more than
-    one rule containing the dynamic bound token.
+    nonterminals, conflicting redefinitions of a block name, more than
+    one rule containing the dynamic bound token, or an ``act`` attribute
+    that names no hidden activation.
     """
     rules: dict[str, list[list[Symbol]]] = {}
     rule_lines: dict[str, int] = {}
@@ -255,7 +263,23 @@ def _validate(grammar: Grammar, rule_lines: dict[str, int]) -> None:
                     raise GrammarError(
                         f"undefined nonterminal <{sym.name}>", rule_lines.get(name)
                     )
+                if isinstance(sym, str):
+                    # the attribute the terminal fills, as derive() files it
+                    key, value = sym.split(":", 1) if ":" in sym else (name, sym)
+                    if key == "act" and value not in HIDDEN_ACTIVATIONS:
+                        label = sym if ":" in sym else f"{sym} in <act>"
+                        raise GrammarError(
+                            f"{label} names no hidden activation; "
+                            f"use one of {', '.join(HIDDEN_ACTIVATIONS)}",
+                            rule_lines.get(name),
+                        )
                 if isinstance(sym, TerminalBlock):
+                    if sym.name == "act":
+                        raise GrammarError(
+                            "block [act] would name an activation by numbers; use one of "
+                            f"{', '.join(HIDDEN_ACTIVATIONS)}",
+                            rule_lines.get(name),
+                        )
                     prev = blocks.get(sym.name)
                     if prev is not None and prev != sym:
                         raise GrammarError(

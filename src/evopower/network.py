@@ -54,6 +54,7 @@ import numpy as np
 
 from .errors import DataError, EvaluationError, TrainingDivergedError
 from .genome import LayerSpec, PhenotypeSpec
+from .grammar import HIDDEN_ACTIVATIONS
 
 PROB_FLOOR = 1e-12
 DTYPE = np.float32
@@ -82,7 +83,7 @@ def _softmax(z):
 
 class _Dense:
     def __init__(self, w: np.ndarray, b: np.ndarray, activation: str):
-        if activation not in ("relu", "sigmoid", "softmax"):
+        if activation not in (*HIDDEN_ACTIVATIONS, "softmax"):
             raise ValueError(f"unsupported activation {activation!r}")
         self.w = w
         self.b = b

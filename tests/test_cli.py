@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tempfile
+from importlib import resources
 from pathlib import Path
 
 import pytest
@@ -106,6 +107,17 @@ def test_undecodable_config_and_grammar_files_exit_with_config_errors(tmp_path, 
     cfg = write_cfg(tmp_path, [f"genome.grammar = {grammar}"])
     assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "b")]) == 2
     assert "cannot read grammar file" in capsys.readouterr().err
+
+
+def test_evolve_refuses_a_grammar_with_an_activation_no_layer_computes(tmp_path, capsys):
+    dense_only = resources.files("evopower") / "grammars" / "dense_only.grammar"
+    grammar = tmp_path / "tanh.grammar"
+    grammar.write_text(dense_only.read_text().replace("act:relu | act:sigmoid",
+                                                      "act:relu | act:tanh"))
+    cfg = write_cfg(tmp_path, [f"genome.grammar = {grammar}"])
+    assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert "act:tanh names no hidden activation" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_evolve_reruns_byte_identical(tmp_path, capsys):

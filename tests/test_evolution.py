@@ -23,7 +23,8 @@ from evopower.evolution import (
     Member,
     TaskData,
     best_slot,
-    evaluate_individual,
+    evaluation_record,
+    measure_individual,
     mode_config,
     read_rows,
     run_es,
@@ -75,6 +76,12 @@ def zero_rates(**overrides):
 
 def rec(individual=0, fitness=1.0, power=50.0):
     return EvaluationRecord(individual, fitness, 0.8, 0.7, power, 40.0, 2, 0, 2.0)
+
+
+def evaluate_individual(ind, meter, cfg, rng):
+    """``ind``'s measured outcome on DATA and the record a live run builds from it."""
+    outcome = measure_individual(ind, GRAMMAR, DATA, meter, cfg, rng)
+    return outcome, evaluation_record(ind, outcome, GRAMMAR, cfg, len(DATA.validation))
 
 
 def test_config_round_trip_and_validation():
@@ -131,11 +138,12 @@ def test_evaluate_individual_deterministic_and_consistent():
     cfg = tiny_config()
     ind = init_individual(GRAMMAR, cfg.genome, np.random.default_rng(3), id=0,
                           train_budget=2.0)
-    r1 = evaluate_individual(ind, GRAMMAR, DATA, AnalyticMeter(cfg.meter), cfg,
-                             np.random.default_rng(7))
-    r2 = evaluate_individual(ind, GRAMMAR, DATA, AnalyticMeter(cfg.meter), cfg,
-                             np.random.default_rng(7))
-    assert r1 == r2
+    o1, r1 = evaluate_individual(ind, AnalyticMeter(cfg.meter), cfg, np.random.default_rng(7))
+    o2, r2 = evaluate_individual(ind, AnalyticMeter(cfg.meter), cfg, np.random.default_rng(7))
+    assert r1 == r2 and o1 == o2
+    assert type(o1.correct_left) is type(o1.correct_right) is int
+    n = len(DATA.validation)
+    assert (r1.acc_left, r1.acc_right) == (o1.correct_left / n, o1.correct_right / n)
     assert not r1.diverged
     assert 0.0 <= r1.acc_left <= 1.0 and 0.0 <= r1.acc_right <= 1.0
     assert 30.0 <= r1.power_right_w <= r1.power_left_w <= 100.0
@@ -146,7 +154,7 @@ def test_power_metered_on_validation_inference_only():
     cfg = tiny_config()
     meter = ScriptedMeter([(5000.0, 0.5)], cycle=True)
     ind = init_individual(GRAMMAR, cfg.genome, np.random.default_rng(3))
-    record = evaluate_individual(ind, GRAMMAR, DATA, meter, cfg, np.random.default_rng(7))
+    _, record = evaluate_individual(ind, meter, cfg, np.random.default_rng(7))
     # two partitions, n_measures windows each; training touched no meter
     assert meter.start_count == 2 * cfg.n_measures
     assert record.power_left_w == 10.0
@@ -196,9 +204,10 @@ def test_divergence_maps_to_worst_fitness(monkeypatch):
     monkeypatch.setattr(evo, "train", explode)
     cfg = tiny_config()
     ind = init_individual(GRAMMAR, cfg.genome, np.random.default_rng(3))
-    record = evaluate_individual(ind, GRAMMAR, DATA, AnalyticMeter(cfg.meter), cfg,
-                                 np.random.default_rng(7))
-    assert record.diverged
+    outcome, record = evaluate_individual(ind, AnalyticMeter(cfg.meter), cfg,
+                                          np.random.default_rng(7))
+    assert json.dumps(outcome) == "[0, 0, 0.0, 0.0, NaN]"
+    assert record.diverged and record.epochs_run == 0
     assert record.fitness == WORST_FITNESS
     assert record.acc_left == 0.0 and record.power_left_w == 0.0
     assert record.fitness_consistent(cfg.fitness)
@@ -244,8 +253,8 @@ def test_zero_rates_keep_population_constant(tmp_path, monkeypatch):
     import evopower.evolution as evo
 
     evaluated = []
-    plain = evo.evaluate_individual
-    monkeypatch.setattr(evo, "evaluate_individual",
+    plain = evo.measure_individual
+    monkeypatch.setattr(evo, "measure_individual",
                         lambda ind, *args: evaluated.append(ind) or plain(ind, *args))
     cfg = tiny_config(runs=1, generations=3, rates=zero_rates())
     result = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r0")
@@ -258,7 +267,7 @@ def test_zero_rates_keep_population_constant(tmp_path, monkeypatch):
     later = {ind.genotype_key() for ind in evaluated[cfg.population_size:]}
     assert later == {result.best.genotype_key()}
     lines = journal_lines(tmp_path / "r0")
-    assert [len(line["outcomes"]) for line in lines[2:]] == [cfg.offspring] * cfg.generations
+    assert [len(line[1]) for line in lines[2:]] == [cfg.offspring] * cfg.generations
 
 
 def test_byte_identical_reruns(tmp_path):
@@ -471,7 +480,7 @@ def test_resume_after_an_interruption_at_every_generation(tmp_path, monkeypatch,
         resumed = run_es(cfg, GRAMMAR, DATA, out_dir=out)
         assert (out / "generations.csv").read_bytes() == expected
         assert journal.read_text().endswith("\n")
-        assert [line.get("generation") for line in journal_lines(out)[1:]] == [0, 1, 2, 3]
+        assert [line[0] for line in journal_lines(out)[1:]] == [0, 1, 2, 3]
         assert log_digest(resumed) == log_digest(full)
         assert archive_digest(resumed) == archive_digest(full)
         assert (resumed.evaluations, resumed.parent_retrains) == (full.evaluations,
@@ -488,7 +497,7 @@ def test_checkpoint_corruption_and_mismatches(tmp_path):
     with pytest.raises(CheckpointError, match="unreadable checkpoint"):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
 
-    journal.write_text("".join(lines[:2]) + '{"generation": 1}\n')
+    journal.write_text("".join(lines[:2]) + '[1]\n')
     with pytest.raises(CheckpointError, match="malformed checkpoint"):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
 
@@ -547,15 +556,8 @@ def test_resuming_a_finished_run_trains_probes_and_meters_nothing(tmp_path, monk
     assert (tmp_path / "generations.csv").read_bytes() == csv_bytes
 
 
-@pytest.mark.parametrize("damage, message", [
-    (lambda line: line.update(probe_watts=[math.nan, *line["probe_watts"][1:]]),
-     r"in probe_watts\[0\] \(member 0, module 0\): power must be finite"),
-    (lambda line: line.update(probe_watts=[math.inf, *line["probe_watts"][1:]]),
-     r"in probe_watts\[0\] \(member 0, module 0\): power must be finite"),
-    (lambda line: line.update(probe_watts=[-1.0, *line["probe_watts"][1:]]),
-     r"in probe_watts\[0\] \(member 0, module 0\): power must be finite"),
-])
-def test_journal_archive_insert_that_is_unusable_is_a_checkpoint_error(tmp_path, damage, message):
+@pytest.mark.parametrize("watts", [math.nan, math.inf, -1.0])
+def test_journal_archive_insert_that_is_unusable_is_a_checkpoint_error(tmp_path, watts):
     # resume rebuilds the archive from the regenerated members' modules and
     # the journaled watts; a NaN power would poison every roulette draw
     cfg = tiny_config(runs=1, generations=2, seed=5)
@@ -563,69 +565,83 @@ def test_journal_archive_insert_that_is_unusable_is_a_checkpoint_error(tmp_path,
     journal = tmp_path / "r" / "checkpoints" / "journal.jsonl"
     lines = journal.read_text().splitlines(keepends=True)
     first = json.loads(lines[1])
-    assert first["probe_watts"]
-    damage(first)
+    assert first[2]
+    first[2][0] = watts
+    message = r"in probe_watts\[0\] \(member 0, module 0\): power must be finite"
     journal.write_text(lines[0] + json.dumps(first) + "\n" + "".join(lines[2:]))
     with pytest.raises(CheckpointError, match=r"journal\.jsonl line 2: " + message):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path / "r")
 
 
-def test_journal_lines_are_the_asdict_serialization(tmp_path):
-    # a line holds only outcomes: one 7-value row per evaluation, a
+def test_journal_lines_are_the_positional_serialization(tmp_path):
+    # a line holds only outcomes: one 5-value row per evaluation, a
     # rejected retrain's included, the probes' watts and a genotype digest
     import evopower.evolution as evo
 
     cfg = mode_config(tiny_config(runs=1, generations=4, seed=10,
                                   meter=AnalyticMeterConfig(noise_sigma=2.0)), "proposed")
     result = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
-    written = (tmp_path / "checkpoints" / "journal.jsonl").read_text().splitlines()[1:]
+    header, *written = (tmp_path / "checkpoints" / "journal.jsonl").read_text().splitlines()
+    n = len(DATA.validation)
+    assert header == json.dumps({"version": 8, "fingerprint": cfg.fingerprint(), "run": 0,
+                                 "validation": n}, separators=(",", ":"))
     raw = [json.loads(text) for text in written]
     lines = [load_typed(evo._JournalLine, doc) for doc in raw]
     for text, doc, line in zip(written, raw, lines):
-        assert list(doc) == ["generation", "outcomes", "probe_watts", "genotypes"]
-        assert all(len(row) == 7 for row in doc["outcomes"])
-        assert text == json.dumps(vars(line), separators=(",", ":"))
+        assert len(doc) == 4
+        # the counts are ints; an accuracy k / n is never written
+        assert all(len(row) == 5 and type(row[0]) is type(row[1]) is int for row in doc[1])
+        assert text == json.dumps(line, separators=(",", ":"))
     assert [line.generation for line in lines] == list(range(cfg.generations + 1))
     assert sum(len(line.outcomes) for line in lines) == result.evaluations
     retrains = sum(len(line.outcomes) > cfg.offspring for line in lines[1:])
     assert retrains == result.parent_retrains > 0
-    # every logged record is the outcome of a journaled row
-    rows = {json.dumps(row) for doc in raw for row in doc["outcomes"]}
-    assert all(json.dumps(rec.outcome()) in rows for log in result.logs for rec in log.records)
+    # every logged record is built from a journaled row, its accuracies
+    # the row's counts over the validation size
+    def measured(row):
+        return json.dumps([row[0] / n, row[1] / n, *row[2:]])
+
+    def recorded(rec):
+        return json.dumps([rec.acc_left, rec.acc_right, rec.power_left_w, rec.power_right_w,
+                           rec.final_loss])
+
+    rows = {measured(row) for doc in raw for row in doc[1]}
+    assert all(recorded(rec) in rows for log in result.logs for rec in log.records)
     # a rejected retrain is journaled, though the log keeps the parent's record
     assert any(len(line.outcomes) > cfg.offspring
-               and line.outcomes[0] != log.records[0].outcome()
+               and measured(line.outcomes[0]) != recorded(log.records[0])
                for line, log in zip(lines[1:], result.logs[1:]))
     assert sum(len(line.probe_watts) for line in lines) > 0
 
 
+# a generation line is [generation, outcomes, probe_watts, genotypes]
 def _null_record(lines):
-    lines[1]["outcomes"][2] = None
-    return r"line 2: _JournalLine\.outcomes\[2\]: expected a list of 7 values, got None"
+    lines[1][1][2] = None
+    return r"line 2: _JournalLine\.outcomes\[2\]: expected a list of 5 values, got None"
 
 
 def _extra_record(lines):
-    lines[1]["outcomes"].append(lines[1]["outcomes"][0])
+    lines[1][1].append(lines[1][1][0])
     return r"line 2: in outcomes: 5 rows for 4 evaluations"
 
 
 def _missing_record(lines):
-    lines[2]["outcomes"].pop()
+    lines[2][1].pop()
     return r"line 3: in outcomes: \d rows for \d evaluations"
 
 
 def _other_genotypes(lines):
-    lines[2]["genotypes"] = "0" * 16
+    lines[2][3] = "0" * 16
     return r"line 3: in genotypes: '0{16}' is not the digest [0-9a-f]{16}"
 
 
 def _extra_probe_watts(lines):
-    lines[1]["probe_watts"].append(1.0)
+    lines[1][2].append(1.0)
     return r"line 2: in probe_watts: \d+ values for \d+ unprobed modules"
 
 
 def _missing_probe_watts(lines):
-    lines[1]["probe_watts"].pop()
+    lines[1][2].pop()
     return r"line 2: in probe_watts: \d+ values for \d+ unprobed modules"
 
 
@@ -635,7 +651,7 @@ def journal(tmp_path_factory):
     out = tmp_path_factory.mktemp("journal")
     run_es(cfg, GRAMMAR, DATA, out_dir=out)
     lines = journal_lines(out)
-    assert lines[0]["version"] == 7 and lines[1]["probe_watts"]
+    assert lines[0]["version"] == 8 and lines[0]["validation"] == 18 and lines[1][2]
     return cfg, lines
 
 
@@ -658,37 +674,28 @@ def _set(field, value):
     return damage
 
 
-def _diverged(*values):
-    # a divergence journals zeros and a nan loss; any other diverged row
-    # would be replayed into the logs, the CSV and best.json
-    def damage(row):
-        row[:] = [*values, True]
-    return damage
-
-
-_NOT_A_DIVERGENCE = r"in outcomes\[1\]\.diverged: a diverged outcome holds zeros and a nan loss"
+_NOT_A_DIVERGENCE = r"in outcomes\[1\]\.final_loss: a nan loss marks a divergence, which holds zeros"
 
 
 @pytest.mark.parametrize("damage, message", [
     pytest.param(lambda row: row.pop(),
-                 r"outcomes\[1\]: expected a list of 7 values", id="short_row"),
+                 r"outcomes\[1\]: expected a list of 5 values", id="short_row"),
     pytest.param(lambda row: row.append(0.0),
-                 r"outcomes\[1\]: expected a list of 7 values", id="long_row"),
-    pytest.param(_set(0, "0.5"),
-                 r"outcomes\[1\]\.acc_left: expected <class 'float'>", id="acc_as_text"),
-    pytest.param(_set(4, 1.0),
-                 r"outcomes\[1\]\.epochs_run: expected <class 'int'>", id="epochs_as_float"),
-    pytest.param(_set(6, 0),
-                 r"outcomes\[1\]\.diverged: expected <class 'bool'>", id="diverged_as_int"),
+                 r"outcomes\[1\]: expected a list of 5 values", id="long_row"),
+    pytest.param(_set(0, 3.0),
+                 r"outcomes\[1\]\.correct_left: expected <class 'int'>", id="count_as_float"),
+    pytest.param(_set(1, True),
+                 r"outcomes\[1\]\.correct_right: expected <class 'int'>", id="count_as_bool"),
+    pytest.param(_set(0, "3"),
+                 r"outcomes\[1\]\.correct_left: expected <class 'int'>", id="count_as_text"),
     pytest.param(_set(3, None),
                  r"outcomes\[1\]\.power_right_w: expected <class 'float'>", id="null_power"),
-    pytest.param(_set(0, 1.5),
-                 r"in outcomes\[1\]\.acc_left: accuracy must be in \[0, 1\], got 1\.5",
-                 id="acc_above_1"),
-    pytest.param(_set(1, -0.25),
-                 r"in outcomes\[1\]\.acc_right: accuracy must be in \[0, 1\]", id="acc_below_0"),
-    pytest.param(_set(1, math.nan),
-                 r"in outcomes\[1\]\.acc_right: accuracy must be in \[0, 1\]", id="acc_nan"),
+    pytest.param(_set(0, 19),
+                 r"in outcomes\[1\]\.correct_left: count must be in \[0, 18\], got 19",
+                 id="count_above_n"),
+    pytest.param(_set(1, -1),
+                 r"in outcomes\[1\]\.correct_right: count must be in \[0, 18\], got -1",
+                 id="count_below_0"),
     pytest.param(_set(2, 0.0),
                  r"in outcomes\[1\]\.power_left_w: power must be finite and > 0, got 0\.0",
                  id="power_zero"),
@@ -699,24 +706,27 @@ _NOT_A_DIVERGENCE = r"in outcomes\[1\]\.diverged: a diverged outcome holds zeros
                  r"in outcomes\[1\]\.power_right_w: power must be finite and > 0", id="power_inf"),
     pytest.param(_set(3, math.nan),
                  r"in outcomes\[1\]\.power_right_w: power must be finite and > 0", id="power_nan"),
-    pytest.param(_diverged(5.0, -1.0, math.inf, math.nan, 99, 0.0),
-                 _NOT_A_DIVERGENCE, id="diverged_with_measurements"),
-    pytest.param(_diverged(0.5, 0.0, 0.0, 0.0, 0, math.nan),
-                 _NOT_A_DIVERGENCE, id="diverged_with_accuracy"),
-    pytest.param(_diverged(0.0, 0.0, 0.0, 12.0, 0, math.nan),
-                 _NOT_A_DIVERGENCE, id="diverged_with_power"),
-    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 3, math.nan),
-                 _NOT_A_DIVERGENCE, id="diverged_with_epochs"),
-    pytest.param(_diverged(0.0, 0.0, 0.0, 0.0, 0, 0.25),
-                 _NOT_A_DIVERGENCE, id="diverged_with_loss"),
+    pytest.param(_set(4, math.inf),
+                 r"in outcomes\[1\]\.final_loss: loss must be finite, or nan for a divergence",
+                 id="loss_inf"),
+    pytest.param(_set(4, -math.inf),
+                 r"in outcomes\[1\]\.final_loss: loss must be finite, or nan for a divergence",
+                 id="loss_minus_inf"),
+    # a nan loss marks a divergence, which journals zeros; any other row
+    # with one would be replayed into the logs, the CSV and best.json
+    pytest.param(_set(4, math.nan), _NOT_A_DIVERGENCE, id="nan_loss_with_measurements"),
+    pytest.param(lambda row: row.__setitem__(slice(None), [0, 3, 0.0, 0.0, math.nan]),
+                 _NOT_A_DIVERGENCE, id="nan_loss_with_a_count"),
+    pytest.param(lambda row: row.__setitem__(slice(None), [0, 0, 0.0, 12.0, math.nan]),
+                 _NOT_A_DIVERGENCE, id="nan_loss_with_a_power"),
 ])
 def test_journal_rows_no_evaluation_makes_are_checkpoint_errors(tmp_path, journal, damage,
                                                                   message):
     # refused before the fitness, which raises ValueError on a power <= 0
     cfg, lines = journal
     lines = copy.deepcopy(lines)
-    assert not lines[3]["outcomes"][1][6]
-    damage(lines[3]["outcomes"][1])
+    assert not math.isnan(lines[3][1][1][4])
+    damage(lines[3][1][1])
     write_journal(tmp_path, lines)
     with pytest.raises(CheckpointError, match=r"journal\.jsonl line 4: .*" + message):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
@@ -728,12 +738,16 @@ def test_a_diverged_row_is_replayed_at_the_worst_fitness(tmp_path, journal):
     cfg, lines = journal
     write_journal(tmp_path, lines)
     intact = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path).logs[-1].records[-1]
+    # a finished training ran its whole epoch budget
+    assert not intact.diverged and intact.epochs_run == round(intact.train_budget_epochs) >= 1
     lines = copy.deepcopy(lines)
-    lines[-1]["outcomes"][-1] = [0.0, 0.0, 0.0, 0.0, 0, math.nan, True]
+    lines[-1][1][-1] = [0, 0, 0.0, 0.0, math.nan]
     write_journal(tmp_path, lines)
     record = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path).logs[-1].records[-1]
     assert record.diverged and record.fitness == WORST_FITNESS
-    assert record.outcome()[:5] == (0.0, 0.0, 0.0, 0.0, 0)
+    assert (record.acc_left, record.acc_right, record.power_left_w, record.power_right_w,
+            record.epochs_run) == (0.0, 0.0, 0.0, 0.0, 0)
+    assert math.isnan(record.final_loss)
     for name in ("individual", "hidden_layers", "middle_point", "train_budget_epochs"):
         assert getattr(record, name) == getattr(intact, name)
 
@@ -770,28 +784,75 @@ def test_journal_header_that_is_not_an_object_is_a_checkpoint_error(tmp_path, he
 
 def earlier_journal_body(version, cfg, lines):
     """The generation lines of a version-``version`` journal."""
+    generation, outcomes, probe_watts, genotypes = lines[1]
     if version == 5:
         # version 5 stored a 13-key record per evaluation
         record = dataclasses.asdict(rec())
         return [{"generation": 0, "records": [record] * cfg.population_size,
-                 "probe_watts": lines[1]["probe_watts"], "genotypes": lines[1]["genotypes"]}]
-    if version == 6:
-        # version 6 rows held 8 values, the evaluation's wall time before diverged
-        return [{**lines[1], "outcomes": [[*row[:6], 0.25, row[6]] for row in lines[1]["outcomes"]]}]
+                 "probe_watts": probe_watts, "genotypes": genotypes}]
+    if version in (6, 7):
+        # version 7 lines had four keys, and their rows held 7 values: the
+        # accuracies, the powers, the epochs run, the loss and diverged;
+        # version 6 rows also held the evaluation's wall time before diverged
+        n = lines[0]["validation"]
+        rows = [[left / n, right / n, power_left, power_right, 2, loss, False]
+                for left, right, power_left, power_right, loss in outcomes]
+        if version == 6:
+            rows = [[*row[:6], 0.25, row[6]] for row in rows]
+        return [{"generation": generation, "outcomes": rows, "probe_watts": probe_watts,
+                 "genotypes": genotypes}]
     return []  # versions 3 and 4 (which stored genotypes) are refused on the header alone
 
 
-@pytest.mark.parametrize("version", [3, 4, 5, 6])
+@pytest.mark.parametrize("version", [3, 4, 5, 6, 7])
 def test_earlier_version_journal_is_refused(tmp_path, journal, version):
     cfg, lines = journal
-    write_journal(tmp_path, [{**lines[0], "version": version},
+    header = {key: value for key, value in lines[0].items() if key != "validation"}
+    write_journal(tmp_path, [{**header, "version": version},
                              *earlier_journal_body(version, cfg, lines)])
     with pytest.raises(CheckpointError, match=f"unsupported checkpoint version {version}"):
         run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
     # a fresh start replaces it
     fresh = run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path, resume=False)
-    assert journal_lines(tmp_path)[0]["version"] == 7
+    assert journal_lines(tmp_path)[0]["version"] == 8
     assert len(fresh.logs) == cfg.generations + 1
+
+
+@pytest.mark.parametrize("damage, message", [
+    pytest.param(lambda header: header.pop("validation"),
+                 r"names no validation size: None", id="no_validation"),
+    pytest.param(lambda header: header.update(validation=18.0),
+                 r"names no validation size: 18\.0", id="float_validation"),
+    pytest.param(lambda header: header.update(validation=0),
+                 r"names no validation size: 0", id="zero_validation"),
+    pytest.param(lambda header: header.update(validation=19),
+                 r"counts answers out of 19 validation samples, the current data holds 18",
+                 id="other_validation"),
+])
+def test_journal_header_must_name_the_validation_size_of_the_data(tmp_path, journal, damage,
+                                                            message):
+    # each row's counts are out of the header's size, which replay divides by
+    cfg, lines = journal
+    lines = copy.deepcopy(lines)
+    damage(lines[0])
+    write_journal(tmp_path, lines)
+    with pytest.raises(CheckpointError, match=r"journal\.jsonl " + message):
+        run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+
+
+def test_resuming_over_data_of_another_validation_size_is_refused(tmp_path):
+    # the fingerprint covers the configuration, not the data
+    cfg = tiny_config(runs=1, generations=1, seed=5)
+    run_es(cfg, GRAMMAR, DATA, out_dir=tmp_path)
+    ds = synthetic_dataset(classes=3, samples_per_class=30, dimensions=6, separation=3.0, seed=1)
+    other = TaskData(*split(ds, SplitSpec((0.5, 0.3, 0.2), seed=0)))
+    assert (len(DATA.validation), len(other.validation)) == (18, 27)
+    with pytest.raises(CheckpointError,
+                       match="counts answers out of 18 validation samples, the current data holds 27"):
+        run_es(cfg, GRAMMAR, other, out_dir=tmp_path)
+    fresh = run_es(cfg, GRAMMAR, other, out_dir=tmp_path, resume=False)
+    assert journal_lines(tmp_path)[0]["validation"] == 27
+    assert run_es(cfg, GRAMMAR, other, out_dir=tmp_path).best_record == fresh.best_record
 
 
 def test_mode_config_gating():

@@ -94,6 +94,35 @@ def test_parse_rejects_two_dynamic_rules():
         parse_grammar(text)
 
 
+@pytest.mark.parametrize("activation", ["tanh", "softmax", "", "Relu"])
+def test_parse_rejects_an_activation_no_hidden_layer_computes(activation):
+    # softmax builds and then fails in training, tanh is not built at all
+    def grammar(second):
+        return ("<layer> ::= layer:dense [units,int,1,4,8] <activation>\n"
+                f"<activation> ::= act:relu | act:{second}\n")
+
+    with pytest.raises(GrammarError, match=f"line 2: act:{activation} names no hidden activation"):
+        parse_grammar(grammar(activation))
+    parse_grammar(grammar("sigmoid"))
+
+    # a bare terminal of a rule <act> fills the activation too
+    def bare(second):
+        return ("<layer> ::= layer:dense [units,int,1,4,8] <act>\n"
+                f"<act> ::= relu | {second}\n")
+
+    if activation:
+        with pytest.raises(GrammarError,
+                           match=f"line 2: {activation} in <act> names no hidden activation"):
+            parse_grammar(bare(activation))
+    g = parse_grammar(bare("sigmoid"))
+    assert derive(g, "layer", GeneList({"layer": [0], "act": [1]}, {"units": [[4]]}))[1] == {
+        "layer": ["dense"], "units": [4], "act": ["sigmoid"]
+    }
+    # and a block [act] would fill it with numbers
+    with pytest.raises(GrammarError, match=r"line 1: block \[act\] would name an activation"):
+        parse_grammar("<layer> ::= layer:dense [units,int,1,4,8] [act,int,1,0,1]\n")
+
+
 def test_parse_rejects_empty_text():
     with pytest.raises(GrammarError):
         parse_grammar("   \n# only a comment\n")

@@ -49,6 +49,10 @@ CFG = EvolutionConfig(
     seed=3,
     genome=GenomeConfig(min_layers=2, max_layers=3, init_layers_min=2, init_layers_max=3),
 )
+DATA = TaskData(*split(
+    synthetic_dataset(classes=3, samples_per_class=20, dimensions=5, separation=3.0, seed=1),
+    SplitSpec((0.6, 0.2, 0.2), seed=0),
+))
 
 # unbounded draws rarely reach the ints a float cannot hold, so add some
 INTEGERS = st.integers() | st.sampled_from([2**64, 10**400, -(10**400)])
@@ -64,11 +68,9 @@ JSON = st.recursive(
 def experiment() -> tuple[bytes, bytes, str]:
     """Journal and best_genotype.json bytes of one small proposed-mode
     experiment, plus its mode-adjusted fingerprint."""
-    ds = synthetic_dataset(classes=3, samples_per_class=20, dimensions=5, separation=3.0, seed=1)
-    data = TaskData(*split(ds, SplitSpec((0.6, 0.2, 0.2), seed=0)))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        result = run_experiment(CFG, "proposed", GRAMMAR, data, out)
+        result = run_experiment(CFG, "proposed", GRAMMAR, DATA, out)
         assert len(result.runs[0].archive) > 0  # the journal records inserts
         journal = (out / "run_0" / "checkpoints" / "journal.jsonl").read_bytes()
         genotype = (out / "best_genotype.json").read_bytes()
@@ -133,7 +135,7 @@ def test_journal_loader_raises_only_checkpoint_error(data):
         path = Path(tmp) / "journal.jsonl"
         path.write_bytes(payload)
         try:
-            state = _load_journal(path, fingerprint, 0, CFG, GRAMMAR)
+            state = _load_journal(path, fingerprint, 0, CFG, GRAMMAR, len(DATA.validation))
         except CheckpointError:
             return
     # whatever loads can feed reuse_module: every archived module decodes
@@ -161,7 +163,7 @@ def test_undamaged_inputs_load():
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "journal.jsonl"
         path.write_bytes(journal)
-        state = _load_journal(path, fingerprint, 0, CFG, GRAMMAR)
+        state = _load_journal(path, fingerprint, 0, CFG, GRAMMAR, len(DATA.validation))
         path.write_bytes(genotype)
         ind = _read_genotype(path)
     assert state.generation == CFG.generations

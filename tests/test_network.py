@@ -3,6 +3,8 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from evopower import network
 from evopower.errors import EvaluationError, TrainingDivergedError
@@ -182,6 +184,24 @@ def test_unsplit_accuracy_equals_partition_accuracies():
         acc_right, none_right = evaluate_accuracy(right, x, y)
         assert none_left is None and none_right is None
         assert evaluate_accuracy(net, x, y) == (acc_left, acc_right)
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(1, 20_000), data=st.data())
+def test_accuracy_is_the_exact_fraction_of_correct_answers(n, data):
+    # a journal row keeps each head's count of correct answers, and replay
+    # divides it by the validation size: the live score must be that quotient
+    k = data.draw(st.integers(0, n), label="k")
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    net = build(dense_spec([4, 4]), input_dim=3, class_count=3, rng=rng)
+    x = rng.normal(size=(n, 3)).astype(np.float32)
+    main, aux = net.forward(x)
+    pred = main.argmax(axis=1)
+    right = rng.permutation(n) < k  # k right answers, at random places
+    y = np.where(right, pred, (pred + 1) % 3)
+    acc_main, acc_aux = evaluate_accuracy(net, x, y)
+    assert acc_main == k / n
+    assert acc_aux == np.count_nonzero(aux.argmax(axis=1) == y) / n
 
 
 def test_accuracy_rejects_empty_data():

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataError, EnumerationCapError
-from .evolution import read_rows
+from .evolution import rank, read_rows
 
 ENUMERATION_CAP = 200_000
 
@@ -250,32 +250,25 @@ def load_experiment_rows(experiment_dir) -> list[dict]:
     return rows
 
 
-def _better(row, other) -> bool:
-    key_a = (-row["fitness"], row["power_left_w"], row["individual"])
-    key_b = (-other["fitness"], other["power_left_w"], other["individual"])
-    return key_a < key_b
-
-
 def best_per_run_generation(rows: list[dict]) -> dict[tuple[int, int], dict]:
-    best: dict[tuple[int, int], dict] = {}
+    """The rank-minimal row of each (run, generation), as the engine's
+    ``best_slot`` picks it."""
+    groups: dict[tuple[int, int], list[dict]] = {}
     for row in rows:
-        key = (row["run"], row["generation"])
-        if key not in best or _better(row, best[key]):
-            best[key] = row
-    return best
+        groups.setdefault((row["run"], row["generation"]), []).append(row)
+    return {
+        key: min(group, key=lambda r: rank(r["fitness"], r["power_left_w"], r["individual"]))
+        for key, group in groups.items()
+    }
 
 
 def final_best_per_run(rows: list[dict]) -> dict[int, dict]:
     """Best individual of each run's last generation."""
     best = best_per_run_generation(rows)
-    out: dict[int, dict] = {}
-    last = {}
+    last: dict[int, int] = {}
     for run, generation in best:
         last[run] = max(last.get(run, -1), generation)
-    for (run, generation), row in best.items():
-        if generation == last[run]:
-            out[run] = row
-    return out
+    return {run: row for (run, generation), row in best.items() if generation == last[run]}
 
 
 def mean_best_series(rows: list[dict]) -> list[dict]:
@@ -320,16 +313,12 @@ def experiment_groups(baseline_rows: list[dict], proposed_rows: list[dict]) -> d
 
 
 def _write_csv(path, header: list[str], rows: list[list]) -> None:
+    """csv writes a float cell as its repr, so each one must be a Python
+    float: an np.float64 would read ``np.float64(...)``."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def _format(value) -> str:
-    if isinstance(value, float):
-        return repr(float(value))
-    return str(value)
 
 
 def _mw_mode(a: SampleGroup, b: SampleGroup) -> str:
@@ -357,18 +346,16 @@ def analyze_experiments(baseline_dir, proposed_dir, out_dir) -> list[Path]:
         baseline_label = metric_groups[0].label
         for row in summarize(metric_groups, baseline_label):
             summary_rows.append(
-                [metric, row.label, _format(row.mean), _format(row.sd),
-                 _format(row.median), _format(row.diff_to_baseline_median)]
+                [metric, row.label, row.mean, row.sd, row.median, row.diff_to_baseline_median]
             )
         kw = kruskal_wallis(metric_groups)
-        omnibus_rows.append([metric, _format(kw.statistic), _format(kw.p_value), kw.method])
+        omnibus_rows.append([metric, kw.statistic, kw.p_value, kw.method])
         pairs = list(combinations(metric_groups, 2))
         raw = [mann_whitney_u(x, y, mode=_mw_mode(x, y)) for x, y in pairs]
         adjusted = bonferroni([r.p_value for r in raw], len(pairs))
         for (x, y), result, adj in zip(pairs, raw, adjusted):
             pairwise_rows.append(
-                [metric, x.label, y.label, _format(result.statistic),
-                 _format(result.p_value), _format(adj), result.method]
+                [metric, x.label, y.label, result.statistic, result.p_value, adj, result.method]
             )
 
     path = out / "summary.csv"
@@ -386,6 +373,6 @@ def analyze_experiments(baseline_dir, proposed_dir, out_dir) -> list[Path]:
     for name, rows in (("baseline", baseline_rows), ("proposed", proposed_rows)):
         series = mean_best_series(rows)
         path = out / f"mean_best_{name}.csv"
-        _write_csv(path, list(series[0]), [[_format(v) for v in s.values()] for s in series])
+        _write_csv(path, list(series[0]), [list(s.values()) for s in series])
         written.append(path)
     return written

@@ -81,6 +81,11 @@ def _stream(*parts) -> np.random.Generator:
     return np.random.default_rng([int(p) for p in parts])
 
 
+def _eval_stream(cfg: EvolutionConfig, run: int, generation: int, slot: int) -> np.random.Generator:
+    """The stream that builds and trains evaluation (run, generation, slot)'s network."""
+    return _stream(cfg.seed, run, generation, slot, _EVAL)
+
+
 @dataclass
 class EvolutionConfig:
     """Everything a run needs besides the grammar, data and meter."""
@@ -265,13 +270,17 @@ class GenerationLog:
         return self.records[self.best_slot]
 
 
+def rank(fitness: float, power_left_w: float, *ids: int) -> tuple:
+    """The sort key of every ranking of results, lowest first: higher
+    fitness, then lower left power, then the ids in order."""
+    return (-fitness, power_left_w, *ids)
+
+
 def best_slot(records: list[EvaluationRecord]) -> int:
-    """Highest fitness; ties go to lower left power, then lower id."""
-    if not records:
-        raise ValueError("empty record list")
+    """The slot of the rank-minimal record; ValueError when there is none."""
     return min(
         range(len(records)),
-        key=lambda i: (-records[i].fitness, records[i].power_left_w, records[i].individual),
+        key=lambda i: rank(records[i].fitness, records[i].power_left_w, records[i].individual),
     )
 
 
@@ -385,8 +394,9 @@ def measure_individual(
 
 
 class _RunState:
-    def __init__(self, run: int, cfg: EvolutionConfig):
+    def __init__(self, run: int, cfg: EvolutionConfig, validation: int):
         self.run = run
+        self.validation = validation  # the samples each record's counts are out of
         self.members: list[Member] = []
         self.archive = ModuleArchive(capacity=cfg.archive_capacity)
         self.probed: set[tuple] = set()  # genotype keys of the probed modules
@@ -407,18 +417,18 @@ def _generation(
     state: _RunState,
     cfg: EvolutionConfig,
     grammar: Grammar,
-    evaluate: Callable[[int, _Jobs], tuple[list[Outcome], list[EvaluationRecord]]],
+    evaluate: Callable[[int, _Jobs], list[Outcome]],
     probe: Callable[[int, _Probes], list[float]],
 ) -> tuple[_Jobs, list[Outcome], list[float]]:
     """Run generation ``state.generation + 1`` of ``state``.
 
     The jobs come from the keyed streams: the initial individuals, or
     the parent's mutants.  ``evaluate(g, jobs)`` scores them in slot
-    order, giving their outcomes and records, and ``probe(g, probes)``
-    gives the watts of the members' modules that no earlier generation
-    probed.  A live run trains, meters and probes there; a resumed run
-    answers from its journal, so both take the same steps.  Returns the
-    jobs, their outcomes and the probes' watts.
+    order, giving their outcomes, which become their records here, and
+    ``probe(g, probes)`` gives the watts of the members' modules that no
+    earlier generation probed.  A live run trains, meters and probes
+    there; a resumed run answers from its journal, so both take the same
+    steps.  Returns the jobs, their outcomes and the probes' watts.
     """
     g = state.generation + 1
     jobs: _Jobs = []
@@ -463,10 +473,11 @@ def _generation(
             child.train_budget = min(child.train_budget, cfg.max_train_budget)
             jobs.append((slot, child))
 
-    outcomes, records = evaluate(g, jobs)
+    outcomes = evaluate(g, jobs)
     state.evaluations += len(jobs)
     members = {0: parent}
-    for (slot, ind), record in zip(jobs, records):
+    for (slot, ind), outcome in zip(jobs, outcomes):
+        record = evaluation_record(ind, outcome, grammar, cfg, state.validation)
         if slot > 0 or parent is None or record.fitness >= parent.record.fitness:
             members[slot] = Member(ind, record, (g, slot))
     state.members = [members[slot] for slot in range(cfg.population_size)]
@@ -495,18 +506,17 @@ def _live_sources(
     run: int, cfg: EvolutionConfig, grammar: Grammar, data: TaskData, meter: Meter | None
 ):
     """The ``evaluate`` and ``probe`` of a live run: each job is trained,
-    scored, metered and given its fitness start to finish, in slot
-    order, then each unseen module is probed."""
+    scored and metered start to finish, in slot order, then each unseen
+    module is probed."""
 
-    def evaluate(g: int, jobs: _Jobs) -> tuple[list[Outcome], list[EvaluationRecord]]:
-        outcomes, records = [], []
-        for slot, ind in jobs:
-            key = (cfg.seed, run, g, slot)
-            m = _meter_for(meter, cfg, (*key, _METER))
-            outcome = measure_individual(ind, grammar, data, m, cfg, _stream(*key, _EVAL))
-            outcomes.append(outcome)
-            records.append(evaluation_record(ind, outcome, grammar, cfg, len(data.validation)))
-        return outcomes, records
+    def evaluate(g: int, jobs: _Jobs) -> list[Outcome]:
+        return [
+            measure_individual(
+                ind, grammar, data, _meter_for(meter, cfg, (cfg.seed, run, g, slot, _METER)),
+                cfg, _eval_stream(cfg, run, g, slot),
+            )
+            for slot, ind in jobs
+        ]
 
     def probe(g: int, probes: _Probes) -> list[float]:
         return [
@@ -654,15 +664,12 @@ def _check_outcomes(line: _JournalLine, where: str, validation: int) -> None:
             raise CheckpointError(f"{where}: in outcomes[{i}].{fault}")
 
 
-def _replay_sources(
-    line: _JournalLine, where: str, grammar: Grammar, cfg: EvolutionConfig, validation: int
-):
+def _replay_sources(line: _JournalLine, where: str):
     """The ``evaluate`` and ``probe`` of a replayed generation: the line's
-    outcomes, the records built from them and its watts, once the
-    regenerated jobs match its digest and count and the probes its
-    watts.  ``where`` names the line."""
+    outcomes and watts, once the regenerated jobs match its digest and
+    count and the probes its watts.  ``where`` names the line."""
 
-    def evaluate(g: int, jobs: _Jobs) -> tuple[list[Outcome], list[EvaluationRecord]]:
+    def evaluate(g: int, jobs: _Jobs) -> list[Outcome]:
         digest = _genotypes_digest(jobs)
         if digest != line.genotypes:
             raise CheckpointError(
@@ -673,10 +680,7 @@ def _replay_sources(
             raise CheckpointError(
                 f"{where}: in outcomes: {len(line.outcomes)} rows for {len(jobs)} evaluations"
             )
-        return line.outcomes, [
-            evaluation_record(ind, outcome, grammar, cfg, validation)
-            for (_, ind), outcome in zip(jobs, line.outcomes)
-        ]
+        return line.outcomes
 
     def probe(g: int, probes: _Probes) -> list[float]:
         if len(line.probe_watts) != len(probes):
@@ -744,7 +748,7 @@ def _load_journal(
             f"checkpoint {path} counts answers out of {size} validation samples, "
             f"the current data holds {validation}"
         )
-    state = _RunState(run, cfg)
+    state = _RunState(run, cfg, validation)
     for number, raw in enumerate(lines[1:], 2):
         if state.generation == cfg.generations:
             break
@@ -756,7 +760,7 @@ def _load_journal(
         if line.generation != state.generation + 1:
             raise CheckpointError(f"{where}: not generation {state.generation + 1}")
         _check_outcomes(line, where, validation)
-        _generation(state, cfg, grammar, *_replay_sources(line, where, grammar, cfg, validation))
+        _generation(state, cfg, grammar, *_replay_sources(line, where))
     return state if state.logs else None
 
 
@@ -805,7 +809,7 @@ def run_es(
     else:
         if out is not None:
             _start_files(out, fingerprint, run_index, validation)
-        state = _RunState(run_index, cfg)
+        state = _RunState(run_index, cfg, validation)
     evaluate, probe = _live_sources(run_index, cfg, grammar, data, meter)
     while state.generation < cfg.generations:
         finished = _generation(state, cfg, grammar, evaluate, probe)
@@ -813,24 +817,19 @@ def run_es(
             _finish_generation(state, out, *finished)
 
     best = select_parent(state.members)
-    result = RunResult(
-        run_index,
-        state.logs,
-        best.individual,
-        best.record,
-        (run_index,) + tuple(best.eval_key),
-        state.evaluations,
-        state.parent_retrains,
-        state.archive,
-    )
     if out is not None:
-        payload = {
-            "run": run_index,
-            "individual": genotype_payload(best.individual),
-            "record": asdict(best.record),
-        }
-        (out / "best.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return result
+        _write_best(out / "best.json", run_index, best.individual, best.record)
+    return RunResult(run_index, state.logs, best.individual, best.record,
+                     (run_index, *best.eval_key), state.evaluations, state.parent_retrains,
+                     state.archive)
+
+
+def _write_best(path: Path, run: int, individual: Individual, record: EvaluationRecord,
+                **extra) -> None:
+    """``best.json`` or ``best_genotype.json``: a best individual and its record."""
+    payload = {**extra, "run": run, "individual": genotype_payload(individual),
+               "record": asdict(record)}
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def mode_config(cfg: EvolutionConfig, mode: str) -> EvolutionConfig:
@@ -878,46 +877,24 @@ def run_experiment(
     snapshot = {"mode": mode, "config": asdict(adjusted)}
     (out / "config.json").write_text(json.dumps(snapshot, indent=2, sort_keys=True) + "\n")
 
-    results = []
-    for r in range(adjusted.runs):
-        results.append(
-            run_es(
-                adjusted,
-                grammar,
-                data,
-                meter=meter,
-                out_dir=out / f"run_{r}",
-                run_index=r,
-                resume=resume,
-            )
-        )
+    results = [
+        run_es(adjusted, grammar, data, meter=meter, out_dir=out / f"run_{r}", run_index=r,
+               resume=resume)
+        for r in range(adjusted.runs)
+    ]
     rows = [row for res in results for row in _log_rows(res.run, res.logs)]
     aggregate = out / "aggregate.csv"
     write_rows_csv(aggregate, rows)
 
-    winner = min(
-        results,
-        key=lambda res: (
-            -res.best_record.fitness,
-            res.best_record.power_left_w,
-            res.run,
-            res.best_record.individual,
-        ),
-    )
-    payload = {
-        "mode": mode,
-        "run": winner.run,
-        "individual": genotype_payload(winner.best),
-        "record": asdict(winner.best_record),
-    }
-    (out / "best_genotype.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    winner = min(results, key=lambda res: rank(
+        res.best_record.fitness, res.best_record.power_left_w, res.run, res.best_record.individual
+    ))
+    _write_best(out / "best_genotype.json", winner.run, winner.best, winner.best_record, mode=mode)
     if not winner.best_record.diverged:
-        run_i, gen, slot = winner.best_eval_key
-        # on one BLAS thread, like the evaluation it repeats
+        # on one BLAS thread and its stream, like the evaluation it repeats
         with one_blas_thread():
             net, report = _train_network(
-                winner.best, grammar, data, adjusted,
-                _stream(adjusted.seed, run_i, gen, slot, _EVAL),
+                winner.best, grammar, data, adjusted, _eval_stream(adjusted, *winner.best_eval_key)
             )
         if report is not None:
             save_weights(net, out / "best_weights.bin")

@@ -39,7 +39,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, InvalidGenotypeError
+from .errors import ConfigError, GrammarError, InvalidGenotypeError
 from .grammar import GeneList, Grammar, derive
 
 LAYER_SYMBOL = "layer"
@@ -223,13 +223,29 @@ class PhenotypeSpec:
     batch_size: int
 
 
+def _layer_attr(attrs: dict[str, list], kind: str, name: str, parse=str):
+    """The first ``name`` value of a ``layer:<kind>`` derivation, through
+    ``parse``; a grammar that derives none, or one ``parse`` refuses, is
+    a GrammarError."""
+    if not attrs.get(name):
+        raise GrammarError(f"a layer:{kind} derivation sets no {name}")
+    try:
+        return parse(attrs[name][0])
+    except ValueError:
+        raise GrammarError(
+            f"a layer:{kind} derivation sets {name} to {attrs[name][0]!r}, "
+            f"which does not parse as {parse.__name__}"
+        ) from None
+
+
 def _decode_layer(grammar: Grammar, genes: GeneList) -> LayerSpec:
     attrs = derive(grammar, LAYER_SYMBOL, genes)[1]
     kind = attrs.get("layer", [None])[0]
     if kind == "dense":
-        return LayerSpec("dense", units=int(attrs["units"][0]), activation=attrs["act"][0])
+        return LayerSpec("dense", units=_layer_attr(attrs, kind, "units", int),
+                         activation=_layer_attr(attrs, kind, "act"))
     if kind == "dropout":
-        return LayerSpec("dropout", rate=float(attrs["rate"][0]))
+        return LayerSpec("dropout", rate=_layer_attr(attrs, kind, "rate", float))
     raise InvalidGenotypeError(
         f"<{LAYER_SYMBOL}> derivation must tag a known layer:<kind>, got {kind!r}"
     )

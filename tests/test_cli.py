@@ -120,6 +120,22 @@ def test_evolve_refuses_a_grammar_with_an_activation_no_layer_computes(tmp_path,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("layer:dense [units,int,1,16,256] <activation>", "layer:dense [units,int,1,16,256]",
+     "a layer:dense derivation sets no act"),
+    ("layer:dense [units,int,1,16,256]", "layer:dense units:many",
+     "sets units to 'many', which does not parse as int"),
+], ids=["no-act", "units-not-a-number"])
+def test_evolve_refuses_a_grammar_whose_dense_layer_misses_an_attribute(tmp_path, capsys, old,
+                                                                        new, message):
+    dense_only = resources.files("evopower") / "grammars" / "dense_only.grammar"
+    grammar = tmp_path / "broken.grammar"
+    grammar.write_text(dense_only.read_text().replace(old, new))
+    cfg = write_cfg(tmp_path, [f"genome.grammar = {grammar}"])
+    assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+
+
 def test_evolve_reruns_byte_identical(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0

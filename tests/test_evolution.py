@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import json
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import weakref
 import numpy as np
 import pytest
 
-from evopower.analysis import load_experiment_rows
+from evopower.analysis import best_per_run_generation, final_best_per_run, load_experiment_rows
 from evopower.config import AppConfig
 from evopower.data import SplitSpec, split, synthetic_dataset
 from evopower.errors import (
@@ -26,6 +27,7 @@ from evopower.evolution import (
     evaluation_record,
     measure_individual,
     mode_config,
+    rank,
     read_rows,
     run_es,
     run_experiment,
@@ -35,7 +37,7 @@ from evopower.fitness import WORST_FITNESS, FitnessConfig, evaluate_fitness
 from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, init_individual, load_typed
 from evopower.grammar import load_packaged_grammar
 from evopower.mutation import MutationRates
-from evopower.network import DTYPE, Network, build, load_weights, train
+from evopower.network import DTYPE, Network, build, load_weights, save_weights, train
 from evopower.power import AnalyticMeter, AnalyticMeterConfig, ScriptedMeter
 
 GRAMMAR = load_packaged_grammar("dense_only")
@@ -121,6 +123,24 @@ def test_best_slot_and_select_parent():
     assert select_parent(population) is population[1]
     with pytest.raises(ValueError):
         best_slot([])
+
+
+def test_rank_orders_fitness_then_left_power_then_ids():
+    assert rank(2.0, 90.0, 9) < rank(1.0, 10.0, 0)
+    assert rank(1.0, 10.0, 9) < rank(1.0, 20.0, 0)
+    assert rank(1.0, 10.0, 0, 9) < rank(1.0, 10.0, 1, 0)  # run before individual
+    assert rank(1.0, 10.0, 1, 0) < rank(1.0, 10.0, 1, 2)
+
+
+@pytest.mark.parametrize("order", itertools.permutations(range(4)))
+def test_best_slot_and_analyze_break_ties_alike(order):
+    # two ties on fitness and left power, one broken by power, one by id
+    pool = [rec(7, 1.5, power=60.0), rec(3, 1.5, power=60.0), rec(1, 1.5, power=70.0),
+            rec(0, 1.4, power=10.0)]
+    records = [pool[i] for i in order]
+    rows = [{"run": 0, "generation": 0, **dataclasses.asdict(r)} for r in records]
+    picked = best_per_run_generation(rows)[(0, 0)]["individual"]
+    assert records[best_slot(records)].individual == picked == 3
 
 
 def journal_lines(run_dir):
@@ -953,3 +973,58 @@ def test_run_experiment_layout_and_winner(tmp_path):
     assert len(arrays) == 2 * result.best_record.hidden_layers + 4
     assert arrays[0].shape[0] == DATA.input_dim
     assert all(len(run.archive) >= 1 for run in result.runs)
+
+
+def test_three_run_experiment_reports_each_runs_best_and_the_rank_minimal_winner(
+    tmp_path, monkeypatch
+):
+    import evopower.evolution as evo
+
+    trained = []  # the weight dump of every network trained, evaluations then the retrain
+    plain = evo._train_network
+
+    def dumping(ind, *args):
+        net, report = plain(ind, *args)
+        path = tmp_path / f"net_{len(trained)}.bin"
+        save_weights(net, path)
+        trained.append(path.read_bytes())
+        return net, report
+
+    monkeypatch.setattr(evo, "_train_network", dumping)
+    out = tmp_path / "exp"
+    result = run_experiment(tiny_config(runs=3, generations=2), "proposed", GRAMMAR, DATA, out)
+
+    finals = final_best_per_run(read_rows(out / "aggregate.csv"))
+    assert sorted(finals) == [0, 1, 2]
+    for res in result.runs:
+        row = finals[res.run]
+        assert (row["individual"], row["fitness"], row["power_left_w"]) == (
+            res.best_record.individual, res.best_record.fitness, res.best_record.power_left_w)
+
+    keys = {res.run: rank(res.best_record.fitness, res.best_record.power_left_w, res.run,
+                          res.best_record.individual) for res in result.runs}
+    winner = min(keys, key=keys.get)
+    assert json.loads((out / "best_genotype.json").read_text())["run"] == winner
+    # the retrain repeats the winner's evaluation, so its dump is one of theirs
+    assert len(trained) == sum(res.evaluations for res in result.runs) + 1
+    assert trained[-1] == (out / "best_weights.bin").read_bytes()
+    assert trained[-1] in trained[:-1]
+
+
+def test_experiment_winner_ties_go_to_the_lower_run(tmp_path, monkeypatch):
+    import evopower.evolution as evo
+
+    plain = evo.run_es
+
+    def same_run(cfg, grammar, data, meter=None, out_dir=None, run_index=0, resume=True):
+        # every run repeats run 0, so all bests tie on fitness and left
+        # power; the later runs get the lower ids, which rank after the run
+        res = plain(cfg, grammar, data, meter, out_dir, 0, resume)
+        best = dataclasses.replace(res.best_record, individual=cfg.runs - run_index)
+        return dataclasses.replace(res, run=run_index, best_record=best)
+
+    monkeypatch.setattr(evo, "run_es", same_run)
+    result = run_experiment(tiny_config(runs=3, generations=1), "proposed", GRAMMAR, DATA,
+                            tmp_path)
+    assert result.best_run == 0
+    assert json.loads((tmp_path / "best_genotype.json").read_text())["run"] == 0

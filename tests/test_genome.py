@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from evopower.errors import ConfigError, InvalidGenotypeError
+from evopower.errors import ConfigError, GrammarError, InvalidGenotypeError
 from evopower.genome import (
     GenomeConfig,
     Individual,
@@ -88,6 +88,20 @@ def test_init_fails_on_dense_free_grammar():
     g = parse_grammar("<layer> ::= layer:dropout [rate,float,1,0.1,0.5]\n")
     with pytest.raises(ConfigError, match="dense"):
         init_individual(g, GenomeConfig(), np.random.default_rng(0))
+
+
+@pytest.mark.parametrize("layer, message", [
+    ("layer:dense act:relu", "a layer:dense derivation sets no units"),
+    ("layer:dense units:8", "a layer:dense derivation sets no act"),
+    ("layer:dense units:8.5 act:relu", "sets units to '8.5', which does not parse as int"),
+    ("layer:dropout", "a layer:dropout derivation sets no rate"),
+    ("layer:dropout rate:half", "sets rate to 'half', which does not parse as float"),
+])
+def test_a_layer_missing_an_attribute_is_a_grammar_error(layer, message):
+    g = parse_grammar(f"<layer> ::= {layer}\n")
+    ind = make_individual([GeneList({"layer": [0]})])
+    with pytest.raises(GrammarError, match=message):
+        count_hidden_layers(ind, g)
 
 
 def test_count_hidden_layers():

@@ -236,18 +236,23 @@ def summarize(groups: list[SampleGroup], baseline_label: str) -> list[SummaryRow
 
 
 def load_experiment_rows(experiment_dir) -> list[dict]:
-    """All rows of an experiment: aggregate.csv, else the per-run files."""
+    """All rows of an experiment: aggregate.csv, else the per-run files
+    in the order of their integer run index, as the aggregate holds them."""
     root = Path(experiment_dir)
     aggregate = root / "aggregate.csv"
     if aggregate.exists():
         return read_rows(aggregate)
-    run_files = sorted(root.glob("run_*/generations.csv"))
+
+    def run_index(path: Path) -> int:
+        suffix = path.parent.name.removeprefix("run_")
+        if not (suffix.isascii() and suffix.isdigit()):
+            raise DataError(f"{path.parent}: run directory suffix {suffix!r} is not an integer")
+        return int(suffix)
+
+    run_files = sorted(root.glob("run_*/generations.csv"), key=run_index)
     if not run_files:
         raise DataError(f"{root}: no aggregate.csv and no run_*/generations.csv")
-    rows = []
-    for path in run_files:
-        rows.extend(read_rows(path))
-    return rows
+    return [row for path in run_files for row in read_rows(path)]
 
 
 def best_per_run_generation(rows: list[dict]) -> dict[tuple[int, int], dict]:

@@ -6,17 +6,13 @@ for the training hyperparameters and ``middle_point``, the index of the
 hidden layer where the auxiliary output attaches.  :class:`GenomeConfig`
 holds the five scalars the config file names: the module count of a
 fresh individual, and one pair of layer bounds and one initial range
-that every module shares.  Decoding relies on a small convention the
-grammar must follow; ``LAYER_SYMBOL``, ``MACRO_SYMBOL`` and
-``MIDDLE_POINT_SYMBOL`` name its three symbols:
-
-* every ``<layer>`` alternative tags itself with a ``layer:<kind>``
-  literal (``dense`` or ``dropout``);
-* dense layers provide ``units`` and ``act`` attributes, dropout layers
-  provide ``rate``;
-* the macro symbol (``learning``) provides ``lr`` and ``batch``;
-* ``<middle_point>`` draws the split point from its dynamic block, whose
-  upper limit is passed to :func:`~evopower.grammar.derive` as ``bound``.
+that every module shares.  Decoding reads the attributes that the
+grammar contract (:data:`~evopower.grammar.ATTRIBUTES`, tabulated in
+the README's "Grammar files") guarantees for every grammar that
+:func:`~evopower.grammar.parse_grammar` loads, so it checks none of
+them.  ``<middle_point>`` draws the split point from its dynamic
+block, whose upper limit is passed to
+:func:`~evopower.grammar.derive` as ``bound``.
 
 Hidden layers are counted over dense layers only; dropout attaches to its
 preceding dense layer and never hosts the auxiliary output.  Every
@@ -39,12 +35,9 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ConfigError, GrammarError, InvalidGenotypeError
-from .grammar import GeneList, Grammar, derive
+from .errors import ConfigError, InvalidGenotypeError
+from .grammar import LAYER_SYMBOL, MACRO_SYMBOL, MIDDLE_POINT_SYMBOL, GeneList, Grammar, derive
 
-LAYER_SYMBOL = "layer"
-MACRO_SYMBOL = "learning"
-MIDDLE_POINT_SYMBOL = "middle_point"
 MIN_HIDDEN_LAYERS = 2
 _INIT_TRIES = 200
 GENOTYPE_VERSION = 2
@@ -223,32 +216,11 @@ class PhenotypeSpec:
     batch_size: int
 
 
-def _layer_attr(attrs: dict[str, list], kind: str, name: str, parse=str):
-    """The first ``name`` value of a ``layer:<kind>`` derivation, through
-    ``parse``; a grammar that derives none, or one ``parse`` refuses, is
-    a GrammarError."""
-    if not attrs.get(name):
-        raise GrammarError(f"a layer:{kind} derivation sets no {name}")
-    try:
-        return parse(attrs[name][0])
-    except ValueError:
-        raise GrammarError(
-            f"a layer:{kind} derivation sets {name} to {attrs[name][0]!r}, "
-            f"which does not parse as {parse.__name__}"
-        ) from None
-
-
 def _decode_layer(grammar: Grammar, genes: GeneList) -> LayerSpec:
     attrs = derive(grammar, LAYER_SYMBOL, genes)[1]
-    kind = attrs.get("layer", [None])[0]
-    if kind == "dense":
-        return LayerSpec("dense", units=_layer_attr(attrs, kind, "units", int),
-                         activation=_layer_attr(attrs, kind, "act"))
-    if kind == "dropout":
-        return LayerSpec("dropout", rate=_layer_attr(attrs, kind, "rate", float))
-    raise InvalidGenotypeError(
-        f"<{LAYER_SYMBOL}> derivation must tag a known layer:<kind>, got {kind!r}"
-    )
+    if attrs["layer"][0] == "dense":
+        return LayerSpec("dense", units=int(attrs["units"][0]), activation=attrs["act"][0])
+    return LayerSpec("dropout", rate=float(attrs["rate"][0]))
 
 
 def module_layer_specs(module: ModuleGene, grammar: Grammar) -> list[LayerSpec]:
@@ -340,15 +312,8 @@ def to_phenotype(ind: Individual, grammar: Grammar) -> PhenotypeSpec:
             f"middle_point {aux} outside [0, {dense - MIN_HIDDEN_LAYERS}] for {dense} dense layers"
         )
 
-    macro_attrs: dict[str, list] = {}
-    for symbol, genes in ind.macro.genes.items():
-        macro_attrs.update(derive(grammar, symbol, genes)[1])
-    try:
-        lr = float(macro_attrs["lr"][0])
-        batch = int(macro_attrs["batch"][0])
-    except KeyError as missing:
-        raise InvalidGenotypeError(f"macro genes missing attribute {missing}") from None
-    return PhenotypeSpec(tuple(layers), aux, lr, batch)
+    macro = derive(grammar, MACRO_SYMBOL, ind.macro.genes.get(MACRO_SYMBOL, GeneList()))[1]
+    return PhenotypeSpec(tuple(layers), aux, float(macro["lr"][0]), int(macro["batch"][0]))
 
 
 def validate_module(module: ModuleGene, grammar: Grammar, genome: GenomeConfig) -> None:

@@ -25,16 +25,18 @@ name.  A strict walk rejects any gene it cannot use; a resample walk
 draws such genes afresh, which both derives new sentences and repairs
 edited ones.
 
-The ``act`` attribute names a hidden layer's activation, so a grammar
-that can fill it with anything but a name in :data:`HIDDEN_ACTIVATIONS`
-is refused when it is parsed: an ``act:`` literal or a bare terminal of
-a rule ``<act>`` naming another activation, or a block ``[act,...]``.
+:data:`ATTRIBUTES` and :data:`SETS` are the grammar contract: what each
+attribute the engine reads may hold, and what a derivation must set.
+:func:`parse_grammar` refuses a grammar that breaks it, so the
+derivations of a loaded grammar decode without further checks.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from importlib import resources
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,8 +44,36 @@ from .errors import DerivationError, GrammarError, InvalidGenotypeError
 
 DYNAMIC_BOUND_TOKEN = "x"
 DEFAULT_DEPTH_CAP = 50
-# the activations a hidden dense layer of evopower.network computes
-HIDDEN_ACTIVATIONS = ("relu", "sigmoid")
+LAYER_SYMBOL = "layer"
+MACRO_SYMBOL = "learning"
+MIDDLE_POINT_SYMBOL = "middle_point"
+
+
+class Attribute(NamedTuple):
+    """What an attribute may hold: one of ``names``, or a number ``parse`` reads in ``[lo, hi)``."""
+
+    parse: type = str
+    lo: float = -math.inf
+    hi: float = math.inf
+    names: tuple[str, ...] = ()
+    noun: str = ""  # what the names name, for messages
+
+
+# the grammar contract: what each attribute the engine reads may hold ...
+ATTRIBUTES = {
+    "layer": Attribute(names=("dense", "dropout"), noun="layer kind"),
+    "act": Attribute(names=("relu", "sigmoid"), noun="activation"),
+    "units": Attribute(int, lo=1),
+    "rate": Attribute(float, lo=0.0, hi=1.0),
+    "lr": Attribute(float),
+    "batch": Attribute(int),
+    "middle_point": Attribute(int, lo=0),
+}
+# ... and the attributes that every derivation of a rule, or of an
+# alternative that holds a layer:<kind> tag, sets
+SETS = {f"<{LAYER_SYMBOL}>": ("layer",), f"<{MACRO_SYMBOL}>": ("lr", "batch"),
+        f"<{MIDDLE_POINT_SYMBOL}>": ("middle_point",),
+        "layer:dense": ("units", "act"), "layer:dropout": ("rate",)}
 
 
 @dataclass(frozen=True)
@@ -168,6 +198,10 @@ def _parse_block(text: str, line_no: int) -> TerminalBlock:
         hi = _num(hi_s)
         if lo > hi:
             raise GrammarError(f"block bounds inverted: lo={lo} > hi={hi}", line_no)
+    # numpy draws ints within int64, and floats a finite distance apart
+    top = lo if hi == DYNAMIC_BOUND_TOKEN else hi
+    if not (-2**63 <= lo and top < 2**63 if kind == "int" else math.isfinite(top - lo)):
+        raise GrammarError(f"block [{name}] range [{lo_s}, {hi_s}] is beyond what numpy draws", line_no)
     return TerminalBlock(name, kind, count, lo, hi)
 
 
@@ -224,8 +258,8 @@ def parse_grammar(text: str) -> Grammar:
     Raises :class:`GrammarError` (with a line number where possible) on
     syntax errors, duplicate rule names, references to undefined
     nonterminals, conflicting redefinitions of a block name, more than
-    one rule containing the dynamic bound token, or an ``act`` attribute
-    that names no hidden activation.
+    one rule containing the dynamic bound token, or a grammar that breaks
+    the contract of :data:`ATTRIBUTES` and :data:`SETS`.
     """
     rules: dict[str, list[list[Symbol]]] = {}
     rule_lines: dict[str, int] = {}
@@ -253,33 +287,52 @@ def parse_grammar(text: str) -> Grammar:
     return grammar
 
 
+def _filled(sym: str | TerminalBlock, rule: str) -> tuple[str, str | None]:
+    """The attribute a terminal of ``rule`` fills, as derive() files it, and a literal's value."""
+    if isinstance(sym, TerminalBlock):
+        return sym.name, None
+    return tuple(sym.split(":", 1)) if ":" in sym else (rule, sym)
+
+
+def _check_terminal(sym: str | TerminalBlock, rule: str, line: int | None) -> str:
+    """The attribute a terminal fills; a GrammarError if it may not hold the terminal's values."""
+    key, value = _filled(sym, rule)
+    spec = ATTRIBUTES.get(key)
+    if spec is None or value in spec.names:
+        return key
+    label = f"block [{key}]" if value is None else sym if ":" in sym else f"{sym} in <{rule}>"
+    if spec.names:
+        problem = (f"names no hidden {spec.noun}" if value is not None else
+                   f"would name {'an' if spec.noun[0] in 'aeiou' else 'a'} {spec.noun} by numbers")
+        raise GrammarError(f"{label} {problem}; use one of {', '.join(spec.names)}", line)
+    kind = spec.parse.__name__
+    if value is not None:
+        try:
+            ends = [spec.parse(value)]
+        except ValueError:
+            raise GrammarError(f"{label} sets {key} to {value!r}, which does not parse as {kind}", line) from None
+    elif sym.kind != kind:
+        raise GrammarError(f"{label} draws {sym.kind} values, but {key} is {kind}", line)
+    else:  # derive() checks a dynamic upper bound when it draws
+        ends = [sym.lo] if sym.dynamic else [sym.lo, sym.hi]
+    for end in ends:
+        if not spec.lo <= end < spec.hi:
+            raise GrammarError(f"{label} can set {key} to {end!r}, outside [{spec.lo}, {spec.hi})", line)
+    return key
+
+
 def _validate(grammar: Grammar, rule_lines: dict[str, int]) -> None:
     blocks: dict[str, TerminalBlock] = {}
     dynamic_rules: set[str] = set()
+    everything = {key for keys in SETS.values() for key in keys}
     for name, alts in grammar.rules.items():
         for alt in alts:
             for sym in alt:
-                if isinstance(sym, NonTerminal) and sym.name not in grammar.rules:
-                    raise GrammarError(
-                        f"undefined nonterminal <{sym.name}>", rule_lines.get(name)
-                    )
-                if isinstance(sym, str):
-                    # the attribute the terminal fills, as derive() files it
-                    key, value = sym.split(":", 1) if ":" in sym else (name, sym)
-                    if key == "act" and value not in HIDDEN_ACTIVATIONS:
-                        label = sym if ":" in sym else f"{sym} in <act>"
-                        raise GrammarError(
-                            f"{label} names no hidden activation; "
-                            f"use one of {', '.join(HIDDEN_ACTIVATIONS)}",
-                            rule_lines.get(name),
-                        )
+                if not isinstance(sym, NonTerminal):
+                    everything.add(_check_terminal(sym, name, rule_lines.get(name)))
+                elif sym.name not in grammar.rules:
+                    raise GrammarError(f"undefined nonterminal <{sym.name}>", rule_lines.get(name))
                 if isinstance(sym, TerminalBlock):
-                    if sym.name == "act":
-                        raise GrammarError(
-                            "block [act] would name an activation by numbers; use one of "
-                            f"{', '.join(HIDDEN_ACTIVATIONS)}",
-                            rule_lines.get(name),
-                        )
                     prev = blocks.get(sym.name)
                     if prev is not None and prev != sym:
                         raise GrammarError(
@@ -292,6 +345,26 @@ def _validate(grammar: Grammar, rule_lines: dict[str, int]) -> None:
     if len(dynamic_rules) > 1:
         names = ", ".join(sorted(dynamic_rules))
         raise GrammarError(f"dynamic bound token '{DYNAMIC_BOUND_TOKEN}' appears in multiple rules: {names}")
+
+    # what every finishing derivation sets: the union over an alternative's
+    # symbols, the intersection over a rule's alternatives, narrowed from
+    # every attribute to a fixed point; a rule that never finishes keeps
+    # every attribute, so it constrains nothing
+    def sets(rule: str, alt: list[Symbol]) -> set[str]:
+        return set().union(*(always[s.name] if isinstance(s, NonTerminal) else {_filled(s, rule)[0]}
+                             for s in alt))
+
+    always = dict.fromkeys(grammar.rules, everything)
+    while always != (narrowed := {name: set.intersection(*(sets(name, alt) for alt in alts))
+                                  for name, alts in grammar.rules.items()}):
+        always = narrowed
+    for name, alts in grammar.rules.items():
+        for alt in alts:
+            got = sets(name, alt)
+            for tag in (f"<{name}>", *(":".join(_filled(s, name)) for s in alt if isinstance(s, str))):
+                missing = [key for key in SETS.get(tag, ()) if key not in got]
+                if missing:
+                    raise GrammarError(f"a {tag} derivation sets no {missing[0]}", rule_lines.get(name))
 
 
 def _sample_block(block: TerminalBlock, hi, rng: np.random.Generator) -> list[int | float]:

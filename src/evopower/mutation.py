@@ -29,7 +29,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .genome import (
-    LAYER_SYMBOL,
     MIN_HIDDEN_LAYERS,
     GenomeConfig,
     Individual,
@@ -38,7 +37,7 @@ from .genome import (
     count_hidden_layers,
     draw_middle_point,
 )
-from .grammar import GeneList, Grammar, derive
+from .grammar import LAYER_SYMBOL, GeneList, Grammar, derive
 
 POWER_FLOOR_W = 1e-6
 DEFAULT_ARCHIVE_CAPACITY = 256

@@ -345,6 +345,34 @@ def test_load_experiment_rows_fallback_and_missing(tmp_path):
     assert len(load_experiment_rows(tmp_path)) == 2
 
 
+def test_load_experiment_rows_refuses_a_run_directory_without_an_integer_index(tmp_path):
+    write_rows(tmp_path / "run_0" / "generations.csv", [make_row()])
+    write_rows(tmp_path / "run_0b" / "generations.csv", [make_row(run=1)])
+    with pytest.raises(DataError, match="run_0b: run directory suffix '0b' is not an integer"):
+        load_experiment_rows(tmp_path)
+
+
+def test_analyze_writes_the_same_bytes_from_run_files_as_from_the_aggregate(tmp_path):
+    # 12 runs: as text, run_10 and run_11 sort before run_2, and means over
+    # the runs taken in that order differ from the aggregate's in the last bits
+    rng = np.random.default_rng(7)
+    for mode in ("baseline", "proposed"):
+        rows = [make_row(run=r, generation=gen, individual=i, fitness=float(rng.random()),
+                         acc_left=float(rng.random()), acc_right=float(rng.random()),
+                         power_left=float(rng.uniform(40, 90)), power_right=float(rng.uniform(30, 80)))
+                for r in range(12) for gen in range(2) for i in range(2)]
+        write_rows(tmp_path / "aggregate" / mode / "aggregate.csv", rows)
+        for r in range(12):
+            write_rows(tmp_path / "runs" / mode / f"run_{r}" / "generations.csv",
+                       [row for row in rows if row["run"] == r])
+    written = {}
+    for source in ("aggregate", "runs"):
+        paths = analyze_experiments(tmp_path / source / "baseline", tmp_path / source / "proposed",
+                                    tmp_path / f"out_{source}")
+        written[source] = {path.name: path.read_bytes() for path in paths}
+    assert written["runs"] == written["aggregate"]
+
+
 def write_experiments(root: Path, runs: int) -> None:
     """baseline/ and proposed/ aggregate CSVs of ``runs`` runs each."""
     baseline_rows = [make_row(run=r, generation=gen, individual=i,

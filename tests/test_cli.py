@@ -136,6 +136,36 @@ def test_evolve_refuses_a_grammar_whose_dense_layer_misses_an_attribute(tmp_path
     assert message in capsys.readouterr().err
 
 
+DENSE = "layer:dense [units,int,1,16,256] <activation>"
+
+
+@pytest.mark.parametrize("old, new, message", [
+    ("<layer>        ::= <dense>", "<layer> ::= " + "<dense> | " * 9 + "layer:dropout rate:1.5",
+     "rate:1.5 can set rate to 1.5, outside [0.0, 1.0)"),
+    ("[units,int,1,16,256]", "[units,int,1,-4,256]",
+     "block [units] can set units to -4, outside [1, inf)"),
+    ("<layer>        ::= <dense>", "<layer> ::= " + "<dense> | " * 19 + "foo",
+     "foo in <layer> names no hidden layer kind; use one of dense, dropout"),
+    ("[batch,int,1,32,256]", "[batch,int,1,32,256] | [batch,int,1,32,256]",
+     "a <learning> derivation sets no lr"),
+    (DENSE, " | ".join([DENSE] * 59 + ["layer:dense [units,int,1,16,256]"]),
+     "a layer:dense derivation sets no act"),
+], ids=["rate-above-one", "negative-units", "bare-layer-kind", "learning-without-lr",
+        "one-dense-in-60-without-act"])
+def test_evolve_refuses_a_grammar_that_breaks_the_contract_at_load(tmp_path, capsys, old, new,
+                                                                   message):
+    # each of these grammars used to load, and a run died, if ever, once
+    # it derived the faulty alternative
+    dense_only = (resources.files("evopower") / "grammars" / "dense_only.grammar").read_text()
+    assert old in dense_only
+    grammar = tmp_path / "broken.grammar"
+    grammar.write_text(dense_only.replace(old, new))
+    cfg = write_cfg(tmp_path, [f"genome.grammar = {grammar}"])
+    assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_evolve_reruns_byte_identical(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert entry(["evolve", "--config", cfg, "--out", str(tmp_path / "a")]) == 0

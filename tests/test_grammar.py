@@ -123,6 +123,48 @@ def test_parse_rejects_an_activation_no_hidden_layer_computes(activation):
         parse_grammar("<layer> ::= layer:dense [units,int,1,4,8] [act,int,1,0,1]\n")
 
 
+@pytest.mark.parametrize("rule, message", [
+    ("<layer> ::= layer:conv", "layer:conv names no hidden layer kind; use one of dense, dropout"),
+    ("<layer> ::= [layer,int,1,0,1]", r"block \[layer\] would name a layer kind by numbers"),
+    ("<layer> ::= layer:dropout rate:1", "rate:1 can set rate to 1.0, outside \\[0.0, 1.0\\)"),
+    ("<layer> ::= layer:dropout [rate,float,1,-0.5,0.5]", "can set rate to -0.5"),
+    ("<layer> ::= layer:dropout [rate,int,1,0,0]", r"block \[rate\] draws int values, but rate is float"),
+    ("<layer> ::= layer:dense [units,int,1,0,8] act:relu", "can set units to 0, outside"),
+    ("<layer> ::= layer:dense [units,float,1,1,8] act:relu", "draws float values, but units is int"),
+    ("<units> ::= 8 | many", "many in <units> sets units to 'many', which does not parse as int"),
+    ("<learning> ::= lr:nan batch:8", "lr:nan can set lr to nan"),
+    ("<learning> ::= lr:0.1 batch:1.5", "sets batch to '1.5', which does not parse as int"),
+    ("<middle_point> ::= [middle_point,int,1,-1,x]", "can set middle_point to -1, outside"),
+    ("<a> ::= [v,int,1,0,9223372036854775808]", "is beyond what numpy draws"),
+    ("<a> ::= [v,float,1,-1e308,1e308]", "is beyond what numpy draws"),
+    ("<a> ::= [v,float,1,inf,x]", "is beyond what numpy draws"),
+])
+def test_parse_refuses_a_value_the_contract_forbids(rule, message):
+    with pytest.raises(GrammarError, match=f"line 1: .*{message}"):
+        parse_grammar(rule + "\n")
+
+
+def test_parse_requires_what_every_derivation_sets_through_recursive_rules():
+    layer = "<layer> ::= layer:dense act:relu <units>\n"
+    # a recursive rule settles: every finishing derivation of <units> sets units
+    parse_grammar(layer + "<units> ::= units:4 | <units> | <more>\n<more> ::= <units> units:8\n")
+    with pytest.raises(GrammarError, match="line 1: a layer:dense derivation sets no units"):
+        parse_grammar(layer + "<units> ::= units:4 | <more>\n<more> ::= <units> | note:x\n")
+    # a rule that never finishes constrains nothing; derive's depth cap stops it
+    g = parse_grammar(layer + "<units> ::= <units>\n")
+    with pytest.raises(DerivationError, match="depth cap"):
+        derive(g, "layer", GeneList(), np.random.default_rng(0))
+    # an attribute set outside the alternative that carries the tag does not count
+    with pytest.raises(GrammarError, match="line 2: a layer:dense derivation sets no act"):
+        parse_grammar("<layer> ::= <dense> act:relu\n<dense> ::= layer:dense units:4\n")
+    with pytest.raises(GrammarError, match="line 1: a <learning> derivation sets no batch"):
+        parse_grammar("<learning> ::= lr:0.1 batch:8 | lr:0.2\n")
+    with pytest.raises(GrammarError, match="line 1: a <middle_point> derivation sets no middle_point"):
+        parse_grammar("<middle_point> ::= a:1\n")
+    with pytest.raises(GrammarError, match="line 1: a <layer> derivation sets no layer"):
+        parse_grammar("<layer> ::= layer:dropout rate:0.5 | note:x\n")
+
+
 def test_parse_rejects_empty_text():
     with pytest.raises(GrammarError):
         parse_grammar("   \n# only a comment\n")

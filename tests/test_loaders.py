@@ -4,13 +4,15 @@ truncated or mutated input.
 
 The config file, grammar file and weight dump loaders are checked the
 same way, on damaged bytes of ``configs/desk.cfg``, ``default.grammar``
-and a ``save_weights`` dump.
+and a ``save_weights`` dump.  Every grammar that loads is also checked
+for soundness: its random derivations decode without an error.
 """
 
 import copy
 import gzip
 import json
 import math
+import re
 import struct
 import tempfile
 from functools import lru_cache
@@ -24,7 +26,13 @@ from hypothesis import strategies as st
 from evopower.cli import _read_genotype
 from evopower.config import AppConfig, load_config, load_grammar_spec
 from evopower.data import SplitSpec, load_idx, split, synthetic_dataset
-from evopower.errors import CheckpointError, ConfigError, DataError, GrammarError
+from evopower.errors import (
+    CheckpointError,
+    ConfigError,
+    DataError,
+    DerivationError,
+    GrammarError,
+)
 from evopower.evolution import (
     CSV_COLUMNS,
     EvolutionConfig,
@@ -34,9 +42,20 @@ from evopower.evolution import (
     run_experiment,
     write_rows_csv,
 )
-from evopower.genome import GenomeConfig, LayerSpec, PhenotypeSpec, validate_module
-from evopower.grammar import Grammar, load_packaged_grammar, parse_grammar
-from evopower.network import build, load_weights, save_weights
+from evopower.genome import (
+    GenomeConfig,
+    Individual,
+    LayerSpec,
+    MacroGenes,
+    ModuleGene,
+    PhenotypeSpec,
+    draw_middle_point,
+    module_layer_specs,
+    to_phenotype,
+    validate_module,
+)
+from evopower.grammar import GeneList, Grammar, derive, load_packaged_grammar, parse_grammar
+from evopower.network import build, build_stack, load_weights, save_weights
 
 GRAMMAR = load_packaged_grammar("dense_only")
 CFG = EvolutionConfig(
@@ -262,29 +281,50 @@ def test_load_idx_raises_only_data_error(images, labels):
     assert ds.samples.shape[0] == ds.labels.shape[0]
 
 
-GRAMMAR_TEXT = "\n".join(
-    (resources.files("evopower") / "grammars" / f"{name}.grammar").read_text()
-    for name in ("default", "dense_only")
-)
+PACKAGED = [(resources.files("evopower") / "grammars" / f"{name}.grammar").read_text()
+            for name in ("default", "dense_only")]
+# each packaged grammar, and both in one text, whose rules clash
+GRAMMAR_TEXTS = [*PACKAGED, "\n".join(PACKAGED)]
 # pieces of the grammar syntax, and values its numbers must reject
 TOKENS = st.sampled_from([
     "<", ">", "<>", "[", "]", "::=", "|", ",", "#", "\n", "\r\n", " ", "x", "int", "float",
     "<layer>", "<dense>", "[units,int,1,16,256]", "[a,float,1,x,0.5]", "nan", "inf", "-inf",
     "1e999", "-1", "0", "9" * 5000, "1_000", "\x00", "\u0663",
 ])
+# a symbol of an alternative: a block, a nonterminal or a literal
+SYMBOL = re.compile(r"\[[^\]\n]*\]|<[^>\n]*>|[^\s|<\[]+")
+# values outside what an attribute of the grammar contract may hold
+OUT_OF_RANGE = st.sampled_from(["-4", "0", "1", "1.5", "-0.5", "nan", "inf", "1e999", "9" * 20,
+                                "many", "tanh", "conv"])
 
 
 @st.composite
 def grammar_text(draw):
-    """The packaged grammars with a span cut, or replaced by syntax pieces
-    or arbitrary text; or arbitrary text alone."""
+    """A packaged grammar with up to three symbols dropped or given a value
+    out of range, then perhaps a span cut or replaced by syntax pieces or
+    arbitrary text; or arbitrary text alone."""
     if draw(st.booleans()):
         return draw(st.text(max_size=80))
-    text = GRAMMAR_TEXT
-    at = draw(st.integers(0, len(text)))
-    cut = draw(st.integers(0, 12))
-    pieces = draw(st.lists(TOKENS | st.text(max_size=4), max_size=4))
-    return text[:at] + "".join(pieces) + text[at + cut:]
+    text = draw(st.sampled_from(GRAMMAR_TEXTS))
+    for _ in range(draw(st.integers(0, 3))):
+        start, end = draw(st.sampled_from(
+            [m.span() for m in SYMBOL.finditer(text) if m.group() != "::="]))
+        token = text[start:end]
+        if token.startswith("[") and draw(st.booleans()):
+            fields = token[1:-1].split(",")
+            fields[draw(st.integers(3, 4))] = draw(OUT_OF_RANGE)  # lo or hi
+            token = "[" + ",".join(fields) + "]"
+        elif ":" in token and draw(st.booleans()):
+            token = token.split(":")[0] + ":" + draw(OUT_OF_RANGE)
+        else:
+            token = ""
+        text = text[:start] + token + text[end:]
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 12))
+        pieces = draw(st.lists(TOKENS | st.text(max_size=4), max_size=4))
+        text = text[:at] + "".join(pieces) + text[at + cut:]
+    return text
 
 
 @settings(max_examples=500, deadline=None)
@@ -295,6 +335,43 @@ def test_parse_grammar_raises_only_grammar_error(text):
     except GrammarError:
         return
     assert grammar.rules
+
+
+@settings(max_examples=300, deadline=None)
+@given(grammar_text(), st.integers(0, 2**32 - 1))
+@example(PACKAGED[0], 1)
+@example(PACKAGED[1].replace("[batch,int,1,32,256]", "[batch,int,1,32," + "9" * 20 + "]"), 1)
+def test_a_loaded_grammar_decodes_every_derivation(text, seed):
+    """Random derivations of a grammar that loads decode into layers that
+    build and into training settings; only derive's DerivationError (the
+    depth cap, or a dynamic bound outside <middle_point>) may escape."""
+    try:
+        grammar = parse_grammar(text)
+    except GrammarError:
+        return
+    rng = np.random.default_rng(seed)
+    try:
+        if "layer" in grammar.rules:
+            module = ModuleGene([derive(grammar, "layer", GeneList(), rng)[0] for _ in range(4)])
+            specs = module_layer_specs(module, grammar)
+            for spec in specs:
+                assert (spec.kind == "dense" and type(spec.units) is int and spec.units >= 1
+                        and spec.activation in ("relu", "sigmoid")
+                        or spec.kind == "dropout" and 0.0 <= spec.rate < 1.0), spec
+            # wider layers are checked by their spec alone, to keep the memory small
+            if all((spec.units or 0) <= 512 for spec in specs):
+                build_stack(specs, 3, 2, rng)
+            if "learning" in grammar.rules and sum(s.kind == "dense" for s in specs) >= 2:
+                learning = derive(grammar, "learning", GeneList(), rng)[0]
+                ind = Individual([module], MacroGenes({"learning": learning}, 0), 0, 1.0)
+                phenotype = to_phenotype(ind, grammar)
+                assert type(phenotype.learning_rate) is float
+                assert type(phenotype.batch_size) is int
+        if "middle_point" in grammar.rules:
+            hidden = int(rng.integers(2, 6))
+            assert draw_middle_point(grammar, hidden, rng) >= 0
+    except DerivationError:
+        pass
 
 
 DESK_CFG = (Path(__file__).resolve().parent.parent / "configs" / "desk.cfg").read_bytes()

@@ -436,7 +436,12 @@ def load_weights(path) -> list[np.ndarray]:
         (ndim,) = struct.unpack("<I", take(4))
         shape = struct.unpack(f"<{ndim}I", take(4 * ndim))
         values = take(4 * math.prod(shape))
-        arrays.append(np.frombuffer(values, dtype="<f4").reshape(shape).copy())
+        try:
+            # an empty array may still name dimensions numpy cannot index
+            array = np.frombuffer(values, dtype="<f4").reshape(shape)
+        except ValueError as exc:
+            raise DataError(f"weight file {path} holds an array of shape {shape}: {exc}")
+        arrays.append(array.copy())
     if off != len(blob):
         raise DataError(f"weight file {path} holds {len(blob) - off} bytes after its last array")
     return arrays

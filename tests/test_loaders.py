@@ -433,6 +433,8 @@ WEIGHTS, WEIGHT_ARRAYS = weight_dump()
 @example(WEIGHTS[:-1])  # cut inside the last array
 @example(WEIGHTS + b"\x00")  # a trailing byte
 @example(struct.pack("<II", 1, 2**32 - 1))  # more dimensions than bytes
+@example(struct.pack("<IIIII", 1, 3, 0, 2**32 - 1, 2**32 - 1))  # empty, yet too big to index
+@example(struct.pack("<II", 1, 65) + bytes(4 * 64) + struct.pack("<I", 1))  # too many dimensions
 @example(WEIGHTS)
 def test_load_weights_raises_only_data_error(payload):
     with tempfile.TemporaryDirectory() as tmp:
